@@ -17,12 +17,10 @@ from .seqspace import (THETA, SparseVec, VectorFamily, block_vectors, e,
                        gen_c0_singleton_divergent, gen_c0_two_point,
                        gen_no_rp_series, gen_vector_family,
                        per_coordinate_profile, sign_patterns)
-from .rearrange import (ChainSchedule, RPCertificationError, RPConstants,
-                        RPWitness, RearrangerState, alternating_harmonic,
-                        build_chain_schedule, certify_rp, certify_rp_family,
-                        check_stage_invariants, extension_step,
-                        find_balanced_permutation, full_range_series,
-                        rearrange_to_limit_set, tail_sum_select)
+from .rearrange import (RPCertificationError, RPConstants, RPWitness,
+                        alternating_harmonic, certify_rp, certify_rp_family,
+                        check_stage_invariants, find_balanced_permutation,
+                        full_range_series, rearrange_to_limit_set)
 from .analysis import (ALL_COMPONENTS_ESCAPE, COMPACT_CONNECTED, VIOLATION,
                        LimitEstimate, cauchy_diagnostic, dense_approx_check,
                        estimate_limit_set, singleton_convergence_check,

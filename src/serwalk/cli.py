@@ -220,8 +220,7 @@ def cmd_verify(args) -> int:
         kind = "sup" if hasattr(terms[0], "entries") else EUCLIDEAN
         prefix = min(len(terms), args.prefix)
         order = rearrange.find_balanced_permutation(
-            terms[:prefix], args.epsilon,
-            "exhaustive" if prefix <= 10 else "greedy", kind=kind,
+            terms[:prefix], args.epsilon, kind=kind,
             rng=random.Random(args.seed))
         if order is None:
             print("no balanced permutation")
@@ -261,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--radii")
     g.add_argument("--target")
     g.add_argument("--out")
-    g.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--format", choices=["csv", "svg"], default="csv")
     g.set_defaults(func=cmd_generate)
 
     r = sub.add_parser("rearrange", help="steer a full-sum-range series onto a target")
@@ -293,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--marks")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_plot)
     return ap
 

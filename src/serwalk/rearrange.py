@@ -1,10 +1,16 @@
 """Prefix balancing and limit-set-targeting rearrangement.
 
-The central loop mirrors the inductive construction behind rearranging a
-series so its partial sums cluster exactly on a prescribed chainable set:
-repeatedly (1) gather every series index skipped so far, (2) pick tail
-indices whose sum moves the running total next to the next chain anchor,
-and (3) order the combined batch so that no intermediate prefix strays.
+``rearrange_to_limit_set`` mirrors the inductive construction behind
+rearranging a series so its partial sums cluster exactly on a prescribed
+chainable set.  Stage j walks a refined tour of the target, and each hop
+from anchor a to anchor b is one stage step (the ``move`` closure):
+(1) append the untouched indices through N(eps_j/2) in order, and at the
+stage hand-off also gather every index skipped so far; (2) select tail
+indices whose sum steers the running total to within the next stage's
+slack of b, parking scanned-but-unused indices in a reservoir; (3) order
+the batch with ``find_balanced_permutation`` so that no prefix leaves the
+eps_j-ball around a.  The step checks its postconditions and raises when
+one fails.
 
 Balancing constants are certified empirically, not proven: for a series
 with nonincreasing term norms we take N(eps) = first index whose term norm
@@ -20,10 +26,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import EUCLIDEAN, PointSample, add, distance, norm, sub
+from .core import EUCLIDEAN, PointSample, add, distance, norm
 from .walks import PartialPermutation, Walk
-
-ZERO_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
 # test series with full sum range
@@ -151,44 +155,31 @@ def _dfs_balance(terms: Sequence, bound: float, kind: str) -> Optional[list[int]
     return order if rec(None) else None
 
 def find_balanced_permutation(terms: Sequence, bound: float,
-                              strategy: str = "exhaustive",
                               kind: str = EUCLIDEAN,
-                              rng: Optional[random.Random] = None,
-                              restarts: int = 64) -> Optional[list[int]]:
+                              rng: Optional[random.Random] = None) -> Optional[list[int]]:
     """Permutation of [1, n] keeping every prefix-sum norm strictly below
     ``bound``, or None.
 
-    ``exhaustive`` (n <= 10) is a complete decision procedure; ``greedy``
-    picks at each step the unused term minimizing the resulting prefix norm
-    (ties by lowest index), retrying with randomized tie-breaks.
+    Tries, in order:
+    (1) one deterministic greedy pass, picking at each step the unused term
+        that minimizes the resulting prefix norm (ties by lowest index);
+    (2) 63 greedy passes breaking near-ties at random with ``rng``
+        (``random.Random(0)`` when None);
+    (3) for n <= 10, a complete prefix-pruned search, so that None is then
+        a proof that no such order exists.  For n > 10, None only means
+        that the greedy passes failed.
     """
     if not terms:
         return []
-    if strategy == "exhaustive":
-        if len(terms) > 10:
-            raise ValueError("exhaustive strategy limited to n <= 10")
-        return _dfs_balance(terms, bound, kind)
-    if strategy != "greedy":
-        raise ValueError(f"unknown strategy {strategy!r}")
     order = _greedy_balance(terms, bound, kind, None)
     if order is not None:
         return order
     rng = rng or random.Random(0)
-    for _ in range(restarts - 1):
+    for _ in range(63):
         order = _greedy_balance(terms, bound, kind, rng)
         if order is not None:
             return order
-    return None
-
-def _balance_ladder(terms: Sequence, bound: float, kind: str,
-                    rng: Optional[random.Random]) -> Optional[list[int]]:
-    """Greedy first; complete search as fallback for small batches."""
-    if not terms:
-        return []
-    order = find_balanced_permutation(terms, bound, "greedy", kind, rng)
-    if order is None and len(terms) <= 10:
-        order = _dfs_balance(terms, bound, kind)
-    return order
+    return _dfs_balance(terms, bound, kind) if len(terms) <= 10 else None
 
 # ---------------------------------------------------------------------------
 # RP certification
@@ -216,7 +207,6 @@ class RPConstants:
     """
 
     def __init__(self, series: Sequence, kind: str = EUCLIDEAN):
-        self.series = series
         self.kind = kind
         self._norms = [norm(t, kind) for t in series]
 
@@ -262,7 +252,7 @@ def certify_rp(series_prefix: Sequence, epsilon: float,
                 break
         if instance is None:
             continue
-        order = _balance_ladder(instance, epsilon, kind, rng)
+        order = find_balanced_permutation(instance, epsilon, kind, rng)
         if order is None:
             raise RPCertificationError(
                 f"RP certification failed at eps={epsilon}", instance)
@@ -278,77 +268,19 @@ def certify_rp_family(series_prefix: Sequence, epsilons: Sequence[float],
     out = [certify_rp(series_prefix, eps, instance_budget, kind, rng)
            for eps in sorted(epsilons, reverse=True)]
     for w1, w2 in zip(out, out[1:]):
-        assert w1.delta >= w2.delta and w1.n_threshold <= w2.n_threshold
+        if w1.delta < w2.delta or w1.n_threshold > w2.n_threshold:
+            raise RPCertificationError(
+                f"witnesses not monotone between eps={w1.epsilon} and eps={w2.epsilon}")
     return out
 
 # ---------------------------------------------------------------------------
-# tail selection (constructive sum-range membership for the test family)
+# the staged rearrangement
 
 def _axis_of(term) -> tuple[int, float]:
     nz = [(a, float(v)) for a, v in enumerate(term) if float(v) != 0.0]
     if len(nz) > 1:
         raise ValueError("tail selection needs axis-aligned terms")
     return nz[0] if nz else (-1, 0.0)
-
-def tail_sum_select(series_prefix: Sequence, start: int, target,
-                    tol: float) -> list[int]:
-    """Finite index set past ``start`` whose term sum lands within ``tol``
-    of ``target`` per coordinate, by greedy Riemann selection.
-
-    Works on series whose terms are axis-aligned with divergent signed
-    parts per coordinate (the designated full-sum-range family).
-    """
-    err = [float(c) for c in target]
-    chosen = []
-    if all(abs(e) <= tol for e in err):
-        return chosen
-    for idx in range(start + 1, len(series_prefix) + 1):
-        axis, value = _axis_of(series_prefix[idx - 1])
-        if axis < 0:
-            continue
-        if abs(err[axis]) > tol and (value > 0) == (err[axis] > 0):
-            chosen.append(idx)
-            err[axis] -= value
-            if all(abs(e) <= tol for e in err):
-                return chosen
-    raise ValueError("prefix too short")
-
-# ---------------------------------------------------------------------------
-# the inductive extension
-
-@dataclass
-class ChainSchedule:
-    """Dense point sequence cut into eta_i-chain segments."""
-
-    dense: list
-    boundaries: list[int]  # 1-based l_1 = 1 < l_2 < ...
-    etas: list[float]
-
-    def segment(self, i: int) -> list:
-        return self.dense[self.boundaries[i - 1] - 1:self.boundaries[i]]
-
-def build_chain_schedule(sample: PointSample, etas: Sequence[float],
-                         kind: str = EUCLIDEAN) -> ChainSchedule:
-    """Schedule whose segment i is an eta_i-chain between consecutive
-    sample points (recycled cyclically), found by BFS on the gap graph."""
-    from .core import gap_chainable
-    sample = sample if isinstance(sample, PointSample) else PointSample(tuple(sample))
-    if not sample.points:
-        raise ValueError("empty sample")
-    pts = sample.points
-    dense: list = [pts[0]]
-    boundaries = [1]
-    for i, eta in enumerate(etas, start=1):
-        a = pts[(i - 1) % len(pts)]
-        b = pts[i % len(pts)]
-        chain = gap_chainable(sample, eta, a, b, kind=kind)
-        if chain is None:
-            raise ValueError(f"sample not chainable at eta_{i}={eta}")
-        if len(chain) == 1:
-            chain = chain * 2
-        dense.extend(chain[1:])
-        boundaries.append(len(dense))
-    return ChainSchedule(dense, boundaries, list(etas))
 
 def _refined_loop(points: Sequence, hop: float) -> list:
     """Cyclic tour of the points with linear refinement to steps <= hop."""
@@ -364,95 +296,6 @@ def _refined_loop(points: Sequence, hop: float) -> list:
             out.append(tuple(ca + (cb - ca) * i / n for ca, cb in zip(a, b)))
     return out
 
-@dataclass
-class RearrangerState:
-    """Snapshot of the induction: partial permutation, stage marks, anchors
-    and the walk-so-far (a shared buffer; ``n_sums`` is this state's view)."""
-
-    tau: PartialPermutation
-    k_marks: list[int]
-    anchors: list
-    phase_index: int
-    _sum_buffer: list = field(default_factory=list, repr=False)
-    n_sums: int = 0
-    skipped: frozenset = frozenset()
-
-    @property
-    def sums(self) -> list:
-        return self._sum_buffer[:self.n_sums]
-
-    @property
-    def current_sum(self):
-        return self._sum_buffer[self.n_sums - 1]
-
-def _initial_state(series: Sequence, constants: RPConstants, eps1: float) -> RearrangerState:
-    n1 = constants.n_threshold(eps1 / 2)
-    sums = []
-    cur = None
-    for i in range(1, n1 + 1):
-        cur = series[i - 1] if cur is None else add(cur, series[i - 1])
-        sums.append(cur)
-    return RearrangerState(PartialPermutation(list(range(1, n1 + 1))),
-                           [n1], [], 0, sums, len(sums), frozenset())
-
-def extension_step(state: RearrangerState, a, b, eps: float, eps_next: float,
-                   constants: RPConstants, series: Sequence,
-                   kind: str = EUCLIDEAN,
-                   rng: Optional[random.Random] = None,
-                   enforce_preconditions: bool = True) -> RearrangerState:
-    """One inductive extension: sweep skipped indices, steer to b, balance.
-
-    Postconditions (asserted): the old permutation is preserved and every
-    index up to its old maximum is covered after the *next* sweep; every
-    new prefix sum stays within eps of a; the final sum lands within
-    min(eps_next/12, delta(eps_next/2)/3) of b; the range covers
-    [1, N(eps_next/2)].
-    """
-    delta = constants.delta
-    slack = min(eps / 12, delta(eps / 2) / 3)
-    if enforce_preconditions:
-        if distance(a, b, kind) >= slack:
-            raise ValueError("anchors too far apart for this eps")
-        if distance(state.current_sum, a, kind) > slack + ZERO_TOL:
-            raise ValueError("current sum too far from a")
-        if not state.tau.covers_initial_segment(constants.n_threshold(eps / 2)):
-            raise ValueError("range does not cover N(eps/2)")
-
-    rng_set = state.tau.range_set
-    k0 = max(constants.n_threshold(eps / 2), constants.n_threshold(eps_next / 2),
-             max(rng_set, default=0))
-    skipped = sorted(set(range(1, k0 + 1)) - rng_set)
-    y = state.current_sum
-    z = None
-    for i in skipped:
-        z = series[i - 1] if z is None else add(z, series[i - 1])
-    yz = y if z is None else add(y, z)
-    tol = min(eps_next / 12, delta(eps_next / 2) / 3, delta(eps / 2) / 3) / 3
-    selected = tail_sum_select(series, k0, sub(b, yz), tol)
-    batch_idx = sorted(skipped + selected)
-    terms = [series[i - 1] for i in batch_idx]
-    order = _balance_ladder(terms, eps / 2, kind, rng)
-    if order is None:
-        raise ValueError("RP bound violated at stage: balancing failed")
-    new_images = [batch_idx[p - 1] for p in order]
-
-    buf = state._sum_buffer
-    del buf[state.n_sums:]  # drop any sums written by abandoned branches
-    cur = y
-    for img in new_images:
-        cur = add(cur, series[img - 1])
-        buf.append(cur)
-        assert distance(cur, a, kind) <= eps + ZERO_TOL, "prefix escaped eps-ball"
-    end_slack = min(eps_next / 12, delta(eps_next / 2) / 3)
-    assert distance(cur, b, kind) <= end_slack + ZERO_TOL, "terminal sum off target"
-    tau = state.tau.extend(new_images)
-    assert tau.covers_initial_segment(constants.n_threshold(eps_next / 2))
-    left = frozenset(i for i in range(1, max(tau.range_set) + 1)
-                     if i not in tau.range_set)
-    return RearrangerState(tau, state.k_marks + [len(tau)],
-                           state.anchors + [b], state.phase_index,
-                           buf, len(buf), left)
-
 def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
                            stages: int, kind: str = EUCLIDEAN,
                            constants: Optional[RPConstants] = None,
@@ -462,10 +305,11 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
 
     Stage j uses eps_j = 2^-j and eta_j = min(eps_j/48, delta(eps_j/2)/12),
     sweeping a refined cyclic tour of the target sample with anchor hops of
-    at most hop_factor * eta_j (hop_factor < 4 keeps the extension
-    preconditions intact).  Chain refinement interpolates linearly between
-    consecutive sample points, so targets should be samples of sets that
-    are near-convex between neighbours (pitch^2-scale refinement error).
+    at most hop_factor * eta_j (hop_factor < 4 keeps consecutive anchors
+    closer than eps_j/12, as the inductive step assumes).  Chain refinement
+    interpolates linearly between consecutive sample points, so targets
+    should be samples of sets that are near-convex between neighbours
+    (pitch^2-scale refinement error).
 
     Returns (tau, walk, stage_reports).
     """
@@ -567,7 +411,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         batch.extend(select(err, tol))
         if batch:
             bterms = [terms[i - 1] for i in batch]
-            order = _balance_ladder(bterms, eps / 2, kind, rng)
+            order = find_balanced_permutation(bterms, eps / 2, kind, rng)
             if order is None:
                 raise ValueError("RP bound violated at stage: balancing failed")
             push(batch[p - 1] for p in order)

@@ -102,7 +102,7 @@ class Walk:
         if self.phase_lengths is None:
             return [(1, len(self.sums))]
         blocks, pos = [], 1
-        for n in blocks_iter(self.phase_lengths):
+        for n in self.phase_lengths:
             blocks.append((pos, pos + n))
             pos += n
         return blocks
@@ -130,10 +130,6 @@ class Walk:
                     return False
             pos += n
         return True
-
-
-def blocks_iter(phase_lengths):
-    return list(phase_lengths)
 
 
 def build_xwalk(schedule: Sequence[Sequence], step_bounds=None, kind: str = EUCLIDEAN) -> Walk:

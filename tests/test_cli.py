@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "serwalk.cli"]
 
 
@@ -49,6 +51,19 @@ def test_generate_svg_format():
     r = run("generate", "two-lines", "--phases", "2", "--format", "svg")
     assert r.returncode == 0
     assert r.stdout.startswith("<svg ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "two-lines", "--format", "json"], "invalid choice: 'json'"),
+    (["generate", "two-lines", "--seed", "1"], "unrecognized arguments: --seed"),
+    (["plot", "--input", "walk.csv", "--seed", "1"], "unrecognized arguments: --seed"),
+])
+def test_options_without_effect_are_usage_errors(argv, message):
+    # argparse rejects the command line before any input is opened
+    r = run(*argv)
+    assert r.returncode == 2
+    assert message in r.stderr
+    assert r.stdout == ""
 
 
 def test_determinism_same_args_same_bytes(tmp_path):

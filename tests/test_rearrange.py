@@ -5,13 +5,11 @@ from itertools import permutations
 import pytest
 
 from serwalk.core import SUP, PointSample, distance, norm
-from serwalk.rearrange import (RPConstants,
-                               alternating_harmonic, build_chain_schedule,
+from serwalk.rearrange import (RPConstants, alternating_harmonic,
                                certify_rp, certify_rp_family,
-                               check_stage_invariants, extension_step,
+                               check_stage_invariants,
                                find_balanced_permutation, full_range_series,
-                               rearrange_to_limit_set, tail_sum_select)
-from serwalk.rearrange import _initial_state
+                               rearrange_to_limit_set)
 from serwalk.seqspace import block_vectors
 
 
@@ -47,7 +45,7 @@ def test_find_balanced_permutation_exhaustive_matches_brute_force():
         terms = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
         total = tuple(map(sum, zip(*terms)))
         bound = norm(total) + rng.uniform(0.2, 1.5)
-        got = find_balanced_permutation(terms, bound, "exhaustive")
+        got = find_balanced_permutation(terms, bound)
         brute = None
         for sigma in permutations(range(1, n + 1)):
             if max(_prefix_norms(terms, sigma)) < bound:
@@ -65,7 +63,7 @@ def test_find_balanced_permutation_greedy_respects_bound():
         v = rng.choice([0.3, -0.3, 0.2, -0.2])
         terms.append((v, 0.0))
     total = abs(sum(t[0] for t in terms))
-    order = find_balanced_permutation(terms, total + 0.4, "greedy",
+    order = find_balanced_permutation(terms, total + 0.4,
                                       rng=random.Random(0))
     assert order is not None
     assert max(_prefix_norms(terms, order)) < total + 0.4
@@ -73,19 +71,18 @@ def test_find_balanced_permutation_greedy_respects_bound():
 
 def test_find_balanced_permutation_edge_cases():
     assert find_balanced_permutation([], 1.0) == []
-    with pytest.raises(ValueError, match="n <= 10"):
-        find_balanced_permutation([(0.1,)] * 11, 1.0, "exhaustive")
-    with pytest.raises(ValueError, match="unknown strategy"):
-        find_balanced_permutation([(0.1,)], 1.0, "anneal")
+    # past the complete search's size limit an impossible bound is a
+    # failed greedy ladder, not an error
+    assert find_balanced_permutation([(1.0,)] * 11, 1.0) is None
 
 
 def test_no_rp_block_defeats_balancing():
     # the k=1 block's four vectors: any two of them already reach sup 1
     ys = [v for v in block_vectors(1)]
-    order = find_balanced_permutation(ys, 1.0, "exhaustive", kind=SUP)
+    order = find_balanced_permutation(ys, 1.0, kind=SUP)
     assert order is None
     # relaxing the bound by the block's own scale admits an order
-    assert find_balanced_permutation(ys, 2.0 + 1e-9, "exhaustive", kind=SUP)
+    assert find_balanced_permutation(ys, 2.0 + 1e-9, kind=SUP)
 
 
 def test_rp_constants_thresholds():
@@ -122,83 +119,42 @@ def test_certify_rp_short_prefix_raises():
         certify_rp(alternating_harmonic(12), 1.0)
 
 
-def test_tail_sum_select_reaches_target():
-    series = full_range_series(2, 20000, scale=1.0)
-    target = (0.375, -0.875)
-    chosen = tail_sum_select(series, 40, target, 0.01)
-    assert all(i > 40 for i in chosen)
-    assert chosen == sorted(chosen)
-    total = [0.0, 0.0]
-    for i in chosen:
-        t = series[i - 1]
-        total[0] += t[0]
-        total[1] += t[1]
-    assert abs(total[0] - target[0]) <= 0.01
-    assert abs(total[1] - target[1]) <= 0.01
-
-
-def test_tail_sum_select_prefix_too_short():
-    with pytest.raises(ValueError, match="prefix too short"):
-        tail_sum_select(full_range_series(1, 40), 0, (25.0,), 0.05)
-
-
-def test_tail_sum_select_rejects_diagonal_terms():
-    with pytest.raises(ValueError, match="axis-aligned"):
-        tail_sum_select([(1.0, 1.0)], 0, (0.5, 0.0), 0.01)
-
-
-def test_extension_step_conclusions():
-    series = full_range_series(2, 40000)
-    constants = RPConstants(series)
-    state = _initial_state(series, constants, 0.5)
-    eps, eps_next = 1.0, 0.5
-    a = state.current_sum
-    b = (a[0] + 0.05, a[1] - 0.04)
-    new = extension_step(state, a, b, eps, eps_next, constants, series,
-                         rng=random.Random(1))
-    assert len(new.tau) > len(state.tau)
-    assert new.tau.images[:len(state.tau)] == state.tau.images
-    slack = min(eps_next / 12, constants.delta(eps_next / 2) / 3)
-    assert distance(new.current_sum, b) <= slack + 1e-9
-    for s in new.sums[state.n_sums:]:
-        assert distance(s, a) <= eps + 1e-9
-    assert new.tau.covers_initial_segment(constants.n_threshold(eps_next / 2))
-
-
-def test_extension_step_rejects_far_anchors():
-    series = full_range_series(2, 40000)
-    constants = RPConstants(series)
-    state = _initial_state(series, constants, 0.5)
-    a = state.current_sum
-    with pytest.raises(ValueError, match="too far apart"):
-        extension_step(state, a, tuple(c + 5 for c in a), 1.0, 0.5,
-                       constants, series)
-
-
-def test_build_chain_schedule_segments():
-    pts = PointSample(tuple((0.2 * i, 0.0) for i in range(6)))
-    sched = build_chain_schedule(pts, [0.5, 0.25])
-    assert sched.boundaries[0] == 1
-    for i, eta in enumerate([0.5, 0.25], start=1):
-        seg = sched.segment(i)
-        for u, v in zip(seg, seg[1:]):
-            assert distance(u, v) <= eta + 1e-12
-    with pytest.raises(ValueError, match="not chainable"):
-        build_chain_schedule(pts, [0.1])
-
-
 def test_rearrange_small_segment_target():
     series = full_range_series(2, 60000)
     target = PointSample(tuple((0.1 * i, 0.0) for i in range(6)))
+    constants = RPConstants(series)
     tau, walk, reports = rearrange_to_limit_set(series, target, stages=3,
                                                 rng=random.Random(2))
-    assert check_stage_invariants(reports, tau, RPConstants(series))
+    assert check_stage_invariants(reports, tau, constants)
     assert sorted(set(tau.images)) == sorted(tau.images)
     # the walk is the permuted series' partial-sum trajectory
     acc = (0.0, 0.0)
     for n, img in enumerate(tau.images[:50], start=1):
         acc = tuple(x + y for x, y in zip(acc, series[img - 1]))
         assert walk.sums[n] == acc
+
+
+def test_extension_step_conclusions():
+    series = full_range_series(2, 60000)
+    target = PointSample(tuple((0.1 * i, 0.0) for i in range(6)))
+    constants = RPConstants(series)
+    runs = [rearrange_to_limit_set(series, target, stages=j, rng=random.Random(2))
+            for j in (1, 2, 3)]
+    tau, walk, _ = runs[-1]
+    # each stage step's postconditions, read off the artifacts: a later
+    # stage only extends the permutation; stage j's sums stay within eps_j
+    # of the refined tour, whose points are within pitch/2 of the sample;
+    # each hand-off parks within eps_{j+1}/12 of the tour's start; a
+    # j-stage permutation covers [1, N(eps_{j+1}/2)]
+    for j, (tau_j, _, _) in enumerate(runs, start=1):
+        assert tau.images[:len(tau_j)] == tau_j.images
+        assert tau_j.covers_initial_segment(constants.n_threshold(2.0 ** -(j + 1) / 2))
+    blocks = walk.phase_blocks()
+    for j in (1, 2, 3):
+        start, end = blocks[j]
+        for s in walk.sums[start:end]:
+            assert min(distance(s, p) for p in target.points) <= 2.0 ** -j + 0.05
+        assert distance(walk.sums[end - 1], target.points[0]) <= 2.0 ** -(j + 1) / 12
 
 
 def test_rearrange_singleton_converges():
@@ -216,6 +172,13 @@ def test_rearrange_validation():
         rearrange_to_limit_set(series, PointSample(((0.0, 0.0),)), 0)
     with pytest.raises(ValueError, match="empty target"):
         rearrange_to_limit_set(series, PointSample(()), 1)
+
+
+def test_tail_sum_select_rejects_diagonal_terms():
+    # tail-sum selection steers one coordinate per term
+    diagonal = [((-1) ** t * 8.0 / t,) * 2 for t in range(1, 2001)]
+    with pytest.raises(ValueError, match="axis-aligned"):
+        rearrange_to_limit_set(diagonal, PointSample(((1.0, -1.0),)), 1)
 
 
 def test_rearrange_exhausts_short_prefix():
