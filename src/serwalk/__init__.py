@@ -6,8 +6,8 @@ empirically, and verify limit-set claims (dichotomy, chainability,
 Hausdorff proximity, convergence) at desk scale.
 """
 
-from .core import (EUCLIDEAN, MEMBERSHIP_TOL, SUP, PointSample, UnionFind,
-                   distance, gap_chainable, gap_components, hausdorff_distance,
+from .core import (EUCLIDEAN, MEMBERSHIP_TOL, SUP, PointSample, distance,
+                   gap_chainable, gap_components, hausdorff_distance,
                    is_dyadic, norm, point_mode, same_point)
 from .walks import (PartialPermutation, SignedSeries, Walk,
                     build_chainable_walk, build_unbounded_components_walk,

@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import EUCLIDEAN, PointSample, UnionFind, distance, hausdorff_distance, norm
+from .core import (EUCLIDEAN, PointSample, distance, gap_components, hausdorff_distance,
+                   norm)
 from .walks import Walk
 
 
@@ -127,17 +128,11 @@ def estimate_limit_set(w: Walk, window_fraction: float = 0.3,
             kept.append((rep_of(pts), len(pts), pts))
     if not kept:
         return LimitEstimate(PointSample(()), start, resolution, [], kind)
-    # merge representatives that landed closer than resolution/2
-    uf = UnionFind(len(kept))
-    for i in range(len(kept)):
-        for j in range(i + 1, len(kept)):
-            if distance(kept[i][0], kept[j][0], kind) < resolution / 2:
-                uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(kept)):
-        groups.setdefault(uf.find(i), []).append(i)
+    # merge representatives that landed strictly closer than resolution/2
+    groups = gap_components([rep for rep, _, _ in kept],
+                            math.nextafter(resolution / 2, 0), kind)
     reps, counts = [], []
-    for idx in sorted(groups.values(), key=lambda g: g[0]):
+    for idx in groups:
         members = [kept[i] for i in idx]
         merged = [t for _, _, tagged in members for t in tagged]
         reps.append(rep_of(merged))
@@ -158,7 +153,6 @@ def verify_dichotomy(est: LimitEstimate, gap: float, bound: float) -> dict:
     """
     if not est.points.points:
         raise ValueError("empty estimate")
-    from .core import gap_components
     comps = gap_components(est.points, gap, kind=est.kind)
     maxnorms = [max(norm(est.points.points[i], est.kind) for i in comp) for comp in comps]
     escaped = [mn >= bound - gap for mn in maxnorms]

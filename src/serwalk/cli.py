@@ -1,6 +1,7 @@
 """serwalk command line: generate walks, rearrange, verify, plot.
 
-Exit codes: 0 success, 1 property failure, 2 usage or input error.
+Exit codes: 0 success, 1 property failure (or stdout closed early by its
+reader), 2 usage or input error.
 Outputs are deterministic for a fixed argument list (including --seed);
 no timestamps or machine state leak into any artifact.
 """
@@ -300,7 +301,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`): point stdout at devnull
+        # so the flush at exit cannot fail again, as the Python docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return FAIL
     except UsageError as err:
         print(str(err), file=sys.stderr)
         return USAGE

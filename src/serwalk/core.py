@@ -10,6 +10,11 @@ Two scalar modes coexist:
 Points are plain tuples; finite-support sequence-space vectors are
 :class:`serwalk.seqspace.SparseVec`.  Norms and distances always come back
 as floats regardless of mode.
+
+Every distance-threshold question -- gap components, epsilon-chains, the
+merge step of a limit estimate, chain building -- is answered by one gap
+graph: :func:`gap_graph` builds its neighbour lists from one distance
+matrix and :func:`gap_path` is its breadth-first search.
 """
 
 from __future__ import annotations
@@ -151,44 +156,60 @@ def hausdorff_distance(a, b, kind: str = EUCLIDEAN) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-class UnionFind:
-    """Union-find with path halving; just enough for gap components."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def gap_components(a, gap: float, kind: str = EUCLIDEAN) -> list[list[int]]:
-    """Connected components of the gap-graph (edges: distance <= gap).
-
-    Returns a partition of ``range(len(a))`` as lists of indices, ordered by
-    smallest member.
-    """
+def gap_graph(a, gap: float, kind: str = EUCLIDEAN) -> list[list[int]]:
+    """Neighbour lists of the gap graph (edges: distance <= gap): ``nbrs[i]``
+    holds, in index order, every other index within ``gap`` of point i."""
     a = _as_sample(a)
     if not a.points:
         raise ValueError("empty sample")
-    n = len(a.points)
-    d = _distance_matrix(list(a.points), list(a.points), kind)
-    uf = UnionFind(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] <= gap:
-                uf.union(i, j)
-    blocks: dict[int, list[int]] = {}
-    for i in range(n):
-        blocks.setdefault(uf.find(i), []).append(i)
-    return sorted(blocks.values(), key=lambda blk: blk[0])
+    adj = _distance_matrix(list(a.points), list(a.points), kind) <= gap
+    np.fill_diagonal(adj, False)
+    return [np.flatnonzero(row).tolist() for row in adj]
+
+
+def gap_path(nbrs: list[list[int]], i: int, j: int) -> Optional[list[int]]:
+    """Fewest-hop path of indices from i to j in a gap graph, or None.
+
+    Breadth-first with neighbours in index order, so equal graphs give
+    equal paths.
+    """
+    prev = {i: i}
+    queue = [i]
+    for u in queue:  # the queue grows while it is read
+        if j in prev:
+            break
+        for v in nbrs[u]:
+            if v not in prev:
+                prev[v] = u
+                queue.append(v)
+    if j not in prev:
+        return None
+    path = [j]
+    while path[-1] != i:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+def gap_components(a, gap: float, kind: str = EUCLIDEAN) -> list[list[int]]:
+    """Connected components of the gap graph (edges: distance <= gap).
+
+    Returns a partition of ``range(len(a))`` as sorted lists of indices,
+    ordered by smallest member.
+    """
+    nbrs = gap_graph(a, gap, kind)
+    blocks, seen = [], set()
+    for i in range(len(nbrs)):
+        if i in seen:
+            continue
+        seen.add(i)
+        block = [i]
+        for u in block:  # the block grows while it is read
+            for v in nbrs[u]:
+                if v not in seen:
+                    seen.add(v)
+                    block.append(v)
+        blocks.append(sorted(block))
+    return blocks
 
 
 def gap_chainable(a, gap: float, start, end, kind: str = EUCLIDEAN):
@@ -203,26 +224,5 @@ def gap_chainable(a, gap: float, start, end, kind: str = EUCLIDEAN):
     ei = a.index_of(end, kind=kind)
     if si is None or ei is None:
         raise ValueError("endpoint not in sample")
-    if si == ei:
-        return [a.points[si]]
-    n = len(a.points)
-    d = _distance_matrix(list(a.points), list(a.points), kind)
-    prev = [-1] * n
-    seen = [False] * n
-    seen[si] = True
-    queue = [si]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in range(n):
-                if not seen[v] and d[u, v] <= gap:
-                    seen[v] = True
-                    prev[v] = u
-                    if v == ei:
-                        path = [v]
-                        while path[-1] != si:
-                            path.append(prev[path[-1]])
-                        return [a.points[i] for i in reversed(path)]
-                    nxt.append(v)
-        queue = nxt
-    return None
+    path = gap_path(gap_graph(a, gap, kind), si, ei)
+    return None if path is None else [a.points[i] for i in path]

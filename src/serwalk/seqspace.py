@@ -188,7 +188,8 @@ def sign_patterns(k: int) -> list[tuple[int, ...]]:
 def _vector_family(k: int) -> VectorFamily:
     patterns = sign_patterns(k)
     dim = math.comb(2 * k, k)
-    assert len(patterns) == dim
+    if len(patterns) != dim:
+        raise RuntimeError(f"{len(patterns)} sign patterns for k={k}, expected {dim}")
     vectors = [tuple(patterns[j][i] for j in range(dim)) for i in range(2 * k)]
     return VectorFamily(k=k, dim=dim, vectors=vectors)
 

@@ -4,7 +4,9 @@ Dense walk traces are CSV with header ``index,phase,coord_0,...``; the
 start point (index 0) is implicit and never written.  Dyadic values render
 as exact terminating decimal strings -- never scientific notation -- so
 golden files stay stable.  Sequence-space walks serialize as JSON lines
-``{"index": n, "phase": p, "entries": {"i": v, ...}}``.
+``{"index": n, "phase": p, "entries": {"i": v, ...}}``.  Both readers
+reject a trace whose index runs other than 1, 2, ..., n or whose phase
+goes down.
 """
 
 from __future__ import annotations
@@ -51,6 +53,23 @@ def _phase_of(blocks, row_index: int) -> int:
     return len(blocks)
 
 
+def _phase_lengths(rows) -> list[int]:
+    """Phase lengths from the (index, phase) of each trace row.
+
+    Rows must be numbered 1, 2, ..., n and their phases must never go down;
+    anything else would silently move rows into other phases.
+    """
+    lengths: list[int] = []
+    for n, (index, phase) in enumerate(rows, start=1):
+        if index != n:
+            raise ValueError(f"row {n} has index {index}, expected {n}")
+        if phase < max(len(lengths), 1):
+            raise ValueError(f"row {n} has phase {phase} after phase {len(lengths)}")
+        lengths.extend([0] * (phase - len(lengths)))
+        lengths[-1] += 1
+    return lengths
+
+
 def write_walk_csv(w: Walk, fp: TextIO) -> None:
     if not w.sums or hasattr(w.sums[0], "entries"):
         raise ValueError("CSV traces are for dense walks")
@@ -69,21 +88,17 @@ def read_walk_csv(fp: TextIO, kind: str = EUCLIDEAN) -> Walk:
         raise ValueError("bad trace header")
     dim = len(header) - 2
     sums = []
-    phases = []
+    rows = []
     for row in reader:
         if not row:
             continue
         if len(row) != dim + 2:
             raise ValueError(f"row width mismatch at index {row[0]}")
         sums.append(tuple(parse_scalar(c) for c in row[2:]))
-        phases.append(int(row[1]))
+        rows.append((int(row[0]), int(row[1])))
     if not sums:
         raise ValueError("empty trace")
-    phase_lengths = []
-    for p in phases:
-        if len(phase_lengths) < p:
-            phase_lengths.extend([0] * (p - len(phase_lengths)))
-        phase_lengths[p - 1] += 1
+    phase_lengths = _phase_lengths(rows)
     mode = "exact" if all(is_dyadic(c) for p in sums for c in p) else "float"
     if mode == "float":
         sums = [tuple(float(c) for c in p) for p in sums]
@@ -105,22 +120,17 @@ def write_walk_jsonl(w: Walk, fp: TextIO) -> None:
 def read_walk_jsonl(fp: TextIO) -> Walk:
     from .seqspace import SparseVec
     sums = []
-    phases = []
+    rows = []
     for line in fp:
         line = line.strip()
         if not line:
             continue
         rec = json.loads(line)
         sums.append(SparseVec({int(i): Fraction(v) for i, v in rec["entries"].items()}))
-        phases.append(int(rec.get("phase", 1)))
+        rows.append((rec.get("index"), int(rec.get("phase", 1))))
     if not sums:
         raise ValueError("empty trace")
-    phase_lengths = []
-    for p in phases:
-        if len(phase_lengths) < p:
-            phase_lengths.extend([0] * (p - len(phase_lengths)))
-        phase_lengths[p - 1] += 1
-    return Walk([SparseVec()] + sums, phase_lengths, mode="exact", kind=SUP)
+    return Walk([SparseVec()] + sums, _phase_lengths(rows), mode="exact", kind=SUP)
 
 
 def write_sample_csv(sample: PointSample, fp: TextIO) -> None:

@@ -288,21 +288,20 @@ def build_chainable_walk(dense: Sequence, phases: int, kind: str = EUCLIDEAN) ->
     """
     if phases < 1:
         raise ValueError("phases must be >= 1")
-    dense = list(dense)
-    sample = PointSample(tuple(dict.fromkeys(dense)))  # dedupe, keep order
+    pts = tuple(dict.fromkeys(dense))  # dedupe, keep order
     bounds = []
     schedule = []
     for i in range(1, phases + 1):
         gap = 2.0 ** (1 - i)
-        chain = [sample.points[0]]
-        if len(sample.points) == 1:
-            chain.append(sample.points[0])
-        for a, b in zip(sample.points, sample.points[1:]):
-            try:
-                seg = _chain_between(sample, gap, a, b, kind)
-            except ValueError as err:
-                raise ValueError(f"sample too sparse for gap {gap} at phase {i}") from err
-            chain.extend(seg[1:])
+        nbrs = core.gap_graph(pts, gap, kind)
+        chain = [pts[0]]
+        if len(pts) == 1:
+            chain.append(pts[0])
+        for j in range(len(pts) - 1):
+            path = core.gap_path(nbrs, j, j + 1)
+            if path is None:
+                raise ValueError(f"sample too sparse for gap {gap} at phase {i}")
+            chain.extend(pts[k] for k in path[1:])
         schedule.append(chain)
         bounds.append(gap)
     return build_xwalk(schedule, step_bounds=bounds, kind=kind)

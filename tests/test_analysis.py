@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -8,7 +9,7 @@ from serwalk.analysis import (ALL_COMPONENTS_ESCAPE, COMPACT_CONNECTED,
                               singleton_convergence_check, verify_dichotomy)
 from serwalk.core import PointSample, distance
 from serwalk.seqspace import THETA, e, gen_c0_singleton_divergent, gen_c0_two_point
-from serwalk.walks import Walk, gen_two_lines
+from serwalk.walks import Walk, build_xwalk, gen_two_lines
 
 
 def _convergent_walk(p=(1.0, 0.5), n=400):
@@ -70,6 +71,17 @@ def test_estimate_float_walk_means_shake_off_noise():
     assert len(est) == 2
     for target in ((0.0, 0.0), (1.0, 0.0)):
         assert min(distance(p, target) for p in est.points.points) < 0.02
+
+
+def test_estimate_merge_is_strictly_below_half_resolution():
+    # phases out to 3/8 and back: cells snap 1/8 and 3/8 apart at
+    # resolution 1/2, and their modal representatives are 1/4 apart
+    origin, near, far = (F(0), F(0)), (F(1, 8), F(0)), (F(3, 8), F(0))
+    walk = build_xwalk([[origin, near, far]] * 2)
+    est = estimate_limit_set(walk, resolution=0.5)
+    assert est.points.points == (near, far)  # exactly resolution / 2 apart
+    est = estimate_limit_set(walk, resolution=0.625)
+    assert len(est.points) == 1  # 1/4 < 0.625 / 2: the cells merge
 
 
 def test_verify_dichotomy_two_lines_escape():

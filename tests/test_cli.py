@@ -155,6 +155,32 @@ def test_verify_missing_input_is_usage_error():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("name, text", [
+    # rows out of order: the first row would land in phase 1 unnoticed
+    ("w.csv", "index,phase,coord_0,coord_1\n7,2,0,0\n3,1,1,0\n9,2,0,0\n"),
+    ("w.jsonl", '{"index": 1, "phase": 2, "entries": {"1": 1}}\n'
+                '{"index": 2, "phase": 1, "entries": {}}\n'),
+], ids=["csv", "jsonl"])
+def test_verify_rejects_misordered_trace(tmp_path, name, text):
+    trace = tmp_path / name
+    trace.write_text(text)
+    r = run("verify", "estimate", "--input", str(trace))
+    assert r.returncode == 2
+    assert "cannot read trace" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_closed_stdout_exits_quietly():
+    # `serwalk generate ... | head -1`: the reader leaves after one line
+    p = subprocess.Popen(CLI + ["generate", "two-lines", "--phases", "9"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert p.stdout.readline() == "index,phase,coord_0,coord_1\n"
+    p.stdout.close()
+    err = p.stderr.read()
+    p.stderr.close()
+    assert p.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def test_plot_round_trip(tmp_path):
     trace = tmp_path / "w.csv"
     marks = tmp_path / "marks.csv"

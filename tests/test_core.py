@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from serwalk.core import (EUCLIDEAN, SUP, PointSample, distance, gap_chainable,
-                          gap_components, hausdorff_distance, is_dyadic, norm,
-                          point_mode, same_point)
+                          gap_components, gap_graph, gap_path, hausdorff_distance,
+                          is_dyadic, norm, point_mode, same_point)
 
 coords = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 points2 = st.tuples(coords, coords)
@@ -124,6 +124,52 @@ def test_chainable_iff_same_component(pts, gap):
             assert distance(u, v) <= gap + 1e-12
     else:
         assert chain is None
+
+
+def _brute_hops(pts, gap, i):
+    # independent oracle: hop count from i to each reachable index, found
+    # level by level over core.distance
+    hops, frontier, depth = {i: 0}, [i], 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for v in range(len(pts)):
+                if v not in hops and distance(pts[u], pts[v]) <= gap:
+                    hops[v] = depth
+                    nxt.append(v)
+        frontier = nxt
+    return hops
+
+
+# lattice points a few gaps across make many multi-hop chains
+lattice = st.lists(st.tuples(st.integers(0, 5).map(float), st.integers(0, 5).map(float)),
+                   min_size=1, max_size=16, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice, st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.data())
+def test_gap_path_matches_brute_force(pts, gap, data):
+    i = data.draw(st.integers(0, len(pts) - 1))
+    j = data.draw(st.integers(0, len(pts) - 1))
+    path = gap_path(gap_graph(pts, gap), i, j)
+    hops = _brute_hops(pts, gap, i)
+    together = any(i in c and j in c for c in _brute_components(pts, gap))
+    assert (path is None) == (not together)
+    if path is not None:
+        assert path[0] == i and path[-1] == j
+        assert len(path) - 1 == hops[j]
+        for u, v in zip(path, path[1:]):
+            assert distance(pts[u], pts[v]) <= gap
+
+
+def test_gap_path_on_a_cycle():
+    # the 5-cycle 0-1-4-3-2-0 reaches 4 and 3 the short way round
+    nbrs = [[1, 2], [0, 4], [0, 3], [2, 4], [1, 3]]
+    assert gap_path(nbrs, 0, 4) == [0, 1, 4]
+    assert gap_path(nbrs, 0, 3) == [0, 2, 3]
+    assert gap_path(nbrs, 0, 0) == [0]
+    assert gap_path([[], []], 0, 1) is None
 
 
 def test_gap_chainable_endpoint_not_in_sample():

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -129,6 +131,16 @@ def test_build_chainable_walk_visits_all_points():
         assert all(p in visited for p in pts[1:])
     assert w.is_palindromic()
     assert w.check_step_bounds()
+
+
+def test_build_chainable_walk_circle_sums_pinned():
+    # acceptance c08's 315-point circle: its walk must stay byte-identical
+    n = math.ceil(2 * math.pi / 0.02)
+    pts = [(math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n))
+           for i in range(n)]
+    w = build_chainable_walk(pts, 5)
+    assert hashlib.sha256(repr(w.sums).encode()).hexdigest() == (
+        "ffa5bcc8918d69f40f8740162465b3195ce477f96167ef085b9605ccc8be8410")
 
 
 def test_build_chainable_walk_sparse_sample_fails():
