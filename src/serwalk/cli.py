@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 
 from . import analysis, rearrange, seqspace, traceio, walks
-from .core import EUCLIDEAN, PointSample
+from .core import EUCLIDEAN, PointSample, norm
 
 log = logging.getLogger("serwalk")
 
@@ -147,7 +147,7 @@ def cmd_rearrange(args) -> int:
     try:
         tau, walk, reports = rearrange.rearrange_to_limit_set(
             series, target, args.stages, rng=rng)
-    except (ValueError, AssertionError) as err:
+    except ValueError as err:
         print(f"rearrangement failed: {err}", file=sys.stderr)
         return FAIL
     base = args.out or "rearranged"
@@ -187,8 +187,8 @@ def cmd_verify(args) -> int:
                                           resolution=args.resolution)
         bound = args.bound
         if bound is None:
-            from .core import norm
-            bound = max(norm(p, est.kind) for p in est.points)
+            # an empty estimate is reported by verify_dichotomy
+            bound = max((norm(p, est.kind) for p in est.points), default=0.0)
         report = analysis.verify_dichotomy(est, args.gap, bound)
         out = traceio.estimate_report(est, {"dichotomy": report["verdict"]})
         with _out_stream(args.out) as fp:

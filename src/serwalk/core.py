@@ -11,6 +11,13 @@ Points are plain tuples; finite-support sequence-space vectors are
 :class:`serwalk.seqspace.SparseVec`.  Norms and distances always come back
 as floats regardless of mode.
 
+:func:`float_rows` is the one place where points become float
+coordinates: it lays samples of either kind out as float64 matrices over
+shared columns, and the distance kernel and the greedy balancer both work
+on those matrices.  Float64 is exact for dyadic coordinates of moderate
+size, which covers every generator and every trace read from disk, so
+measuring on the matrix gives the same answer as the exact points.
+
 Every distance-threshold question -- gap components, epsilon-chains, the
 merge step of a limit estimate, chain building -- is answered by one gap
 graph: :func:`gap_graph` builds its neighbour lists from one distance
@@ -43,14 +50,9 @@ def is_dyadic(x) -> bool:
     return False
 
 
-def exact(x) -> Fraction:
-    """Coerce ints/strings/Fractions to an exact Fraction coordinate."""
-    return Fraction(x)
-
-
 def point_mode(p) -> str:
     """'exact' when every coordinate is int/Fraction, else 'float'."""
-    coords = p.entries.values() if hasattr(p, "entries") else p
+    coords = _coords(p)
     return "exact" if all(isinstance(c, (int, Fraction)) for c in coords) else "float"
 
 
@@ -123,28 +125,48 @@ class PointSample:
                 return i
         return None
 
-    def is_sparse(self) -> bool:
-        return bool(self.points) and hasattr(self.points[0], "entries")
-
 
 def _as_sample(a) -> PointSample:
     return a if isinstance(a, PointSample) else PointSample(tuple(a))
 
 
-def _distance_matrix(pts_a, pts_b, kind: str) -> np.ndarray:
-    """Pairwise distances; dense points go through numpy, sparse loop."""
-    if pts_a and hasattr(pts_a[0], "entries"):
-        out = np.empty((len(pts_a), len(pts_b)))
-        for i, u in enumerate(pts_a):
-            for j, v in enumerate(pts_b):
-                out[i, j] = distance(u, v, kind)
-        return out
-    a = np.asarray([[float(c) for c in p] for p in pts_a])
-    b = np.asarray([[float(c) for c in p] for p in pts_b])
-    diff = a[:, None, :] - b[None, :, :]
+def float_rows(*samples) -> list[np.ndarray]:
+    """Each sample as a float64 matrix, one row per point, all over the
+    same columns: a dense point's coordinates, or for SparseVecs the sorted
+    union of every sample's supports (zero-support vectors alone give no
+    columns)."""
+    first = next((s[0] for s in samples if len(s)), ())
+    if not hasattr(first, "entries"):
+        return [np.array(s, dtype=float).reshape(len(s), len(first)) for s in samples]
+    support = sorted({i for s in samples for p in s for i in p.entries})
+    column = {i: k for k, i in enumerate(support)}
+    out = []
+    for s in samples:
+        rows = np.zeros((len(s), len(support)))
+        for r, p in enumerate(s):
+            for i, v in p.entries.items():
+                rows[r, column[i]] = float(v)
+        out.append(rows)
+    return out
+
+
+def fold_coordinate(acc: np.ndarray, d: np.ndarray, kind: str) -> None:
+    """Fold one coordinate's values d into acc in place: the running max of
+    |d| for the sup norm, else the running sum of d*d (the squared norm)."""
     if kind == SUP:
-        return np.abs(diff).max(axis=2)
-    return np.sqrt((diff * diff).sum(axis=2))
+        np.maximum(acc, np.abs(d), out=acc)
+    else:
+        acc += d * d
+
+
+def _distance_matrix(pts_a, pts_b, kind: str) -> np.ndarray:
+    """Pairwise distances, accumulated one coordinate at a time so that
+    memory stays at one len(a) x len(b) matrix."""
+    a, b = float_rows(pts_a, pts_b)
+    out = np.zeros((len(a), len(b)))
+    for col in range(a.shape[1]):
+        fold_coordinate(out, a[:, col, None] - b[None, :, col], kind)
+    return out if kind == SUP else np.sqrt(out)
 
 
 def hausdorff_distance(a, b, kind: str = EUCLIDEAN) -> float:
@@ -152,7 +174,7 @@ def hausdorff_distance(a, b, kind: str = EUCLIDEAN) -> float:
     a, b = _as_sample(a), _as_sample(b)
     if not a.points or not b.points:
         raise ValueError("empty sample")
-    d = _distance_matrix(list(a.points), list(b.points), kind)
+    d = _distance_matrix(a.points, b.points, kind)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
@@ -162,7 +184,7 @@ def gap_graph(a, gap: float, kind: str = EUCLIDEAN) -> list[list[int]]:
     a = _as_sample(a)
     if not a.points:
         raise ValueError("empty sample")
-    adj = _distance_matrix(list(a.points), list(a.points), kind) <= gap
+    adj = _distance_matrix(a.points, a.points, kind) <= gap
     np.fill_diagonal(adj, False)
     return [np.flatnonzero(row).tolist() for row in adj]
 

@@ -9,8 +9,11 @@ stage hand-off also gather every index skipped so far; (2) select tail
 indices whose sum steers the running total to within the next stage's
 slack of b, parking scanned-but-unused indices in a reservoir; (3) order
 the batch with ``find_balanced_permutation`` so that no prefix leaves the
-eps_j-ball around a.  The step checks its postconditions and raises when
-one fails.
+eps_j-ball around a.  The step checks its postconditions and raises
+ValueError when one fails.
+
+Balancing orders the batch by greedy passes over the terms' float64 rows
+(``core.float_rows``), the same code for dense tuples and SparseVecs.
 
 Balancing constants are certified empirically, not proven: for a series
 with nonincreasing term norms we take N(eps) = first index whose term norm
@@ -26,7 +29,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import EUCLIDEAN, PointSample, add, distance, norm
+import numpy as np
+
+from .core import (EUCLIDEAN, SUP, PointSample, add, distance, float_rows,
+                   fold_coordinate, norm)
 from .walks import PartialPermutation, Walk
 
 # ---------------------------------------------------------------------------
@@ -66,67 +72,31 @@ def _max_prefix_norm(terms: Sequence, order: Sequence[int], kind: str) -> float:
         worst = max(worst, norm(cur, kind))
     return worst
 
-def _greedy_balance_dense(terms: Sequence, bound: float, kind: str,
-                          rng: Optional[random.Random]) -> Optional[list[int]]:
-    from .core import SUP
-    n = len(terms)
-    dim = len(terms[0])
-    ft = [[float(c) for c in t] for t in terms]
-    cur = [0.0] * dim
-    remaining = list(range(n))
+def _greedy_balance(rows: np.ndarray, bound: float, kind: str,
+                    rng: Optional[random.Random]) -> Optional[list[int]]:
+    """One greedy pass over the terms' float rows: at each step append the
+    unused term whose prefix scores lowest (squared Euclidean or sup norm),
+    the first such in index order, or with ``rng`` one drawn from the near
+    ties in index order; None when the chosen prefix reaches the bound."""
+    n = len(rows)
+    cur = np.zeros(rows.shape[1])
+    used = np.zeros(n, dtype=bool)
     order = []
     for _ in range(n):
-        scored = []
-        for i in remaining:
-            t = ft[i]
-            if kind == SUP:
-                s = max(abs(cur[a] + t[a]) for a in range(dim))
-            else:
-                s = 0.0
-                for a in range(dim):
-                    d = cur[a] + t[a]
-                    s += d * d
-            scored.append((s, i))
-        best = min(s[0] for s in scored)
-        if rng is None:
-            s, i = min(scored)
-        else:
-            near = [c for c in scored if c[0] <= best + 1e-12]
-            s, i = near[rng.randrange(len(near))]
-        value = s if kind == SUP else math.sqrt(s)
+        score = np.zeros(n)
+        for col in range(rows.shape[1]):
+            fold_coordinate(score, cur[col] + rows[:, col], kind)
+        score[used] = np.inf
+        i = int(np.argmin(score))
+        if rng is not None:
+            near = np.flatnonzero(score <= score[i] + 1e-12)
+            i = int(near[rng.randrange(len(near))])
+        value = score[i] if kind == SUP else math.sqrt(score[i])
         if value >= bound:
             return None
         order.append(i + 1)
-        remaining.remove(i)
-        for a in range(dim):
-            cur[a] += ft[i][a]
-    return order
-
-def _greedy_balance(terms: Sequence, bound: float, kind: str,
-                    rng: Optional[random.Random]) -> Optional[list[int]]:
-    if terms and not hasattr(terms[0], "entries"):
-        return _greedy_balance_dense(terms, bound, kind, rng)
-    from .seqspace import SparseVec
-    n = len(terms)
-    remaining = list(range(1, n + 1))
-    cur = SparseVec()
-    order = []
-    for _ in range(n):
-        scored = []
-        for idx in remaining:
-            cand = add(cur, terms[idx - 1])
-            scored.append((norm(cand, kind), idx, cand))
-        best = min(s[0] for s in scored)
-        if rng is None:
-            score, idx, cand = min(scored, key=lambda s: (s[0], s[1]))
-        else:
-            near = [s for s in scored if s[0] <= best + 1e-12]
-            score, idx, cand = near[rng.randrange(len(near))]
-        if score >= bound:
-            return None
-        order.append(idx)
-        remaining.remove(idx)
-        cur = cand
+        used[i] = True
+        cur += rows[i]
     return order
 
 def _dfs_balance(terms: Sequence, bound: float, kind: str) -> Optional[list[int]]:
@@ -168,15 +138,21 @@ def find_balanced_permutation(terms: Sequence, bound: float,
     (3) for n <= 10, a complete prefix-pruned search, so that None is then
         a proof that no such order exists.  For n > 10, None only means
         that the greedy passes failed.
+
+    Dense tuples and SparseVecs take the same path.  The greedy passes
+    score prefixes in float64, which is exact for dyadic terms (every
+    generator's, and every trace read from disk); the complete search sums
+    the terms in their own arithmetic.
     """
     if not terms:
         return []
-    order = _greedy_balance(terms, bound, kind, None)
+    rows = float_rows(terms)[0]
+    order = _greedy_balance(rows, bound, kind, None)
     if order is not None:
         return order
     rng = rng or random.Random(0)
     for _ in range(63):
-        order = _greedy_balance(terms, bound, kind, rng)
+        order = _greedy_balance(rows, bound, kind, rng)
         if order is not None:
             return order
     return _dfs_balance(terms, bound, kind) if len(terms) <= 10 else None
@@ -296,17 +272,19 @@ def _refined_loop(points: Sequence, hop: float) -> list:
             out.append(tuple(ca + (cb - ca) * i / n for ca, cb in zip(a, b)))
     return out
 
+#: anchor hops of a stage's tour are at most HOP_FACTOR * eta_j; a factor
+#: below 4 keeps consecutive anchors closer than eps_j/12, as the inductive
+#: step assumes
+HOP_FACTOR = 3.0
+
 def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
                            stages: int, kind: str = EUCLIDEAN,
-                           constants: Optional[RPConstants] = None,
-                           rng: Optional[random.Random] = None,
-                           hop_factor: float = 3.0):
+                           rng: Optional[random.Random] = None):
     """Run the staged induction so the partial sums cluster on the target.
 
     Stage j uses eps_j = 2^-j and eta_j = min(eps_j/48, delta(eps_j/2)/12),
     sweeping a refined cyclic tour of the target sample with anchor hops of
-    at most hop_factor * eta_j (hop_factor < 4 keeps consecutive anchors
-    closer than eps_j/12, as the inductive step assumes).  Chain refinement
+    at most HOP_FACTOR * eta_j.  Chain refinement
     interpolates linearly between consecutive sample points, so targets
     should be samples of sets that are near-convex between neighbours
     (pitch^2-scale refinement error).
@@ -319,7 +297,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     if not target.points:
         raise ValueError("empty target")
     terms = series_prefix
-    constants = constants or RPConstants(terms, kind)
+    constants = RPConstants(terms, kind)
     rng = rng or random.Random(20240817)
     delta = constants.delta
     dim = len(terms[0])
@@ -420,9 +398,9 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             d = distance(s, a, kind)
             excursion = max(excursion, d)
         if excursion > eps + 1e-9:
-            raise AssertionError("prefix escaped its eps-ball")
+            raise ValueError("prefix escaped its eps-ball")
         if distance(cur, b, kind) > min(eps_next / 12, delta(eps_next / 2) / 3) + 1e-9:
-            raise AssertionError("terminal sum off target")
+            raise ValueError("terminal sum off target")
         return excursion
 
     phase_lengths = [len(buf)]
@@ -431,7 +409,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     for j in range(1, stages + 1):
         eps = 2.0 ** -j
         eta = min(eps / 48, delta(eps / 2) / 12)
-        loop = _refined_loop(target.points, hop_factor * eta)
+        loop = _refined_loop(target.points, HOP_FACTOR * eta)
         start_len = len(buf)
         excursion = 0.0
         for d in loop[1:]:
@@ -444,7 +422,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         pending = [idx for q in reservoir.values() for _, idx in q]
         covered_through = min(pending) - 1 if pending else frontier
         if covered_through < constants.n_threshold(2.0 ** -(j + 1) / 2):
-            raise AssertionError("stage handoff left an early index uncovered")
+            raise ValueError("stage handoff left an early index uncovered")
         phase_lengths.append(len(buf) - start_len)
         reports.append({
             "stage": j,

@@ -18,7 +18,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
-from .core import EUCLIDEAN, SUP, PointSample, is_dyadic
+from .core import SUP, PointSample, is_dyadic
 from .walks import Walk
 
 
@@ -81,7 +81,7 @@ def write_walk_csv(w: Walk, fp: TextIO) -> None:
         writer.writerow([n, _phase_of(blocks, n)] + [render_scalar(c) for c in p])
 
 
-def read_walk_csv(fp: TextIO, kind: str = EUCLIDEAN) -> Walk:
+def read_walk_csv(fp: TextIO) -> Walk:
     reader = csv.reader(fp)
     header = next(reader, None)
     if not header or header[:2] != ["index", "phase"] or len(header) < 3:
@@ -103,7 +103,7 @@ def read_walk_csv(fp: TextIO, kind: str = EUCLIDEAN) -> Walk:
     if mode == "float":
         sums = [tuple(float(c) for c in p) for p in sums]
     start = tuple([Fraction(0) if mode == "exact" else 0.0] * dim)
-    return Walk([start] + sums, phase_lengths, mode=mode, kind=kind)
+    return Walk([start] + sums, phase_lengths, mode=mode)
 
 
 def write_walk_jsonl(w: Walk, fp: TextIO) -> None:

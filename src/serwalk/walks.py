@@ -36,10 +36,6 @@ class PartialPermutation:
     def __call__(self, n: int) -> int:
         return self.images[n - 1]
 
-    @property
-    def range_set(self) -> set[int]:
-        return self._range
-
     def covers_initial_segment(self, m: int) -> bool:
         return all(i in self._range for i in range(1, m + 1))
 

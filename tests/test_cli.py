@@ -109,6 +109,16 @@ def test_verify_dichotomy_two_lines(tmp_path):
     assert r.stdout.strip().splitlines()[-1] == "all-components-escape"
 
 
+def test_verify_dichotomy_empty_estimate(tmp_path):
+    # one phase, no cell visited twice: the estimate is empty, and without
+    # --bound there is no largest norm to default to
+    trace = tmp_path / "w.csv"
+    trace.write_text("index,phase,coord_0,coord_1\n1,1,0.5,0\n2,1,1,0\n3,1,3,0\n")
+    r = run("verify", "dichotomy", "--input", str(trace))
+    assert r.returncode == 2
+    assert r.stderr.strip() == "empty estimate"
+
+
 def test_verify_estimate_report(tmp_path):
     trace = tmp_path / "w.csv"
     run("generate", "two-lines", "--phases", "6", "--out", str(trace))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from serwalk.core import (EUCLIDEAN, SUP, PointSample, distance, gap_chainable,
-                          gap_components, gap_graph, gap_path, hausdorff_distance,
-                          is_dyadic, norm, point_mode, same_point)
+from serwalk.core import (EUCLIDEAN, SUP, PointSample, _distance_matrix, distance,
+                          float_rows, gap_chainable, gap_components, gap_graph,
+                          gap_path, hausdorff_distance, is_dyadic, norm, point_mode,
+                          same_point)
+from serwalk.seqspace import THETA, SparseVec
 
 coords = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 points2 = st.tuples(coords, coords)
@@ -194,3 +196,47 @@ def test_sup_vs_euclidean_components():
     pts = PointSample(((0.0, 0.0), (1.0, 1.0)))
     assert len(gap_components(pts, 1.0, kind=SUP)) == 1
     assert len(gap_components(pts, 1.0, kind=EUCLIDEAN)) == 2
+
+
+# dyadic points in up to four coordinates, as dense tuples of floats and as
+# SparseVecs of Fractions (coordinate i -> index i + 1)
+dyadic_rows = st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-16, 16)] * d), min_size=1, max_size=8))
+
+
+def as_dense(rows):
+    return [tuple(k / 8 for k in r) for r in rows]
+
+
+def as_sparse(rows):
+    return [SparseVec({i: Fraction(k, 8) for i, k in enumerate(r, start=1)})
+            for r in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dyadic_rows, dyadic_rows, st.sampled_from([EUCLIDEAN, SUP]),
+       st.sampled_from([0.25, 0.5, 1.0]))
+def test_sparse_and_dense_layouts_agree(rows_a, rows_b, kind, gap):
+    dense_a, sparse_a = as_dense(rows_a), as_sparse(rows_a)
+    sparse_b = as_sparse(rows_b)
+    # the pairwise loop the numpy kernel replaced is the oracle
+    want = [[distance(u, v, kind) for v in sparse_b] for u in sparse_a]
+    assert _distance_matrix(sparse_a, sparse_b, kind).tolist() == want
+    if len(rows_a[0]) == len(rows_b[0]):
+        dense_b = as_dense(rows_b)
+        assert (hausdorff_distance(dense_a, dense_b, kind)
+                == hausdorff_distance(sparse_a, sparse_b, kind))
+    assert gap_components(dense_a, gap, kind) == gap_components(sparse_a, gap, kind)
+
+
+def test_zero_support_points_have_no_columns():
+    a, b = float_rows([THETA, THETA], [THETA])
+    assert a.shape == (2, 0) and b.shape == (1, 0)
+    assert _distance_matrix([THETA, THETA], [THETA], SUP).tolist() == [[0.0], [0.0]]
+    one = SparseVec({3: Fraction(1, 2)})
+    a, b = float_rows([THETA], [one, THETA])
+    assert a.tolist() == [[0.0]] and b.tolist() == [[0.5], [0.0]]
+    for kind in (EUCLIDEAN, SUP):
+        assert _distance_matrix([THETA], [one, THETA], kind).tolist() == [[0.5, 0.0]]
+        assert hausdorff_distance([THETA], [THETA], kind) == 0.0
+        assert gap_components([THETA, one, THETA], 0.25, kind) == [[0, 2], [1]]

@@ -1,16 +1,19 @@
+import hashlib
 import math
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from serwalk.core import SUP, PointSample, distance, norm
+from serwalk.core import EUCLIDEAN, SUP, PointSample, distance, norm
 from serwalk.rearrange import (RPConstants, alternating_harmonic,
                                certify_rp, certify_rp_family,
                                check_stage_invariants,
                                find_balanced_permutation, full_range_series,
                                rearrange_to_limit_set)
-from serwalk.seqspace import block_vectors
+from serwalk.seqspace import THETA, SparseVec, block_vectors
 
 
 def _prefix_norms(terms, order, kind="euclidean"):
@@ -74,6 +77,26 @@ def test_find_balanced_permutation_edge_cases():
     # past the complete search's size limit an impossible bound is a
     # failed greedy ladder, not an error
     assert find_balanced_permutation([(1.0,)] * 11, 1.0) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+           st.tuples(*[st.integers(-8, 8)] * d), min_size=1, max_size=7)),
+       st.sampled_from([EUCLIDEAN, SUP]), st.sampled_from([0.5, 1.0, 1.5, 2.5]))
+def test_balancing_is_the_same_for_dense_and_sparse_terms(rows, kind, bound):
+    # dyadic terms as float tuples and as Fraction SparseVecs
+    dense = [tuple(k / 4 for k in r) for r in rows]
+    sparse = [SparseVec({i: Fraction(k, 4) for i, k in enumerate(r, start=1)})
+              for r in rows]
+    order = find_balanced_permutation(dense, bound, kind)
+    assert find_balanced_permutation(sparse, bound, kind) == order
+    if order is not None:
+        assert max(_prefix_norms(dense, order, kind)) < bound
+
+
+def test_balancing_zero_support_terms():
+    assert find_balanced_permutation([THETA, THETA], 1.0, SUP) == [1, 2]
+    assert find_balanced_permutation([THETA, THETA], 0.0, SUP) is None
 
 
 def test_no_rp_block_defeats_balancing():
@@ -155,6 +178,22 @@ def test_extension_step_conclusions():
         for s in walk.sums[start:end]:
             assert min(distance(s, p) for p in target.points) <= 2.0 ** -j + 0.05
         assert distance(walk.sums[end - 1], target.points[0]) <= 2.0 ** -(j + 1) / 12
+
+
+C10_CIRCLE = tuple((math.cos(2 * math.pi * i / 126), math.sin(2 * math.pi * i / 126))
+                   for i in range(126))  # acceptance c10's 0.05-pitch circle
+
+
+@pytest.mark.parametrize("target, digest", [
+    (C10_CIRCLE, "854ef0bb9a2a650d1b7a14f7ad8c1af8f5a7ea93da7619f86a3c3b505d378681"),
+    # its stage hand-offs send batches of thousands of terms to greedy balancing
+    (((-0.4, -0.1),), "fc773c3ac41280adb691fd811c01deb903f72e51dd1ab960a6a3da82474dab5e"),
+], ids=["circle", "point"])
+def test_rearrange_c10_pinned(target, digest):
+    series = full_range_series(2, 80000)
+    tau, walk, _ = rearrange_to_limit_set(series, PointSample(target), stages=5,
+                                          rng=random.Random(0))
+    assert hashlib.sha256(repr((tau.images, walk.sums)).encode()).hexdigest() == digest
 
 
 def test_rearrange_singleton_converges():
