@@ -14,8 +14,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (EUCLIDEAN, PointSample, distance, gap_components, hausdorff_distance,
-                   norm)
+import numpy as np
+
+from .core import (EUCLIDEAN, PointSample, distance, distance_blocks, gap_components,
+                   hausdorff_distance, norm)
 from .walks import Walk
 
 
@@ -214,19 +216,30 @@ def cauchy_diagnostic(w: Walk, tail_fraction: float = 0.3) -> dict:
 
     A convergent walk's tail gap shrinks with the tail; recurring gaps of
     fixed size witness divergence even when the limit set is a singleton.
+    ``max_gap`` is the largest distance between two sums of the tail (the
+    last ``tail_fraction`` of the walk, at least two points), and
+    ``gap_pairs`` holds the first 32 index pairs (i, j), i < j, in (i, j)
+    order, whose distance is within 1e-15 of it.
     """
-    total = len(w.sums) - 1
-    count = max(2, math.ceil(tail_fraction * total))
-    tail = w.sums[len(w.sums) - count:]
-    if len(tail) < 2:
+    if tail_fraction <= 0 or tail_fraction > 1:
+        raise ValueError("tail_fraction must be in (0, 1]")
+    offset = len(w.sums) - max(2, math.ceil(tail_fraction * (len(w.sums) - 1)))
+    if offset < 0:
         raise ValueError("tail shorter than 2 points")
-    offset = len(w.sums) - count
-    max_gap, pairs = 0.0, []
-    for i in range(len(tail)):
-        for j in range(i + 1, len(tail)):
-            d = distance(tail[i], tail[j], w.kind)
-            if d > max_gap + 1e-15:
-                max_gap, pairs = d, [(offset + i, offset + j)]
-            elif abs(d - max_gap) <= 1e-15 and len(pairs) < 32:
-                pairs.append((offset + i, offset + j))
+    tail = w.sums[offset:]
+
+    def upper(lo, block):
+        # entries of the block's rows lo, lo + 1, ... with column > row
+        return np.arange(block.shape[1]) > np.arange(lo, lo + len(block))[:, None]
+
+    max_gap = float(max(block[upper(lo, block)].max(initial=0.0)
+                        for lo, block in distance_blocks(tail, tail, w.kind)))
+    pairs: list[tuple[int, int]] = []
+    for lo, block in distance_blocks(tail, tail, w.kind):
+        rows, cols = np.nonzero(upper(lo, block) & (np.abs(block - max_gap) <= 1e-15))
+        keep = 32 - len(pairs)
+        pairs += [(offset + lo + i, offset + j)
+                  for i, j in zip(rows[:keep].tolist(), cols[:keep].tolist())]
+        if len(pairs) == 32:
+            break
     return {"max_gap": max_gap, "gap_pairs": pairs}

@@ -138,6 +138,8 @@ def _demo_components(top):
 def cmd_rearrange(args) -> int:
     if args.stages < 1:
         raise UsageError("stages must be >= 1")
+    if args.terms < 1:
+        raise UsageError("terms must be >= 1")
     if not args.target:
         raise UsageError("rearrange needs --target")
     target = _load_sample(args.target)
@@ -172,6 +174,8 @@ def cmd_rearrange(args) -> int:
 
 def cmd_verify(args) -> int:
     what = args.check
+    if what != "vector-family" and not args.input:
+        raise UsageError(f"verify {what} needs --input")
     if what == "estimate":
         walk = _load_walk(args.input)
         est = analysis.estimate_limit_set(walk, window_fraction=args.window,
@@ -213,6 +217,8 @@ def cmd_verify(args) -> int:
         print("pass" if ok else "fail")
         return PASS if ok else FAIL
     if what == "rp-instance":
+        if args.prefix < 1:
+            raise UsageError("prefix must be >= 1")
         try:
             with open(args.input) as fp:
                 terms = traceio.read_terms_json(fp)

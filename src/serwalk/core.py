@@ -18,10 +18,16 @@ on those matrices.  Float64 is exact for dyadic coordinates of moderate
 size, which covers every generator and every trace read from disk, so
 measuring on the matrix gives the same answer as the exact points.
 
-Every distance-threshold question -- gap components, epsilon-chains, the
-merge step of a limit estimate, chain building -- is answered by one gap
-graph: :func:`gap_graph` builds its neighbour lists from one distance
-matrix and :func:`gap_path` is its breadth-first search.
+Every all-pairs question is a reduction over one kernel,
+:func:`distance_blocks`, which yields the distance matrix between two
+samples a block of rows at a time, each block at most ``BLOCK_ENTRIES``
+entries, so memory stays bounded however large the samples are:
+:func:`hausdorff_distance` keeps running row and column minima, the Cauchy
+diagnostic scans the upper triangle of a walk's tail, and :func:`gap_graph`
+thresholds each block.  Every distance-threshold question -- gap
+components, epsilon-chains, the merge step of a limit estimate, chain
+building -- is answered by that one gap graph: :func:`gap_path` is its
+breadth-first search.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ import numpy as np
 
 #: points closer than this are considered the same sample element
 MEMBERSHIP_TOL = 1e-12
+
+#: most entries in one block of :func:`distance_blocks` (2 MB of float64)
+BLOCK_ENTRIES = 1 << 18
 
 EUCLIDEAN = "euclidean"
 SUP = "sup"
@@ -159,14 +168,23 @@ def fold_coordinate(acc: np.ndarray, d: np.ndarray, kind: str) -> None:
         acc += d * d
 
 
-def _distance_matrix(pts_a, pts_b, kind: str) -> np.ndarray:
-    """Pairwise distances, accumulated one coordinate at a time so that
-    memory stays at one len(a) x len(b) matrix."""
-    a, b = float_rows(pts_a, pts_b)
-    out = np.zeros((len(a), len(b)))
-    for col in range(a.shape[1]):
-        fold_coordinate(out, a[:, col, None] - b[None, :, col], kind)
-    return out if kind == SUP else np.sqrt(out)
+def distance_blocks(a, b, kind: str):
+    """Pairwise distances from sample a to sample b as ``(row_offset, block)``
+    pairs, in row order: ``block[r, c]`` is the distance from
+    ``a[row_offset + r]`` to ``b[c]``.  A block holds at most BLOCK_ENTRIES
+    entries, or one row when a row alone is longer.  Distances accumulate
+    one coordinate at a time, so they equal :func:`distance` on dyadic
+    points."""
+    rows_a, rows_b = float_rows(a, b)
+    step = max(1, BLOCK_ENTRIES // max(1, len(rows_b)))
+    for lo in range(0, len(rows_a), step):
+        rows = rows_a[lo:lo + step]
+        block = np.zeros((len(rows), len(rows_b)))
+        for col in range(rows.shape[1]):
+            fold_coordinate(block, rows[:, col, None] - rows_b[None, :, col], kind)
+        if kind != SUP:
+            np.sqrt(block, out=block)
+        yield lo, block
 
 
 def hausdorff_distance(a, b, kind: str = EUCLIDEAN) -> float:
@@ -174,8 +192,11 @@ def hausdorff_distance(a, b, kind: str = EUCLIDEAN) -> float:
     a, b = _as_sample(a), _as_sample(b)
     if not a.points or not b.points:
         raise ValueError("empty sample")
-    d = _distance_matrix(a.points, b.points, kind)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    row_max, col_min = 0.0, np.full(len(b), np.inf)
+    for _, block in distance_blocks(a.points, b.points, kind):
+        row_max = max(row_max, block.min(axis=1).max())
+        np.minimum(col_min, block.min(axis=0), out=col_min)
+    return float(max(row_max, col_min.max()))
 
 
 def gap_graph(a, gap: float, kind: str = EUCLIDEAN) -> list[list[int]]:
@@ -184,9 +205,13 @@ def gap_graph(a, gap: float, kind: str = EUCLIDEAN) -> list[list[int]]:
     a = _as_sample(a)
     if not a.points:
         raise ValueError("empty sample")
-    adj = _distance_matrix(a.points, a.points, kind) <= gap
-    np.fill_diagonal(adj, False)
-    return [np.flatnonzero(row).tolist() for row in adj]
+    nbrs = []
+    for lo, block in distance_blocks(a.points, a.points, kind):
+        adj = block <= gap
+        rows = np.arange(len(adj))
+        adj[rows, lo + rows] = False  # no self-edges
+        nbrs += [np.flatnonzero(row).tolist() for row in adj]
+    return nbrs
 
 
 def gap_path(nbrs: list[list[int]], i: int, j: int) -> Optional[list[int]]:

@@ -179,12 +179,18 @@ class RPConstants:
     N(eps) = first index with term norm <= eps/4, delta(eps) = eps/2.
 
     Requires nonincreasing term norms so that the family is monotone
-    (delta nonincreasing and N nondecreasing as eps decreases).
+    (delta nonincreasing and N nondecreasing as eps decreases); raises
+    ValueError naming the first term whose norm exceeds its predecessor's.
+    Terms are numbered from 1, as N(eps) is.
     """
 
     def __init__(self, series: Sequence, kind: str = EUCLIDEAN):
         self.kind = kind
         self._norms = [norm(t, kind) for t in series]
+        for i in range(1, len(self._norms)):
+            if self._norms[i] > self._norms[i - 1]:
+                raise ValueError(f"term norms must be nonincreasing: term {i + 1} "
+                                 f"is longer than term {i}")
 
     def delta(self, eps: float) -> float:
         return eps / 2

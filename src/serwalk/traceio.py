@@ -149,9 +149,12 @@ def read_sample_csv(fp: TextIO) -> PointSample:
     if not header or not header[0].startswith("coord_"):
         raise ValueError("bad sample header")
     pts = []
-    for row in reader:
-        if row:
-            pts.append(tuple(float(Fraction(c)) for c in row))
+    for n, row in enumerate(reader, start=1):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"row width mismatch at sample row {n}")
+        pts.append(tuple(float(Fraction(c)) for c in row))
     if not pts:
         raise ValueError("empty sample")
     return PointSample(tuple(pts))

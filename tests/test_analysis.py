@@ -140,6 +140,14 @@ def test_cauchy_diagnostic():
     assert div["gap_pairs"]
 
 
+@pytest.mark.parametrize("tail_fraction", [0.0, -0.3, 1.5])
+def test_cauchy_diagnostic_rejects_tail_fraction_outside_unit_interval(tail_fraction):
+    # a fraction above 1 once reached before the walk's start and reported
+    # pairs of negative indices
+    with pytest.raises(ValueError, match=r"tail_fraction must be in \(0, 1\]"):
+        cauchy_diagnostic(gen_two_lines(3), tail_fraction=tail_fraction)
+
+
 def test_dense_approx_check_accepts_good_approximants():
     target = PointSample(((0.0, 0.0), (1.0, 0.0)))
     rng = random.Random(9)

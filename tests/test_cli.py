@@ -165,6 +165,44 @@ def test_verify_missing_input_is_usage_error():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("check", ["estimate", "dichotomy", "singleton", "cauchy",
+                                   "rp-instance"])
+def test_verify_without_input_is_usage_error(check):
+    r = run("verify", check)
+    assert r.returncode == 2
+    assert r.stderr.strip() == f"verify {check} needs --input"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "rp-instance", "--prefix", "0"], "prefix must be >= 1"),
+    (["verify", "rp-instance", "--prefix", "-1"], "prefix must be >= 1"),
+    (["rearrange", "--terms", "0"], "terms must be >= 1"),
+    (["rearrange", "--terms", "-5"], "terms must be >= 1"),
+])
+def test_out_of_range_counts_are_usage_errors(tmp_path, argv, message):
+    # --prefix -1 once balanced all terms but the last, --prefix 0 printed an
+    # empty order, and --terms 0 raised IndexError
+    terms = tmp_path / "terms.json"
+    assert run("generate", "no-rp", "--kmax", "1", "--out", str(terms)).returncode == 0
+    target = tmp_path / "target.csv"
+    target.write_text("coord_0,coord_1\n0.25,-0.5\n")
+    source = ["--input", str(terms)] if argv[0] == "verify" else ["--target", str(target)]
+    r = run(*argv, *source)
+    assert r.returncode == 2
+    assert r.stderr.strip() == message
+    assert r.stdout == ""
+
+
+def test_rearrange_rejects_ragged_target(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("coord_0,coord_1\n0.25,-0.5\n0.5\n")
+    r = run("rearrange", "--target", str(target), "--terms", "1000",
+            "--out", str(tmp_path / "run"))
+    assert r.returncode == 2
+    assert "cannot read sample" in r.stderr and "row width mismatch" in r.stderr
+    assert not (tmp_path / "run.csv").exists()
+
+
 @pytest.mark.parametrize("name, text", [
     # rows out of order: the first row would land in phase 1 unnoticed
     ("w.csv", "index,phase,coord_0,coord_1\n7,2,0,0\n3,1,1,0\n9,2,0,0\n"),

@@ -1,14 +1,19 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from serwalk.core import (EUCLIDEAN, SUP, PointSample, _distance_matrix, distance,
+from serwalk import core
+from serwalk.analysis import cauchy_diagnostic
+from serwalk.core import (EUCLIDEAN, SUP, PointSample, distance, distance_blocks,
                           float_rows, gap_chainable, gap_components, gap_graph,
                           gap_path, hausdorff_distance, is_dyadic, norm, point_mode,
                           same_point)
-from serwalk.seqspace import THETA, SparseVec
+from serwalk.seqspace import THETA, SparseVec, gen_c0_two_point
+from serwalk.walks import Walk
 
 coords = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 points2 = st.tuples(coords, coords)
@@ -200,8 +205,15 @@ def test_sup_vs_euclidean_components():
 
 # dyadic points in up to four coordinates, as dense tuples of floats and as
 # SparseVecs of Fractions (coordinate i -> index i + 1)
-dyadic_rows = st.integers(1, 4).flatmap(lambda d: st.lists(
-    st.tuples(*[st.integers(-16, 16)] * d), min_size=1, max_size=8))
+def dyadic_lists(dim, max_size=8):
+    return st.lists(st.tuples(*[st.integers(-16, 16)] * dim), min_size=1,
+                    max_size=max_size)
+
+
+dyadic_rows = st.integers(1, 4).flatmap(dyadic_lists)
+# two samples of one dimension, the second long enough to split into blocks
+dyadic_pairs = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(dyadic_lists(d), dyadic_lists(d, max_size=14)))
 
 
 def as_dense(rows):
@@ -213,6 +225,15 @@ def as_sparse(rows):
             for r in rows]
 
 
+def _matrix(a, b, kind):
+    # the kernel's blocks stacked back into one matrix, as nested lists
+    out = []
+    for lo, block in distance_blocks(a, b, kind):
+        assert lo == len(out) and block.size <= max(core.BLOCK_ENTRIES, len(b))
+        out += block.tolist()
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(dyadic_rows, dyadic_rows, st.sampled_from([EUCLIDEAN, SUP]),
        st.sampled_from([0.25, 0.5, 1.0]))
@@ -221,7 +242,7 @@ def test_sparse_and_dense_layouts_agree(rows_a, rows_b, kind, gap):
     sparse_b = as_sparse(rows_b)
     # the pairwise loop the numpy kernel replaced is the oracle
     want = [[distance(u, v, kind) for v in sparse_b] for u in sparse_a]
-    assert _distance_matrix(sparse_a, sparse_b, kind).tolist() == want
+    assert _matrix(sparse_a, sparse_b, kind) == want
     if len(rows_a[0]) == len(rows_b[0]):
         dense_b = as_dense(rows_b)
         assert (hausdorff_distance(dense_a, dense_b, kind)
@@ -232,11 +253,71 @@ def test_sparse_and_dense_layouts_agree(rows_a, rows_b, kind, gap):
 def test_zero_support_points_have_no_columns():
     a, b = float_rows([THETA, THETA], [THETA])
     assert a.shape == (2, 0) and b.shape == (1, 0)
-    assert _distance_matrix([THETA, THETA], [THETA], SUP).tolist() == [[0.0], [0.0]]
+    assert _matrix([THETA, THETA], [THETA], SUP) == [[0.0], [0.0]]
     one = SparseVec({3: Fraction(1, 2)})
     a, b = float_rows([THETA], [one, THETA])
     assert a.tolist() == [[0.0]] and b.tolist() == [[0.5], [0.0]]
     for kind in (EUCLIDEAN, SUP):
-        assert _distance_matrix([THETA], [one, THETA], kind).tolist() == [[0.5, 0.0]]
+        assert _matrix([THETA], [one, THETA], kind) == [[0.5, 0.0]]
         assert hausdorff_distance([THETA], [THETA], kind) == 0.0
         assert gap_components([THETA, one, THETA], 0.25, kind) == [[0, 2], [1]]
+
+
+def _cauchy_oracle(sums, tail_fraction, kind):
+    # the rule itself, over core.distance: the largest tail gap, then the
+    # first 32 pairs in (i, j) order within 1e-15 of it
+    offset = len(sums) - max(2, math.ceil(tail_fraction * (len(sums) - 1)))
+    pairs = [(i, j) for i in range(offset, len(sums)) for j in range(i + 1, len(sums))]
+    gaps = [distance(sums[i], sums[j], kind) for i, j in pairs]
+    top = max(gaps)
+    return {"max_gap": top,
+            "gap_pairs": [p for p, g in zip(pairs, gaps) if abs(g - top) <= 1e-15][:32]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(dyadic_pairs, st.sampled_from([EUCLIDEAN, SUP]), st.booleans(),
+       st.integers(1, 20), st.sampled_from([0.25, 0.5, 1.0]),
+       st.sampled_from([0.3, 0.5, 1.0]))
+def test_block_reductions_match_pairwise_oracles(rows, kind, sparse, block_entries,
+                                                 gap, tail_fraction):
+    layout = as_sparse if sparse else as_dense
+    a, b = layout(rows[0]), layout(rows[1])
+    with pytest.MonkeyPatch.context() as mp:
+        # a few entries per block, so that every sample spans several blocks
+        mp.setattr(core, "BLOCK_ENTRIES", block_entries)
+        d = [[distance(u, v, kind) for v in b] for u in a]
+        assert _matrix(a, b, kind) == d
+        assert hausdorff_distance(a, b, kind) == max(
+            max(min(row) for row in d), max(min(col) for col in zip(*d)))
+        assert gap_graph(b, gap, kind) == [
+            [j for j, v in enumerate(b) if j != i and distance(u, v, kind) <= gap]
+            for i, u in enumerate(b)]
+        sums = [layout([(0,) * len(rows[1][0])])[0]] + b
+        walk = Walk(sums, None, mode="exact" if sparse else "float", kind=kind)
+        assert (cauchy_diagnostic(walk, tail_fraction)
+                == _cauchy_oracle(sums, tail_fraction, kind))
+
+
+def test_cauchy_witnesses_are_the_first_32_ties(monkeypatch):
+    # the c0 two-point walk swings between two points a sup distance 1
+    # apart: far more than 32 tail pairs tie for the largest gap
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", 500)
+    w = gen_c0_two_point(6)
+    got = cauchy_diagnostic(w)
+    assert got == _cauchy_oracle(w.sums, 0.3, w.kind)
+    assert got["max_gap"] == 1.0 and len(got["gap_pairs"]) == 32
+
+
+def test_hausdorff_memory_is_bounded():
+    # the full 4,000 x 4,000 float64 matrix alone would take 128 MB
+    rng = np.random.default_rng(4)
+    a, b = (PointSample(tuple(map(tuple, rng.uniform(-1, 1, size=(4000, 2)))))
+            for _ in range(2))
+    tracemalloc.start()
+    try:
+        got = hausdorff_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < got < 0.1
+    assert peak < 32 * 2 ** 20

@@ -118,6 +118,13 @@ def test_rp_constants_thresholds():
         c.n_threshold(0.001)
 
 
+def test_rp_constants_reject_increasing_norms():
+    # N(eps) is the first index below eps/4 only when norms never grow
+    series = [(1.0,), (-0.5,), (0.5,), (0.75,), (0.25,)]
+    with pytest.raises(ValueError, match="term 4 is longer than term 3"):
+        RPConstants(series)
+
+
 def test_certify_rp_witness_fields():
     series = alternating_harmonic(2000)
     wit = certify_rp(series, 1.0, instance_budget=100,

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import serwalk
@@ -20,3 +22,19 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if _asserts(node)]
     assert SOURCES and found == []
+
+
+def test_benchmark_span_targets_resolve():
+    # the benchmark's tracer wraps these attributes by name: one renamed or
+    # removed in the library would break its traced runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spans = types.ModuleType("perfbench_spans")  # run from source: no bytecode written
+    exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    missing = []
+    for module_name, attr, _, _ in spans.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert spans.TARGETS and missing == []

@@ -126,3 +126,12 @@ def test_svg_output():
     assert ">0.5<" in svg  # half-integer tick label
     with pytest.raises(ValueError, match="2-D"):
         write_walk_svg(Walk([(0.0,), (1.0,)], [1], mode="float"), io.StringIO())
+
+
+@pytest.mark.parametrize("text", [
+    "coord_0,coord_1\n0.5,1\n0.25\n",
+    "coord_0,coord_1\n0.5,1\n0.25,1,2\n",
+], ids=["short", "long"])
+def test_read_sample_csv_rejects_ragged_rows(text):
+    with pytest.raises(ValueError, match="row width mismatch at sample row 2"):
+        read_sample_csv(io.StringIO(text))
