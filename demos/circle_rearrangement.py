@@ -10,7 +10,6 @@ Run:  python demos/circle_rearrangement.py
 
 import math
 import os
-import random
 
 from serwalk import (PointSample, RPConstants, check_stage_invariants,
                      estimate_limit_set, full_range_series,
@@ -26,8 +25,7 @@ circle = PointSample(tuple((math.cos(2 * math.pi * i / n),
 series = full_range_series(2, 80000)
 print(f"target: {n}-point circle sample; series prefix: {len(series)} terms")
 
-tau, walk, reports = rearrange_to_limit_set(series, circle, stages=5,
-                                            rng=random.Random(0))
+tau, walk, reports = rearrange_to_limit_set(series, circle, stages=5)
 print(f"rearranged {len(tau)} terms into {len(walk.sums) - 1} partial sums")
 for r in reports:
     print(f"  stage {r['stage']}: eps={r['eps']:.4f}  "

@@ -6,9 +6,8 @@ empirically, and verify limit-set claims (dichotomy, chainability,
 Hausdorff proximity, convergence) at desk scale.
 """
 
-from .core import (EUCLIDEAN, MEMBERSHIP_TOL, SUP, PointSample, distance,
-                   gap_chainable, gap_components, hausdorff_distance,
-                   is_dyadic, norm, point_mode, same_point)
+from .core import (EUCLIDEAN, SUP, PointSample, distance, gap_chainable,
+                   gap_components, hausdorff_distance, norm)
 from .walks import (PartialPermutation, SignedSeries, Walk,
                     build_chainable_walk, build_unbounded_components_walk,
                     build_xwalk, gen_halflines, gen_two_lines, series_to_walk,
@@ -22,9 +21,8 @@ from .rearrange import (RPCertificationError, RPConstants, RPWitness,
                         check_stage_invariants, find_balanced_permutation,
                         full_range_series, rearrange_to_limit_set)
 from .analysis import (ALL_COMPONENTS_ESCAPE, COMPACT_CONNECTED, VIOLATION,
-                       LimitEstimate, cauchy_diagnostic, dense_approx_check,
-                       estimate_limit_set, singleton_convergence_check,
-                       verify_dichotomy)
+                       LimitEstimate, cauchy_diagnostic, estimate_limit_set,
+                       singleton_convergence_check, verify_dichotomy)
 from .traceio import (read_sample_csv, read_terms_json, read_walk_csv,
                       read_walk_jsonl, render_scalar, write_sample_csv,
                       write_terms_json, write_walk_csv, write_walk_jsonl,

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .core import (EUCLIDEAN, PointSample, distance, distance_blocks, gap_components,
-                   hausdorff_distance, norm)
+                   norm)
 from .walks import Walk
 
 
@@ -185,32 +185,6 @@ def singleton_convergence_check(w: Walk, tol: float,
     return {"verdict": "diverges-with-singleton", "point": p, "estimate": est}
 
 
-def dense_approx_check(dense: Sequence, approximants: Sequence,
-                       epsilons: Sequence[float], target: PointSample,
-                       resolution: float = 0.1, kind: str = EUCLIDEAN) -> bool:
-    """Do perturbed dense points still cluster onto the target set?
-
-    Requires ||approximants_i - dense_i|| < epsilons_i for every i; the
-    cluster estimate of the approximant tail must then be within Hausdorff
-    distance (2 * max late epsilon + resolution) of the target sample.
-    """
-    if not (len(dense) == len(approximants) == len(epsilons)):
-        raise ValueError("length mismatch")
-    for i, (d, a, eps) in enumerate(zip(dense, approximants, epsilons)):
-        if distance(a, d, kind) > eps:
-            raise ValueError(f"approximant {i} violates its epsilon bound")
-    half = len(approximants) // 2
-    late = approximants[half:]
-    cells: dict[object, list] = {}
-    for p in late:
-        cells.setdefault(_snap_key(p, resolution), []).append(p)
-    reps = [_mean_point(pts) for pts in cells.values() if len(pts) >= 2]
-    if not reps:
-        return False
-    allowance = 2 * max(epsilons[half:]) + resolution
-    return hausdorff_distance(PointSample(tuple(reps)), target, kind) <= allowance
-
-
 def cauchy_diagnostic(w: Walk, tail_fraction: float = 0.3) -> dict:
     """Largest pairwise distance between late partial sums.
 
@@ -232,10 +206,15 @@ def cauchy_diagnostic(w: Walk, tail_fraction: float = 0.3) -> dict:
         # entries of the block's rows lo, lo + 1, ... with column > row
         return np.arange(block.shape[1]) > np.arange(lo, lo + len(block))[:, None]
 
-    max_gap = float(max(block[upper(lo, block)].max(initial=0.0)
-                        for lo, block in distance_blocks(tail, tail, w.kind)))
+    block_max = [(lo, float(block[upper(lo, block)].max(initial=0.0)))
+                 for lo, block in distance_blocks(tail, tail, w.kind)]
+    max_gap = max(m for _, m in block_max)
+    # no pair of an earlier block is within 1e-15 of the maximum; the block
+    # step depends only on len(tail), so restarting there keeps the blocks
+    lo0 = next(lo for lo, m in block_max if max_gap - m <= 1e-15)
     pairs: list[tuple[int, int]] = []
-    for lo, block in distance_blocks(tail, tail, w.kind):
+    for lo, block in distance_blocks(tail[lo0:], tail, w.kind):
+        lo += lo0
         rows, cols = np.nonzero(upper(lo, block) & (np.abs(block - max_gap) <= 1e-15))
         keep = 32 - len(pairs)
         pairs += [(offset + lo + i, offset + j)

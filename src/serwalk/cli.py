@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 property failure (or stdout closed early by its
 reader), 2 usage or input error.
-Outputs are deterministic for a fixed argument list (including --seed);
-no timestamps or machine state leak into any artifact.
+Outputs are deterministic for a fixed argument list, and no subcommand
+draws random numbers, so none takes a seed; no timestamps or machine state
+leak into any artifact.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import logging
 import os
-import random
 import sys
 from contextlib import contextmanager
 
@@ -145,10 +145,9 @@ def cmd_rearrange(args) -> int:
     target = _load_sample(args.target)
     dim = len(target.points[0])
     series = rearrange.full_range_series(dim, args.terms)
-    rng = random.Random(args.seed)
     try:
         tau, walk, reports = rearrange.rearrange_to_limit_set(
-            series, target, args.stages, rng=rng)
+            series, target, args.stages)
     except ValueError as err:
         print(f"rearrangement failed: {err}", file=sys.stderr)
         return FAIL
@@ -227,8 +226,7 @@ def cmd_verify(args) -> int:
         kind = "sup" if hasattr(terms[0], "entries") else EUCLIDEAN
         prefix = min(len(terms), args.prefix)
         order = rearrange.find_balanced_permutation(
-            terms[:prefix], args.epsilon, kind=kind,
-            rng=random.Random(args.seed))
+            terms[:prefix], args.epsilon, kind=kind)
         if order is None:
             print("no balanced permutation")
             return FAIL
@@ -275,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--stages", type=int, default=5)
     r.add_argument("--terms", type=int, default=80000)
     r.add_argument("--out")
-    r.add_argument("--seed", type=int, default=0)
     r.set_defaults(func=cmd_rearrange)
 
     v = sub.add_parser("verify", help="run a property verifier")
@@ -291,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k", type=int, default=2)
     v.add_argument("--prefix", type=int, default=10)
     v.add_argument("--out")
-    v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("plot", help="render a 2-D trace as SVG")

@@ -12,8 +12,14 @@ the batch with ``find_balanced_permutation`` so that no prefix leaves the
 eps_j-ball around a.  The step checks its postconditions and raises
 ValueError when one fails.
 
-Balancing orders the batch by greedy passes over the terms' float64 rows
-(``core.float_rows``), the same code for dense tuples and SparseVecs.
+Balancing orders the batch by one deterministic greedy pass over the
+terms' float64 rows (``core.float_rows``), the same code for dense tuples
+and SparseVecs, and falls back to a complete search for batches of at most
+10 terms.  No randomized pass breaks ties, so a batch of more than 10
+terms with exactly tied scores, where only a tie-broken greedy order stays
+inside the bound, fails with "balancing failed".  No workload, test or
+demo has such a batch; a Steinitz-lemma construction with a proven bound
+is the planned answer for it.
 
 Balancing constants are certified empirically, not proven: for a series
 with nonincreasing term norms we take N(eps) = first index whose term norm
@@ -72,33 +78,6 @@ def _max_prefix_norm(terms: Sequence, order: Sequence[int], kind: str) -> float:
         worst = max(worst, norm(cur, kind))
     return worst
 
-def _greedy_balance(rows: np.ndarray, bound: float, kind: str,
-                    rng: Optional[random.Random]) -> Optional[list[int]]:
-    """One greedy pass over the terms' float rows: at each step append the
-    unused term whose prefix scores lowest (squared Euclidean or sup norm),
-    the first such in index order, or with ``rng`` one drawn from the near
-    ties in index order; None when the chosen prefix reaches the bound."""
-    n = len(rows)
-    cur = np.zeros(rows.shape[1])
-    used = np.zeros(n, dtype=bool)
-    order = []
-    for _ in range(n):
-        score = np.zeros(n)
-        for col in range(rows.shape[1]):
-            fold_coordinate(score, cur[col] + rows[:, col], kind)
-        score[used] = np.inf
-        i = int(np.argmin(score))
-        if rng is not None:
-            near = np.flatnonzero(score <= score[i] + 1e-12)
-            i = int(near[rng.randrange(len(near))])
-        value = score[i] if kind == SUP else math.sqrt(score[i])
-        if value >= bound:
-            return None
-        order.append(i + 1)
-        used[i] = True
-        cur += rows[i]
-    return order
-
 def _dfs_balance(terms: Sequence, bound: float, kind: str) -> Optional[list[int]]:
     """Complete search with prefix pruning; equivalent to trying all n!
     orders but abandons a branch as soon as a prefix reaches the bound."""
@@ -125,37 +104,42 @@ def _dfs_balance(terms: Sequence, bound: float, kind: str) -> Optional[list[int]
     return order if rec(None) else None
 
 def find_balanced_permutation(terms: Sequence, bound: float,
-                              kind: str = EUCLIDEAN,
-                              rng: Optional[random.Random] = None) -> Optional[list[int]]:
+                              kind: str = EUCLIDEAN) -> Optional[list[int]]:
     """Permutation of [1, n] keeping every prefix-sum norm strictly below
     ``bound``, or None.
 
-    Tries, in order:
-    (1) one deterministic greedy pass, picking at each step the unused term
-        that minimizes the resulting prefix norm (ties by lowest index);
-    (2) 63 greedy passes breaking near-ties at random with ``rng``
-        (``random.Random(0)`` when None);
-    (3) for n <= 10, a complete prefix-pruned search, so that None is then
-        a proof that no such order exists.  For n > 10, None only means
-        that the greedy passes failed.
+    One deterministic greedy pass over the terms' float rows appends, at
+    each step, the unused term whose prefix scores lowest (squared
+    Euclidean or sup norm), the first such in index order.  When the chosen
+    prefix reaches the bound and n <= 10, a complete prefix-pruned search
+    decides, so that None is then a proof that no such order exists.  For
+    n > 10, None only means that the greedy pass failed.
 
-    Dense tuples and SparseVecs take the same path.  The greedy passes
-    score prefixes in float64, which is exact for dyadic terms (every
+    Dense tuples and SparseVecs take the same path.  The greedy pass scores
+    prefixes in float64, which is exact for dyadic terms (every
     generator's, and every trace read from disk); the complete search sums
     the terms in their own arithmetic.
     """
     if not terms:
         return []
     rows = float_rows(terms)[0]
-    order = _greedy_balance(rows, bound, kind, None)
-    if order is not None:
-        return order
-    rng = rng or random.Random(0)
-    for _ in range(63):
-        order = _greedy_balance(rows, bound, kind, rng)
-        if order is not None:
-            return order
-    return _dfs_balance(terms, bound, kind) if len(terms) <= 10 else None
+    n = len(rows)
+    cur = np.zeros(rows.shape[1])
+    used = np.zeros(n, dtype=bool)
+    order = []
+    for _ in range(n):
+        score = np.zeros(n)
+        for col in range(rows.shape[1]):
+            fold_coordinate(score, cur[col] + rows[:, col], kind)
+        score[used] = np.inf
+        i = int(np.argmin(score))
+        value = score[i] if kind == SUP else math.sqrt(score[i])
+        if value >= bound:
+            return _dfs_balance(terms, bound, kind) if n <= 10 else None
+        order.append(i + 1)
+        used[i] = True
+        cur += rows[i]
+    return order
 
 # ---------------------------------------------------------------------------
 # RP certification
@@ -234,7 +218,7 @@ def certify_rp(series_prefix: Sequence, epsilon: float,
                 break
         if instance is None:
             continue
-        order = find_balanced_permutation(instance, epsilon, kind, rng)
+        order = find_balanced_permutation(instance, epsilon, kind)
         if order is None:
             raise RPCertificationError(
                 f"RP certification failed at eps={epsilon}", instance)
@@ -283,6 +267,15 @@ def _refined_loop(points: Sequence, hop: float) -> list:
 #: step assumes
 HOP_FACTOR = 3.0
 
+def _eta(constants: RPConstants, eps: float) -> float:
+    """Stage scale eta = min(eps/48, delta(eps/2)/12) of the eps stage."""
+    return min(eps / 48, constants.delta(eps / 2) / 12)
+
+def _landing_tol(constants: RPConstants, eps_next: float) -> float:
+    """How far from its anchor a stage step may end when the next stage
+    uses eps_next: min(eps_next/12, delta(eps_next/2)/3)."""
+    return min(eps_next / 12, constants.delta(eps_next / 2) / 3)
+
 def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
                            stages: int, kind: str = EUCLIDEAN,
                            rng: Optional[random.Random] = None):
@@ -295,6 +288,9 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     should be samples of sets that are near-convex between neighbours
     (pitch^2-scale refinement error).
 
+    The rearrangement is deterministic: ``rng`` is accepted for callers
+    that pass one and is unused.
+
     Returns (tau, walk, stage_reports).
     """
     if stages < 1:
@@ -304,8 +300,6 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         raise ValueError("empty target")
     terms = series_prefix
     constants = RPConstants(terms, kind)
-    rng = rng or random.Random(20240817)
-    delta = constants.delta
     dim = len(terms[0])
 
     images: list[int] = []
@@ -368,7 +362,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     frontier = n1
     d1 = tuple(float(c) for c in target.points[0])
     base_err = [float(a) - float(b) for a, b in zip(d1, cur)]
-    push(select(base_err, min(0.5 / 12, delta(0.25) / 3) / 2))
+    push(select(base_err, _landing_tol(constants, 0.5) / 2))
 
     def move(a, b, eps, eps_next, sweep=False):
         nonlocal frontier
@@ -391,11 +385,11 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
                         z[ax] += float(t[ax])
                 q.clear()
         err = [float(bc) - float(cc) - zc for bc, cc, zc in zip(b, cur, z)]
-        tol = min(eps_next / 12, delta(eps_next / 2) / 3) / 2
+        tol = _landing_tol(constants, eps_next) / 2
         batch.extend(select(err, tol))
         if batch:
             bterms = [terms[i - 1] for i in batch]
-            order = find_balanced_permutation(bterms, eps / 2, kind, rng)
+            order = find_balanced_permutation(bterms, eps / 2, kind)
             if order is None:
                 raise ValueError("RP bound violated at stage: balancing failed")
             push(batch[p - 1] for p in order)
@@ -405,7 +399,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             excursion = max(excursion, d)
         if excursion > eps + 1e-9:
             raise ValueError("prefix escaped its eps-ball")
-        if distance(cur, b, kind) > min(eps_next / 12, delta(eps_next / 2) / 3) + 1e-9:
+        if distance(cur, b, kind) > _landing_tol(constants, eps_next) + 1e-9:
             raise ValueError("terminal sum off target")
         return excursion
 
@@ -414,7 +408,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     prev_anchor = d1
     for j in range(1, stages + 1):
         eps = 2.0 ** -j
-        eta = min(eps / 48, delta(eps / 2) / 12)
+        eta = _eta(constants, eps)
         loop = _refined_loop(target.points, HOP_FACTOR * eta)
         start_len = len(buf)
         excursion = 0.0
@@ -461,14 +455,14 @@ def check_stage_invariants(reports: Sequence[dict], tau: PartialPermutation,
     prev_k = 0
     for rep in reports:
         j, eps, eta = rep["stage"], rep["eps"], rep["eta"]
-        if eps != 2.0 ** -j or eta != min(eps / 48, constants.delta(eps / 2) / 12):
+        if eps != 2.0 ** -j or eta != _eta(constants, eps):
             return False
         if rep["k_i"] <= prev_k:
             return False
         prev_k = rep["k_i"]
         if rep["covered_through"] < constants.n_threshold(2.0 ** -(j + 1) / 2):
             return False
-        eta_next = min(2.0 ** -(j + 1) / 48, constants.delta(2.0 ** -(j + 2)) / 12)
+        eta_next = _eta(constants, 2.0 ** -(j + 1))
         if rep["stage_end_error"] >= 4 * eta_next:
             return False
         if rep["prefix_max_excursion"] > eps:

@@ -6,7 +6,6 @@ stored, and equality with the zero vector is a bit-exact test.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,9 +73,6 @@ class SparseVec:
 
     def support(self) -> set[int]:
         return set(self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def sup_norm(self) -> float:
         return max((abs(float(v)) for v in self.entries.values()), default=0.0)
@@ -164,10 +160,6 @@ class VectorFamily:
             if max(abs(p) for p in prefix) < self.k:
                 return False
         return True
-
-    def to_json(self) -> str:
-        return json.dumps({"k": self.k, "dim": self.dim,
-                           "vectors": [list(v) for v in self.vectors]})
 
 
 def sign_patterns(k: int) -> list[tuple[int, ...]]:

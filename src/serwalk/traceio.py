@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 from .core import SUP, PointSample, is_dyadic
+from .seqspace import SparseVec
 from .walks import Walk
 
 
@@ -106,19 +107,28 @@ def read_walk_csv(fp: TextIO) -> Walk:
     return Walk([start] + sums, phase_lengths, mode=mode)
 
 
+def _encode_entries(v) -> dict:
+    """A SparseVec's entries as JSON: integral values as ints, the rest as
+    floats (entries may be Fractions or floats)."""
+    return {str(i): int(x) if Fraction(x).denominator == 1 else float(x)
+            for i, x in v.entries.items()}
+
+
+def _decode_entries(entries: dict):
+    """Inverse of _encode_entries: a SparseVec of exact Fractions."""
+    return SparseVec({int(i): Fraction(x) for i, x in entries.items()})
+
+
 def write_walk_jsonl(w: Walk, fp: TextIO) -> None:
     if not w.sums or not hasattr(w.sums[0], "entries"):
         raise ValueError("JSON-line traces are for sequence-space walks")
     blocks = w.phase_blocks()
     for n, p in enumerate(w.sums[1:], start=1):
-        entries = {str(i): (int(v) if Fraction(v).denominator == 1 else float(v))
-                   for i, v in p.entries.items()}
         fp.write(json.dumps({"index": n, "phase": _phase_of(blocks, n),
-                             "entries": entries}) + "\n")
+                             "entries": _encode_entries(p)}) + "\n")
 
 
 def read_walk_jsonl(fp: TextIO) -> Walk:
-    from .seqspace import SparseVec
     sums = []
     rows = []
     for line in fp:
@@ -126,7 +136,7 @@ def read_walk_jsonl(fp: TextIO) -> Walk:
         if not line:
             continue
         rec = json.loads(line)
-        sums.append(SparseVec({int(i): Fraction(v) for i, v in rec["entries"].items()}))
+        sums.append(_decode_entries(rec["entries"]))
         rows.append((rec.get("index"), int(rec.get("phase", 1))))
     if not sums:
         raise ValueError("empty trace")
@@ -163,13 +173,12 @@ def read_sample_csv(fp: TextIO) -> PointSample:
 def read_terms_json(fp: TextIO):
     """Series terms from JSON {"terms": [...]}; each term is a dense list
     or a sparse {index: value} object."""
-    from .seqspace import SparseVec
     doc = json.load(fp)
     terms = doc["terms"] if isinstance(doc, dict) else doc
     out = []
     for t in terms:
         if isinstance(t, dict):
-            out.append(SparseVec({int(i): Fraction(v) for i, v in t.items()}))
+            out.append(_decode_entries(t))
         else:
             out.append(tuple(float(c) for c in t))
     if not out:
@@ -181,8 +190,7 @@ def write_terms_json(terms: Sequence, fp: TextIO) -> None:
     enc = []
     for t in terms:
         if hasattr(t, "entries"):
-            enc.append({str(i): (int(v) if Fraction(v).denominator == 1 else float(v))
-                        for i, v in t.entries.items()})
+            enc.append(_encode_entries(t))
         else:
             enc.append([float(c) for c in t])
     json.dump({"terms": enc}, fp)

@@ -39,14 +39,6 @@ class PartialPermutation:
     def covers_initial_segment(self, m: int) -> bool:
         return all(i in self._range for i in range(1, m + 1))
 
-    def extend(self, new_images: Sequence[int]) -> "PartialPermutation":
-        return PartialPermutation(self.images + list(new_images))
-
-    def inverse_order(self) -> list[int]:
-        """Positions sorted by image; undoes the permutation on a prefix
-        whose image set is an initial segment."""
-        return sorted(range(1, len(self.images) + 1), key=lambda n: self.images[n - 1])
-
 
 @dataclass
 class SignedSeries:

@@ -5,8 +5,8 @@ import pytest
 
 from serwalk.analysis import (ALL_COMPONENTS_ESCAPE, COMPACT_CONNECTED,
                               VIOLATION, LimitEstimate, cauchy_diagnostic,
-                              dense_approx_check, estimate_limit_set,
-                              singleton_convergence_check, verify_dichotomy)
+                              estimate_limit_set, singleton_convergence_check,
+                              verify_dichotomy)
 from serwalk.core import PointSample, distance
 from serwalk.seqspace import THETA, e, gen_c0_singleton_divergent, gen_c0_two_point
 from serwalk.walks import Walk, build_xwalk, gen_two_lines
@@ -146,26 +146,3 @@ def test_cauchy_diagnostic_rejects_tail_fraction_outside_unit_interval(tail_frac
     # pairs of negative indices
     with pytest.raises(ValueError, match=r"tail_fraction must be in \(0, 1\]"):
         cauchy_diagnostic(gen_two_lines(3), tail_fraction=tail_fraction)
-
-
-def test_dense_approx_check_accepts_good_approximants():
-    target = PointSample(((0.0, 0.0), (1.0, 0.0)))
-    rng = random.Random(9)
-    dense, approx, eps = [], [], []
-    for i in range(80):
-        d = target.points[i % 2]
-        bound = 0.2 / (1 + i // 4)
-        dense.append(d)
-        approx.append((d[0] + rng.uniform(-bound, bound) / 2,
-                       d[1] + rng.uniform(-bound, bound) / 2))
-        eps.append(bound)
-    assert dense_approx_check(dense, approx, eps, target)
-    far = PointSample(((10.0, 10.0),))
-    assert not dense_approx_check(dense, approx, eps, far)
-
-
-def test_dense_approx_check_validation():
-    with pytest.raises(ValueError, match="length mismatch"):
-        dense_approx_check([(0.0,)], [], [0.1], PointSample(((0.0,),)))
-    with pytest.raises(ValueError, match="violates"):
-        dense_approx_check([(0.0,)], [(1.0,)], [0.1], PointSample(((0.0,),)))

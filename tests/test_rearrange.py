@@ -66,8 +66,7 @@ def test_find_balanced_permutation_greedy_respects_bound():
         v = rng.choice([0.3, -0.3, 0.2, -0.2])
         terms.append((v, 0.0))
     total = abs(sum(t[0] for t in terms))
-    order = find_balanced_permutation(terms, total + 0.4,
-                                      rng=random.Random(0))
+    order = find_balanced_permutation(terms, total + 0.4)
     assert order is not None
     assert max(_prefix_norms(terms, order)) < total + 0.4
 
@@ -75,7 +74,7 @@ def test_find_balanced_permutation_greedy_respects_bound():
 def test_find_balanced_permutation_edge_cases():
     assert find_balanced_permutation([], 1.0) == []
     # past the complete search's size limit an impossible bound is a
-    # failed greedy ladder, not an error
+    # failed greedy pass, not an error
     assert find_balanced_permutation([(1.0,)] * 11, 1.0) is None
 
 
@@ -142,6 +141,21 @@ def test_certify_rp_family_is_monotone():
     thresholds = [w.n_threshold for w in fam]
     assert deltas == sorted(deltas, reverse=True)
     assert thresholds == sorted(thresholds)
+
+
+@pytest.mark.parametrize("series, digest", [
+    (alternating_harmonic(2000),
+     "22de1b4af129ae57fd377b4961d23fafc8d2fe7bead753bf0ed6a88d642005e4"),
+    (full_range_series(2, 5000),
+     "0debadd546c27f91b9b89d6a3ee544bc0e3f8cfa034b00466955758592b7cd1a"),
+], ids=["harmonic", "planar"])
+def test_certify_rp_family_pinned(series, digest):
+    # acceptance c12's witnesses: certify_rp draws its batches from rng, so
+    # any change to how much of the stream it consumes changes the digest
+    fam = certify_rp_family(series, [1.0, 0.5, 0.25], instance_budget=500,
+                            rng=random.Random(20240817))
+    witnesses = [(w.epsilon, w.n_threshold, w.delta, w.evidence) for w in fam]
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == digest
 
 
 def test_certify_rp_short_prefix_raises():

@@ -14,7 +14,7 @@ from serwalk.seqspace import (THETA, SparseVec, block_vectors,
 def test_sparsevec_algebra():
     v = e(1) + e(3, F(1, 2))
     assert v[1] == 1 and v[3] == F(1, 2) and v[2] == 0
-    assert (v - v).is_zero()
+    assert v - v == THETA
     assert (-v)[1] == -1
     assert v.scale(2)[3] == 1
     assert v.sup_norm() == 1.0
@@ -114,14 +114,6 @@ def test_vector_family_budget():
         gen_vector_family(0)
 
 
-def test_vector_family_json_round_trip():
-    import json
-    fam = gen_vector_family(2)
-    doc = json.loads(fam.to_json())
-    assert doc["k"] == 2 and doc["dim"] == 6
-    assert doc["vectors"] == [list(v) for v in fam.vectors]
-
-
 def test_coordinate_offsets():
     assert coordinate_offsets(3) == [0, 6, 76, 12946]
 
@@ -136,7 +128,7 @@ def test_block_vectors_scaled_and_shifted():
     total = ys[0]
     for y in ys[1:]:
         total = total + y
-    assert total.is_zero()
+    assert total == THETA
 
 
 def test_no_rp_series_alternates_and_cancels():

@@ -17,8 +17,6 @@ def test_partial_permutation_basics():
     assert len(tau) == 3 and tau(1) == 3
     assert tau.covers_initial_segment(3)
     assert not tau.covers_initial_segment(4)
-    assert tau.extend([5]).images == [3, 1, 2, 5]
-    assert tau.inverse_order() == [2, 3, 1]
 
 
 def test_partial_permutation_rejects_repeats():
