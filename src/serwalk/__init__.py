@@ -6,8 +6,8 @@ empirically, and verify limit-set claims (dichotomy, chainability,
 Hausdorff proximity, convergence) at desk scale.
 """
 
-from .core import (EUCLIDEAN, SUP, PointSample, distance, gap_chainable,
-                   gap_components, hausdorff_distance, norm)
+from .core import (PointSample, distance, gap_chainable, gap_components,
+                   hausdorff_distance, norm)
 from .walks import (PartialPermutation, SignedSeries, Walk,
                     build_chainable_walk, build_unbounded_components_walk,
                     build_xwalk, gen_halflines, gen_two_lines, series_to_walk,

@@ -12,12 +12,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .core import (EUCLIDEAN, PointSample, distance, distance_blocks, gap_components,
-                   norm)
+from .core import PointSample, distance, distance_blocks, gap_components, norm
 from .walks import Walk
 
 
@@ -47,14 +45,7 @@ def _modal_point(tagged):
 
 
 def _mean_point(points):
-    if hasattr(points[0], "entries"):
-        from .seqspace import SparseVec
-        acc: dict[int, float] = {}
-        for p in points:
-            for i, v in p.entries.items():
-                acc[i] = acc.get(i, 0.0) + float(v)
-        n = len(points)
-        return SparseVec({i: v / n for i, v in acc.items() if v / n != 0.0})
+    # float walks are dense: SparseVecs hold Fractions, so their walks are exact
     n = len(points)
     return tuple(sum(float(p[j]) for p in points) / n for j in range(len(points[0])))
 
@@ -67,7 +58,6 @@ class LimitEstimate:
     window_start: int
     resolution: float
     hit_counts: list[int]
-    kind: str = EUCLIDEAN
 
     def __len__(self):
         return len(self.points)
@@ -97,14 +87,12 @@ def _window_bounds(w: Walk, window_fraction: float) -> tuple[int, list[tuple[int
 
 
 def estimate_limit_set(w: Walk, window_fraction: float = 0.3,
-                       resolution: float = 0.1, min_hits: int = 2,
-                       kind: Optional[str] = None) -> LimitEstimate:
+                       resolution: float = 0.1, min_hits: int = 2) -> LimitEstimate:
     """Grid-based recurrence estimate of LIM from the walk's late window."""
     if window_fraction <= 0 or window_fraction > 1:
         raise ValueError("window_fraction must be in (0, 1]")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    kind = kind or w.kind
     start, blocks = _window_bounds(w, window_fraction)
     if len(w.sums) - start < 2:
         raise ValueError("window shorter than 2 points")
@@ -129,17 +117,17 @@ def estimate_limit_set(w: Walk, window_fraction: float = 0.3,
         if score >= min_hits:
             kept.append((rep_of(pts), len(pts), pts))
     if not kept:
-        return LimitEstimate(PointSample(()), start, resolution, [], kind)
+        return LimitEstimate(PointSample(()), start, resolution, [])
     # merge representatives that landed strictly closer than resolution/2
     groups = gap_components([rep for rep, _, _ in kept],
-                            math.nextafter(resolution / 2, 0), kind)
+                            math.nextafter(resolution / 2, 0))
     reps, counts = [], []
     for idx in groups:
         members = [kept[i] for i in idx]
         merged = [t for _, _, tagged in members for t in tagged]
         reps.append(rep_of(merged))
         counts.append(sum(c for _, c, _ in members))
-    return LimitEstimate(PointSample(tuple(reps)), start, resolution, counts, kind)
+    return LimitEstimate(PointSample(tuple(reps)), start, resolution, counts)
 
 
 COMPACT_CONNECTED = "compact-connected"
@@ -155,8 +143,8 @@ def verify_dichotomy(est: LimitEstimate, gap: float, bound: float) -> dict:
     """
     if not est.points.points:
         raise ValueError("empty estimate")
-    comps = gap_components(est.points, gap, kind=est.kind)
-    maxnorms = [max(norm(est.points.points[i], est.kind) for i in comp) for comp in comps]
+    comps = gap_components(est.points, gap)
+    maxnorms = [max(norm(est.points.points[i]) for i in comp) for comp in comps]
     escaped = [mn >= bound - gap for mn in maxnorms]
     if all(escaped):
         verdict = ALL_COMPONENTS_ESCAPE
@@ -180,7 +168,7 @@ def singleton_convergence_check(w: Walk, tol: float,
         return {"verdict": "not-singleton", "estimate": est}
     p = est.points.points[0]
     quarter = w.sums[len(w.sums) - (len(w.sums) - 1) // 4:]
-    if all(distance(s, p, est.kind) <= tol for s in quarter):
+    if all(distance(s, p) <= tol for s in quarter):
         return {"verdict": "converges-to", "point": p, "estimate": est}
     return {"verdict": "diverges-with-singleton", "point": p, "estimate": est}
 
@@ -207,13 +195,13 @@ def cauchy_diagnostic(w: Walk, tail_fraction: float = 0.3) -> dict:
         return np.arange(block.shape[1]) > np.arange(lo, lo + len(block))[:, None]
 
     block_max = [(lo, float(block[upper(lo, block)].max(initial=0.0)))
-                 for lo, block in distance_blocks(tail, tail, w.kind)]
+                 for lo, block in distance_blocks(tail, tail)]
     max_gap = max(m for _, m in block_max)
     # no pair of an earlier block is within 1e-15 of the maximum; the block
     # step depends only on len(tail), so restarting there keeps the blocks
     lo0 = next(lo for lo, m in block_max if max_gap - m <= 1e-15)
     pairs: list[tuple[int, int]] = []
-    for lo, block in distance_blocks(tail[lo0:], tail, w.kind):
+    for lo, block in distance_blocks(tail[lo0:], tail):
         lo += lo0
         rows, cols = np.nonzero(upper(lo, block) & (np.abs(block - max_gap) <= 1e-15))
         keep = 32 - len(pairs)

@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 
 from . import analysis, rearrange, seqspace, traceio, walks
-from .core import EUCLIDEAN, PointSample, norm
+from .core import PointSample, norm
 
 log = logging.getLogger("serwalk")
 
@@ -191,7 +191,7 @@ def cmd_verify(args) -> int:
         bound = args.bound
         if bound is None:
             # an empty estimate is reported by verify_dichotomy
-            bound = max((norm(p, est.kind) for p in est.points), default=0.0)
+            bound = max((norm(p) for p in est.points), default=0.0)
         report = analysis.verify_dichotomy(est, args.gap, bound)
         out = traceio.estimate_report(est, {"dichotomy": report["verdict"]})
         with _out_stream(args.out) as fp:
@@ -223,10 +223,8 @@ def cmd_verify(args) -> int:
                 terms = traceio.read_terms_json(fp)
         except (OSError, ValueError, KeyError) as err:
             raise UsageError(f"cannot read terms {args.input}: {err}") from err
-        kind = "sup" if hasattr(terms[0], "entries") else EUCLIDEAN
         prefix = min(len(terms), args.prefix)
-        order = rearrange.find_balanced_permutation(
-            terms[:prefix], args.epsilon, kind=kind)
+        order = rearrange.find_balanced_permutation(terms[:prefix], args.epsilon)
         if order is None:
             print("no balanced permutation")
             return FAIL

@@ -11,8 +11,15 @@ Points are plain tuples; finite-support sequence-space vectors are
 :class:`serwalk.seqspace.SparseVec`.  Norms and distances always come back
 as floats regardless of mode.
 
+One norm per space: a dense tuple is a point of R^m and is measured in the
+Euclidean norm (every norm on R^m is equivalent, so one serves all of the
+paper's R^m statements); a SparseVec is a point of c0 and is measured in
+the sup norm, the norm c0 carries.  :func:`norm` reads the space off the
+point, and the matrix kernels read it once off a sample's first point, so
+no caller chooses a norm.
+
 :func:`float_rows` is the one place where points become float
-coordinates: it lays samples of either kind out as float64 matrices over
+coordinates: it lays dense and sparse samples out as float64 matrices over
 shared columns, and the distance kernel and the greedy balancer both work
 on those matrices.  Float64 is exact for dyadic coordinates of moderate
 size, which covers every generator and every trace read from disk, so
@@ -35,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -44,9 +51,6 @@ MEMBERSHIP_TOL = 1e-12
 
 #: most entries in one block of :func:`distance_blocks` (2 MB of float64)
 BLOCK_ENTRIES = 1 << 18
-
-EUCLIDEAN = "euclidean"
-SUP = "sup"
 
 
 def is_dyadic(x) -> bool:
@@ -61,28 +65,18 @@ def is_dyadic(x) -> bool:
 
 def point_mode(p) -> str:
     """'exact' when every coordinate is int/Fraction, else 'float'."""
-    coords = _coords(p)
+    coords = p.entries.values() if hasattr(p, "entries") else p
     return "exact" if all(isinstance(c, (int, Fraction)) for c in coords) else "float"
 
 
-def _coords(v) -> Sequence:
-    # SparseVec exposes .entries; dense points are plain sequences
-    if hasattr(v, "entries"):
-        return list(v.entries.values())
-    return v
-
-
-def norm(v, kind: str = EUCLIDEAN) -> float:
-    """Euclidean or sup norm of a dense point or a SparseVec, as a float.
+def norm(v) -> float:
+    """Euclidean norm of a dense point, sup norm of a SparseVec, as a float.
 
     The sup norm of an empty-support SparseVec is 0.
     """
-    coords = _coords(v)
-    if kind == SUP:
-        return max((abs(float(c)) for c in coords), default=0.0)
-    if kind == EUCLIDEAN:
-        return math.sqrt(sum(float(c) * float(c) for c in coords))
-    raise ValueError(f"unknown norm kind {kind!r}")
+    if hasattr(v, "entries"):
+        return max((abs(float(c)) for c in v.entries.values()), default=0.0)
+    return math.sqrt(sum(float(c) * float(c) for c in v))
 
 
 def sub(u, v):
@@ -104,12 +98,12 @@ def neg(u):
     return tuple(-a for a in u)
 
 
-def distance(u, v, kind: str = EUCLIDEAN) -> float:
-    return norm(sub(u, v), kind)
+def distance(u, v) -> float:
+    return norm(sub(u, v))
 
 
-def same_point(u, v, tol: float = MEMBERSHIP_TOL, kind: str = EUCLIDEAN) -> bool:
-    return distance(u, v, kind) <= tol
+def same_point(u, v, tol: float = MEMBERSHIP_TOL) -> bool:
+    return distance(u, v) <= tol
 
 
 @dataclass(frozen=True)
@@ -128,9 +122,9 @@ class PointSample:
     def __iter__(self):
         return iter(self.points)
 
-    def index_of(self, p, kind: str = EUCLIDEAN) -> Optional[int]:
+    def index_of(self, p) -> Optional[int]:
         for i, q in enumerate(self.points):
-            if same_point(p, q, kind=kind):
+            if same_point(p, q):
                 return i
         return None
 
@@ -139,12 +133,16 @@ def _as_sample(a) -> PointSample:
     return a if isinstance(a, PointSample) else PointSample(tuple(a))
 
 
+def _first_point(samples):
+    return next((s[0] for s in samples if len(s)), ())
+
+
 def float_rows(*samples) -> list[np.ndarray]:
     """Each sample as a float64 matrix, one row per point, all over the
     same columns: a dense point's coordinates, or for SparseVecs the sorted
     union of every sample's supports (zero-support vectors alone give no
     columns)."""
-    first = next((s[0] for s in samples if len(s)), ())
+    first = _first_point(samples)
     if not hasattr(first, "entries"):
         return [np.array(s, dtype=float).reshape(len(s), len(first)) for s in samples]
     support = sorted({i for s in samples for p in s for i in p.entries})
@@ -159,54 +157,55 @@ def float_rows(*samples) -> list[np.ndarray]:
     return out
 
 
-def fold_coordinate(acc: np.ndarray, d: np.ndarray, kind: str) -> None:
+def fold_coordinate(acc: np.ndarray, d: np.ndarray, sup: bool) -> None:
     """Fold one coordinate's values d into acc in place: the running max of
     |d| for the sup norm, else the running sum of d*d (the squared norm)."""
-    if kind == SUP:
+    if sup:
         np.maximum(acc, np.abs(d), out=acc)
     else:
         acc += d * d
 
 
-def distance_blocks(a, b, kind: str):
+def distance_blocks(a, b):
     """Pairwise distances from sample a to sample b as ``(row_offset, block)``
     pairs, in row order: ``block[r, c]`` is the distance from
     ``a[row_offset + r]`` to ``b[c]``.  A block holds at most BLOCK_ENTRIES
     entries, or one row when a row alone is longer.  Distances accumulate
-    one coordinate at a time, so they equal :func:`distance` on dyadic
-    points."""
+    one coordinate at a time, in the norm of the samples' space, so they
+    equal :func:`distance` on dyadic points."""
     rows_a, rows_b = float_rows(a, b)
+    sup = hasattr(_first_point((a, b)), "entries")  # samples never mix spaces
     step = max(1, BLOCK_ENTRIES // max(1, len(rows_b)))
     for lo in range(0, len(rows_a), step):
         rows = rows_a[lo:lo + step]
         block = np.zeros((len(rows), len(rows_b)))
         for col in range(rows.shape[1]):
-            fold_coordinate(block, rows[:, col, None] - rows_b[None, :, col], kind)
-        if kind != SUP:
+            fold_coordinate(block, rows[:, col, None] - rows_b[None, :, col], sup)
+        if not sup:
             np.sqrt(block, out=block)
         yield lo, block
 
 
-def hausdorff_distance(a, b, kind: str = EUCLIDEAN) -> float:
+def hausdorff_distance(a, b) -> float:
     """Symmetric Hausdorff distance between two finite samples."""
     a, b = _as_sample(a), _as_sample(b)
     if not a.points or not b.points:
         raise ValueError("empty sample")
     row_max, col_min = 0.0, np.full(len(b), np.inf)
-    for _, block in distance_blocks(a.points, b.points, kind):
+    for _, block in distance_blocks(a.points, b.points):
         row_max = max(row_max, block.min(axis=1).max())
         np.minimum(col_min, block.min(axis=0), out=col_min)
     return float(max(row_max, col_min.max()))
 
 
-def gap_graph(a, gap: float, kind: str = EUCLIDEAN) -> list[list[int]]:
+def gap_graph(a, gap: float) -> list[list[int]]:
     """Neighbour lists of the gap graph (edges: distance <= gap): ``nbrs[i]``
     holds, in index order, every other index within ``gap`` of point i."""
     a = _as_sample(a)
     if not a.points:
         raise ValueError("empty sample")
     nbrs = []
-    for lo, block in distance_blocks(a.points, a.points, kind):
+    for lo, block in distance_blocks(a.points, a.points):
         adj = block <= gap
         rows = np.arange(len(adj))
         adj[rows, lo + rows] = False  # no self-edges
@@ -237,13 +236,13 @@ def gap_path(nbrs: list[list[int]], i: int, j: int) -> Optional[list[int]]:
     return path[::-1]
 
 
-def gap_components(a, gap: float, kind: str = EUCLIDEAN) -> list[list[int]]:
+def gap_components(a, gap: float) -> list[list[int]]:
     """Connected components of the gap graph (edges: distance <= gap).
 
     Returns a partition of ``range(len(a))`` as sorted lists of indices,
     ordered by smallest member.
     """
-    nbrs = gap_graph(a, gap, kind)
+    nbrs = gap_graph(a, gap)
     blocks, seen = [], set()
     for i in range(len(nbrs)):
         if i in seen:
@@ -259,7 +258,7 @@ def gap_components(a, gap: float, kind: str = EUCLIDEAN) -> list[list[int]]:
     return blocks
 
 
-def gap_chainable(a, gap: float, start, end, kind: str = EUCLIDEAN):
+def gap_chainable(a, gap: float, start, end):
     """BFS chain from start to end inside the sample with steps <= gap.
 
     Returns the chain as a list of points, or None when start and end sit in
@@ -267,9 +266,9 @@ def gap_chainable(a, gap: float, start, end, kind: str = EUCLIDEAN):
     sample element.
     """
     a = _as_sample(a)
-    si = a.index_of(start, kind=kind)
-    ei = a.index_of(end, kind=kind)
+    si = a.index_of(start)
+    ei = a.index_of(end)
     if si is None or ei is None:
         raise ValueError("endpoint not in sample")
-    path = gap_path(gap_graph(a, gap, kind), si, ei)
+    path = gap_path(gap_graph(a, gap), si, ei)
     return None if path is None else [a.points[i] for i in path]

@@ -37,8 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (EUCLIDEAN, SUP, PointSample, add, distance, float_rows,
-                   fold_coordinate, norm)
+from .core import PointSample, add, distance, float_rows, fold_coordinate, norm
 from .walks import PartialPermutation, Walk
 
 # ---------------------------------------------------------------------------
@@ -70,15 +69,15 @@ def alternating_harmonic(count: int) -> list[tuple]:
 # ---------------------------------------------------------------------------
 # prefix balancing
 
-def _max_prefix_norm(terms: Sequence, order: Sequence[int], kind: str) -> float:
+def _max_prefix_norm(terms: Sequence, order: Sequence[int]) -> float:
     cur = None
     worst = 0.0
     for idx in order:
         cur = terms[idx - 1] if cur is None else add(cur, terms[idx - 1])
-        worst = max(worst, norm(cur, kind))
+        worst = max(worst, norm(cur))
     return worst
 
-def _dfs_balance(terms: Sequence, bound: float, kind: str) -> Optional[list[int]]:
+def _dfs_balance(terms: Sequence, bound: float) -> Optional[list[int]]:
     """Complete search with prefix pruning; equivalent to trying all n!
     orders but abandons a branch as soon as a prefix reaches the bound."""
     n = len(terms)
@@ -92,7 +91,7 @@ def _dfs_balance(terms: Sequence, bound: float, kind: str) -> Optional[list[int]
             if used[idx - 1]:
                 continue
             cand = add(cur, terms[idx - 1]) if cur is not None else terms[idx - 1]
-            if norm(cand, kind) < bound:
+            if norm(cand) < bound:
                 used[idx - 1] = True
                 order.append(idx)
                 if rec(cand):
@@ -103,14 +102,14 @@ def _dfs_balance(terms: Sequence, bound: float, kind: str) -> Optional[list[int]
 
     return order if rec(None) else None
 
-def find_balanced_permutation(terms: Sequence, bound: float,
-                              kind: str = EUCLIDEAN) -> Optional[list[int]]:
+def find_balanced_permutation(terms: Sequence, bound: float) -> Optional[list[int]]:
     """Permutation of [1, n] keeping every prefix-sum norm strictly below
     ``bound``, or None.
 
     One deterministic greedy pass over the terms' float rows appends, at
-    each step, the unused term whose prefix scores lowest (squared
-    Euclidean or sup norm), the first such in index order.  When the chosen
+    each step, the unused term whose prefix scores lowest (the squared
+    Euclidean norm of dense terms, the sup norm of SparseVecs), the first
+    such in index order.  When the chosen
     prefix reaches the bound and n <= 10, a complete prefix-pruned search
     decides, so that None is then a proof that no such order exists.  For
     n > 10, None only means that the greedy pass failed.
@@ -123,6 +122,7 @@ def find_balanced_permutation(terms: Sequence, bound: float,
     if not terms:
         return []
     rows = float_rows(terms)[0]
+    sup = hasattr(terms[0], "entries")
     n = len(rows)
     cur = np.zeros(rows.shape[1])
     used = np.zeros(n, dtype=bool)
@@ -130,12 +130,12 @@ def find_balanced_permutation(terms: Sequence, bound: float,
     for _ in range(n):
         score = np.zeros(n)
         for col in range(rows.shape[1]):
-            fold_coordinate(score, cur[col] + rows[:, col], kind)
+            fold_coordinate(score, cur[col] + rows[:, col], sup)
         score[used] = np.inf
         i = int(np.argmin(score))
-        value = score[i] if kind == SUP else math.sqrt(score[i])
+        value = score[i] if sup else math.sqrt(score[i])
         if value >= bound:
-            return _dfs_balance(terms, bound, kind) if n <= 10 else None
+            return _dfs_balance(terms, bound) if n <= 10 else None
         order.append(i + 1)
         used[i] = True
         cur += rows[i]
@@ -168,9 +168,8 @@ class RPConstants:
     Terms are numbered from 1, as N(eps) is.
     """
 
-    def __init__(self, series: Sequence, kind: str = EUCLIDEAN):
-        self.kind = kind
-        self._norms = [norm(t, kind) for t in series]
+    def __init__(self, series: Sequence):
+        self._norms = [norm(t) for t in series]
         for i in range(1, len(self._norms)):
             if self._norms[i] > self._norms[i - 1]:
                 raise ValueError(f"term norms must be nonincreasing: term {i + 1} "
@@ -187,7 +186,7 @@ class RPConstants:
         raise ValueError("series prefix too short: no term below eps/4")
 
 def certify_rp(series_prefix: Sequence, epsilon: float,
-               instance_budget: int = 500, kind: str = EUCLIDEAN,
+               instance_budget: int = 500,
                rng: Optional[random.Random] = None) -> RPWitness:
     """Stress-test the empirical constants N(eps), delta(eps).
 
@@ -196,7 +195,7 @@ def certify_rp(series_prefix: Sequence, epsilon: float,
     with the counterexample batch otherwise.
     """
     rng = rng or random.Random(20240817)
-    constants = RPConstants(series_prefix, kind)
+    constants = RPConstants(series_prefix)
     n_thr = constants.n_threshold(epsilon)
     delta = constants.delta(epsilon)
     pool = list(range(n_thr, len(series_prefix)))
@@ -213,25 +212,25 @@ def certify_rp(series_prefix: Sequence, epsilon: float,
             total = terms[0]
             for t in terms[1:]:
                 total = add(total, t)
-            if norm(total, kind) < delta:
+            if norm(total) < delta:
                 instance = terms
                 break
         if instance is None:
             continue
-        order = find_balanced_permutation(instance, epsilon, kind)
+        order = find_balanced_permutation(instance, epsilon)
         if order is None:
             raise RPCertificationError(
                 f"RP certification failed at eps={epsilon}", instance)
-        worst = max(worst, _max_prefix_norm(instance, order, kind))
+        worst = max(worst, _max_prefix_norm(instance, order))
         checked += 1
     return RPWitness(epsilon, n_thr, delta,
                      {"instances": checked, "max_prefix_norm": worst})
 
 def certify_rp_family(series_prefix: Sequence, epsilons: Sequence[float],
-                      instance_budget: int = 200, kind: str = EUCLIDEAN,
+                      instance_budget: int = 200,
                       rng: Optional[random.Random] = None) -> list[RPWitness]:
     """Witnesses for a decreasing epsilon family; monotone by construction."""
-    out = [certify_rp(series_prefix, eps, instance_budget, kind, rng)
+    out = [certify_rp(series_prefix, eps, instance_budget, rng)
            for eps in sorted(epsilons, reverse=True)]
     for w1, w2 in zip(out, out[1:]):
         if w1.delta < w2.delta or w1.n_threshold > w2.n_threshold:
@@ -267,26 +266,29 @@ def _refined_loop(points: Sequence, hop: float) -> list:
 #: step assumes
 HOP_FACTOR = 3.0
 
-def _eta(constants: RPConstants, eps: float) -> float:
-    """Stage scale eta = min(eps/48, delta(eps/2)/12) of the eps stage."""
-    return min(eps / 48, constants.delta(eps / 2) / 12)
+def _eta(eps: float) -> float:
+    """Stage scale eta = eps/48 of the eps stage."""
+    return eps / 48
 
-def _landing_tol(constants: RPConstants, eps_next: float) -> float:
+def _landing_tol(eps_next: float) -> float:
     """How far from its anchor a stage step may end when the next stage
-    uses eps_next: min(eps_next/12, delta(eps_next/2)/3)."""
-    return min(eps_next / 12, constants.delta(eps_next / 2) / 3)
+    uses eps_next: eps_next/12."""
+    return eps_next / 12
 
 def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
-                           stages: int, kind: str = EUCLIDEAN,
-                           rng: Optional[random.Random] = None):
+                           stages: int, rng: Optional[random.Random] = None):
     """Run the staged induction so the partial sums cluster on the target.
 
-    Stage j uses eps_j = 2^-j and eta_j = min(eps_j/48, delta(eps_j/2)/12),
-    sweeping a refined cyclic tour of the target sample with anchor hops of
-    at most HOP_FACTOR * eta_j.  Chain refinement
-    interpolates linearly between consecutive sample points, so targets
-    should be samples of sets that are near-convex between neighbours
-    (pitch^2-scale refinement error).
+    Stage j uses eps_j = 2^-j and eta_j = eps_j/48, sweeping a refined
+    cyclic tour of the target sample with anchor hops of at most
+    HOP_FACTOR * eta_j, and each step lands within eps_next/12 of its
+    anchor.  The induction states these as min(eps/48, delta(eps/2)/12)
+    and min(eps/12, delta(eps/2)/3); with delta(eps) = eps/2 the two terms
+    of each min are equal, and for eps = 2^-j, j = 1..59, the plain
+    formulas give bit-identical floats.  Chain refinement interpolates
+    linearly between consecutive sample points, so targets should be
+    samples of sets that are near-convex between neighbours (pitch^2-scale
+    refinement error).
 
     The rearrangement is deterministic: ``rng`` is accepted for callers
     that pass one and is unused.
@@ -299,7 +301,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     if not target.points:
         raise ValueError("empty target")
     terms = series_prefix
-    constants = RPConstants(terms, kind)
+    constants = RPConstants(terms)
     dim = len(terms[0])
 
     images: list[int] = []
@@ -362,7 +364,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     frontier = n1
     d1 = tuple(float(c) for c in target.points[0])
     base_err = [float(a) - float(b) for a, b in zip(d1, cur)]
-    push(select(base_err, _landing_tol(constants, 0.5) / 2))
+    push(select(base_err, _landing_tol(0.5) / 2))
 
     def move(a, b, eps, eps_next, sweep=False):
         nonlocal frontier
@@ -385,21 +387,21 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
                         z[ax] += float(t[ax])
                 q.clear()
         err = [float(bc) - float(cc) - zc for bc, cc, zc in zip(b, cur, z)]
-        tol = _landing_tol(constants, eps_next) / 2
+        tol = _landing_tol(eps_next) / 2
         batch.extend(select(err, tol))
         if batch:
             bterms = [terms[i - 1] for i in batch]
-            order = find_balanced_permutation(bterms, eps / 2, kind)
+            order = find_balanced_permutation(bterms, eps / 2)
             if order is None:
                 raise ValueError("RP bound violated at stage: balancing failed")
             push(batch[p - 1] for p in order)
         excursion = 0.0
         for s in buf[start:]:
-            d = distance(s, a, kind)
+            d = distance(s, a)
             excursion = max(excursion, d)
         if excursion > eps + 1e-9:
             raise ValueError("prefix escaped its eps-ball")
-        if distance(cur, b, kind) > _landing_tol(constants, eps_next) + 1e-9:
+        if distance(cur, b) > _landing_tol(eps_next) + 1e-9:
             raise ValueError("terminal sum off target")
         return excursion
 
@@ -408,7 +410,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     prev_anchor = d1
     for j in range(1, stages + 1):
         eps = 2.0 ** -j
-        eta = _eta(constants, eps)
+        eta = _eta(eps)
         loop = _refined_loop(target.points, HOP_FACTOR * eta)
         start_len = len(buf)
         excursion = 0.0
@@ -430,7 +432,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             "eps": eps,
             "eta": eta,
             "anchor": prev_anchor,
-            "stage_end_error": distance(cur, prev_anchor, kind),
+            "stage_end_error": distance(cur, prev_anchor),
             "prefix_max_excursion": excursion,
             "moves": len(loop),
             "uncovered": sum(len(q) for q in reservoir.values()),
@@ -439,7 +441,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
 
     tau = PartialPermutation(images)
     start_pt = tuple([0.0] * dim)
-    walk = Walk([start_pt] + buf, phase_lengths, mode="float", kind=kind)
+    walk = Walk([start_pt] + buf, phase_lengths)
     return tau, walk, reports
 
 def check_stage_invariants(reports: Sequence[dict], tau: PartialPermutation,
@@ -450,19 +452,21 @@ def check_stage_invariants(reports: Sequence[dict], tau: PartialPermutation,
     an initial segment through N(eps_{j+1}/2) covered; (iv) anchors were
     hit exactly (sum range is all of R^m, so no anchor adjustment occurs);
     (v) every stage parked within 4 eta of its final anchor with prefix
-    excursions inside the eps_j ball; (vi) the tolerances halve.
+    excursions inside the eps_j ball; (vi) the tolerances halve.  eta is
+    eps/48, which equals min(eps/48, delta(eps/2)/12) bit for bit at every
+    eps = 2^-j, j = 1..59 (see :func:`rearrange_to_limit_set`).
     """
     prev_k = 0
     for rep in reports:
         j, eps, eta = rep["stage"], rep["eps"], rep["eta"]
-        if eps != 2.0 ** -j or eta != _eta(constants, eps):
+        if eps != 2.0 ** -j or eta != _eta(eps):
             return False
         if rep["k_i"] <= prev_k:
             return False
         prev_k = rep["k_i"]
         if rep["covered_through"] < constants.n_threshold(2.0 ** -(j + 1) / 2):
             return False
-        eta_next = _eta(constants, 2.0 ** -(j + 1))
+        eta_next = _eta(2.0 ** -(j + 1))
         if rep["stage_end_error"] >= 4 * eta_next:
             return False
         if rep["prefix_max_excursion"] > eps:

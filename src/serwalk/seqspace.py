@@ -12,15 +12,15 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Mapping
 
-from .core import SUP
 from .walks import PartialPermutation, SignedSeries, Walk, build_xwalk
 
 
 class SparseVec:
     """Finite map index -> nonzero Fraction, modelling an element of c0.
 
-    Immutable and hashable; supports +, -, unary -, and scalar
-    multiplication.  Indices are 1-based positive integers.
+    Immutable and hashable; supports +, - and unary -.  Indices are 1-based
+    positive integers.  Every entry is converted with ``Fraction(v)``, so a
+    float entry is stored exactly and a SparseVec walk is always exact.
     """
 
     __slots__ = ("entries", "_hash")
@@ -31,7 +31,7 @@ class SparseVec:
         for i, v in items:
             if i < 1:
                 raise ValueError("indices are 1-based positive integers")
-            v = Fraction(v) if not isinstance(v, float) else v
+            v = Fraction(v)
             if v != 0:
                 clean[int(i)] = v
         self.entries = dict(sorted(clean.items()))
@@ -67,12 +67,6 @@ class SparseVec:
 
     def __neg__(self):
         return SparseVec({i: -v for i, v in self.entries.items()})
-
-    def scale(self, c):
-        return SparseVec({i: v * c for i, v in self.entries.items()})
-
-    def support(self) -> set[int]:
-        return set(self.entries)
 
     def sup_norm(self) -> float:
         return max((abs(float(v)) for v in self.entries.values()), default=0.0)
@@ -112,7 +106,7 @@ def gen_c0_two_point(phases: int) -> Walk:
         legs = [(e(p + 1, step), count), (e(1, step), count), (-e(p + 1, step), count)]
         schedule.append(_updown_chain(THETA, legs))
         bounds.append(float(step))
-    return build_xwalk(schedule, step_bounds=bounds, kind=SUP)
+    return build_xwalk(schedule, step_bounds=bounds)
 
 
 def gen_c0_singleton_divergent(phases: int) -> Walk:
@@ -131,7 +125,7 @@ def gen_c0_singleton_divergent(phases: int) -> Walk:
         step = Fraction(1, 2 ** (k - 1))
         schedule.append(_updown_chain(THETA, [(e(k, step), 2 ** (k - 1))]))
         bounds.append(float(step))
-    return build_xwalk(schedule, step_bounds=bounds, kind=SUP)
+    return build_xwalk(schedule, step_bounds=bounds)
 
 
 @dataclass

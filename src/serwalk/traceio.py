@@ -18,7 +18,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
-from .core import SUP, PointSample, is_dyadic
+from .core import PointSample, is_dyadic
 from .seqspace import SparseVec
 from .walks import Walk
 
@@ -39,12 +39,6 @@ def render_scalar(x) -> str:
     if "e" in s or "E" in s:
         s = format(Decimal(s), "f")
     return s
-
-
-def parse_scalar(s: str):
-    """Inverse of render_scalar: exact Fraction when the string is a plain
-    terminating decimal."""
-    return Fraction(s)
 
 
 def _phase_of(blocks, row_index: int) -> int:
@@ -95,22 +89,22 @@ def read_walk_csv(fp: TextIO) -> Walk:
             continue
         if len(row) != dim + 2:
             raise ValueError(f"row width mismatch at index {row[0]}")
-        sums.append(tuple(parse_scalar(c) for c in row[2:]))
+        sums.append(tuple(Fraction(c) for c in row[2:]))
         rows.append((int(row[0]), int(row[1])))
     if not sums:
         raise ValueError("empty trace")
     phase_lengths = _phase_lengths(rows)
-    mode = "exact" if all(is_dyadic(c) for p in sums for c in p) else "float"
-    if mode == "float":
+    exact = all(is_dyadic(c) for p in sums for c in p)
+    if not exact:
         sums = [tuple(float(c) for c in p) for p in sums]
-    start = tuple([Fraction(0) if mode == "exact" else 0.0] * dim)
-    return Walk([start] + sums, phase_lengths, mode=mode)
+    start = tuple([Fraction(0) if exact else 0.0] * dim)
+    return Walk([start] + sums, phase_lengths)
 
 
 def _encode_entries(v) -> dict:
     """A SparseVec's entries as JSON: integral values as ints, the rest as
-    floats (entries may be Fractions or floats)."""
-    return {str(i): int(x) if Fraction(x).denominator == 1 else float(x)
+    floats."""
+    return {str(i): int(x) if x.denominator == 1 else float(x)
             for i, x in v.entries.items()}
 
 
@@ -140,7 +134,7 @@ def read_walk_jsonl(fp: TextIO) -> Walk:
         rows.append((rec.get("index"), int(rec.get("phase", 1))))
     if not sums:
         raise ValueError("empty trace")
-    return Walk([SparseVec()] + sums, _phase_lengths(rows), mode="exact", kind=SUP)
+    return Walk([SparseVec()] + sums, _phase_lengths(rows))
 
 
 def write_sample_csv(sample: PointSample, fp: TextIO) -> None:

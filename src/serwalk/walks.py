@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import core
-from .core import EUCLIDEAN, PointSample, add, distance, neg, norm, point_mode, sub
+from .core import PointSample, add, distance, neg, norm, point_mode, sub
 
 
 @dataclass
@@ -61,18 +61,18 @@ class Walk:
 
     sums[0] is the start point; sums[1:] are s_1..s_P.  phase_lengths[k]
     counts the entries of sums[1:] that belong to phase k+1.  step_bounds,
-    when present, gives the declared per-phase maximum step norm.
+    when present, gives the declared per-phase maximum step norm.  Steps
+    are measured in the norm of the points' space (see :mod:`serwalk.core`).
     """
 
     sums: list
     phase_lengths: Optional[list[int]] = None
-    mode: str = "exact"
     step_bounds: Optional[list[float]] = None
-    kind: str = EUCLIDEAN
 
     @property
-    def partial_sums(self) -> list:
-        return self.sums[1:]
+    def mode(self) -> str:
+        """'exact' or 'float', read off the start point."""
+        return point_mode(self.sums[0])
 
     @property
     def anchor(self):
@@ -114,13 +114,13 @@ class Walk:
         pos = 0
         for n, bound in zip(self.phase_lengths, self.step_bounds):
             for st in steps[pos:pos + n]:
-                if norm(st, self.kind) > bound + 1e-12:
+                if norm(st) > bound + 1e-12:
                     return False
             pos += n
         return True
 
 
-def build_xwalk(schedule: Sequence[Sequence], step_bounds=None, kind: str = EUCLIDEAN) -> Walk:
+def build_xwalk(schedule: Sequence[Sequence], step_bounds=None) -> Walk:
     """Assemble an out-and-back walk from per-phase chains.
 
     Each chain must start at the walk's anchor (the first point of the first
@@ -139,8 +139,7 @@ def build_xwalk(schedule: Sequence[Sequence], step_bounds=None, kind: str = EUCL
         back = list(chain[-2::-1])
         sums.extend(out + back)
         phase_lengths.append(len(out) + len(back))
-    mode = point_mode(anchor)
-    return Walk(sums, phase_lengths, mode=mode, step_bounds=step_bounds, kind=kind)
+    return Walk(sums, phase_lengths, step_bounds=step_bounds)
 
 
 def walk_to_series(w: Walk) -> tuple[SignedSeries, PartialPermutation]:
@@ -184,9 +183,10 @@ def _segment(a, b, n_steps: int) -> list:
     """n_steps equal steps from a to b, excluding a (exact when inputs are)."""
     out = []
     for i in range(1, n_steps + 1):
-        out.append(tuple(ca + (cb - ca) * Fraction(i, n_steps) if isinstance(ca, (int, Fraction))
-                         else ca + (cb - ca) * (i / n_steps)
-                         for ca, cb in zip(a, b)))
+        # a float times Fraction(i, n_steps) is the float product with
+        # i / n_steps, so one expression serves both modes
+        t = Fraction(i, n_steps)
+        out.append(tuple(ca + (cb - ca) * t for ca, cb in zip(a, b)))
     return out
 
 
@@ -259,14 +259,14 @@ def gen_halflines(abscissae: Sequence, phases: int) -> Walk:
     return build_xwalk(schedule, step_bounds=bounds)
 
 
-def _chain_between(sample: PointSample, gap: float, a, b, kind: str):
-    chain = core.gap_chainable(sample, gap, a, b, kind=kind)
+def _chain_between(sample: PointSample, gap: float, a, b):
+    chain = core.gap_chainable(sample, gap, a, b)
     if chain is None:
         raise ValueError(f"sample too sparse for gap {gap}")
     return chain
 
 
-def build_chainable_walk(dense: Sequence, phases: int, kind: str = EUCLIDEAN) -> Walk:
+def build_chainable_walk(dense: Sequence, phases: int) -> Walk:
     """Walk converging (in limit-set terms) to the closure of a chainable set.
 
     Phase i is a 2^(1-i)-chain out-and-back from d_1; so that a finite
@@ -281,7 +281,7 @@ def build_chainable_walk(dense: Sequence, phases: int, kind: str = EUCLIDEAN) ->
     schedule = []
     for i in range(1, phases + 1):
         gap = 2.0 ** (1 - i)
-        nbrs = core.gap_graph(pts, gap, kind)
+        nbrs = core.gap_graph(pts, gap)
         chain = [pts[0]]
         if len(pts) == 1:
             chain.append(pts[0])
@@ -292,7 +292,7 @@ def build_chainable_walk(dense: Sequence, phases: int, kind: str = EUCLIDEAN) ->
             chain.extend(pts[k] for k in path[1:])
         schedule.append(chain)
         bounds.append(gap)
-    return build_xwalk(schedule, step_bounds=bounds, kind=kind)
+    return build_xwalk(schedule, step_bounds=bounds)
 
 
 def _nearest_to_radius(points: Sequence, radius: float) -> int:
@@ -327,9 +327,11 @@ def build_unbounded_components_walk(components: Sequence[PointSample],
     components, by 2^-k-chains routed via the sphere S(0,R_k): up the source
     component to its point nearest the sphere, along a discretized
     equatorial arc, and down the target component; then the whole phase
-    retraces back to d_1.  Requires ambient dimension >= 2.
+    retraces back to d_1.  Requires ambient dimension >= 2.  The walk is a
+    float walk: component coordinates are converted to float on entry.
     """
-    components = [c if isinstance(c, PointSample) else PointSample(tuple(c)) for c in components]
+    components = [PointSample(tuple(tuple(float(x) for x in p) for p in c),
+                              getattr(c, "label", "")) for c in components]
     if phases < 1:
         raise ValueError("phases must be >= 1")
     if not components or not components[0].points:
@@ -356,18 +358,16 @@ def build_unbounded_components_walk(components: Sequence[PointSample],
             src, dst = reps[i], reps[i + 1]
             a_s = src.points[_nearest_to_radius(src.points, radius)]
             a_t = dst.points[_nearest_to_radius(dst.points, radius)]
-            up = _chain_between(src, gap, chain[-1], a_s, EUCLIDEAN)
+            up = _chain_between(src, gap, chain[-1], a_s)
             chain.extend(up[1:])
             if src is not dst:
                 chain.extend(_sphere_arc(a_s, a_t, radius, gap))
                 chain.append(a_t)
-            down = _chain_between(dst, gap, a_t, base[i + 1], EUCLIDEAN)
+            down = _chain_between(dst, gap, a_t, base[i + 1])
             chain.extend(down[1:])
         schedule.append(chain)
         # the hop on/off the sphere can add the radius mismatch of a_s/a_t
         slack = max(abs(norm(a) - radius) for c in (reps[:k + 1]) for a in
                     [c.points[_nearest_to_radius(c.points, radius)]])
         bounds.append(gap + 2 * slack)
-    walk = build_xwalk(schedule, step_bounds=bounds)
-    walk.mode = "float"
-    return walk
+    return build_xwalk(schedule, step_bounds=bounds)

@@ -17,7 +17,7 @@ def _convergent_walk(p=(1.0, 0.5), n=400):
     for k in range(1, n + 1):
         decay = 0.98 ** k
         sums.append((p[0] + decay, p[1] - 0.5 * decay))
-    return Walk(sums, None, mode="float")
+    return Walk(sums, None)
 
 
 def _noisy_two_point_walk(n_phases=8, reps=20, seed=4):
@@ -31,7 +31,7 @@ def _noisy_two_point_walk(n_phases=8, reps=20, seed=4):
                 sums.append((base[0] + rng.uniform(-0.01, 0.01),
                              base[1] + rng.uniform(-0.01, 0.01)))
         lengths.append(len(sums) - before)
-    return Walk(sums, lengths, mode="float")
+    return Walk(sums, lengths)
 
 
 def test_estimate_validation():
@@ -127,7 +127,7 @@ def test_singleton_check_not_singleton():
 
 
 def test_singleton_check_too_short():
-    w = Walk([(0.0,)] * 50, None, mode="float")
+    w = Walk([(0.0,)] * 50, None)
     with pytest.raises(ValueError, match="too short"):
         singleton_convergence_check(w, tol=0.1)
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from serwalk import core
 from serwalk.analysis import cauchy_diagnostic
-from serwalk.core import (EUCLIDEAN, SUP, PointSample, distance, distance_blocks,
-                          float_rows, gap_chainable, gap_components, gap_graph,
-                          gap_path, hausdorff_distance, is_dyadic, norm, point_mode,
+from serwalk.core import (PointSample, distance, distance_blocks, float_rows,
+                          gap_chainable, gap_components, gap_graph, gap_path,
+                          hausdorff_distance, is_dyadic, norm, point_mode,
                           same_point)
 from serwalk.seqspace import THETA, SparseVec, gen_c0_two_point
 from serwalk.walks import Walk
@@ -34,16 +34,14 @@ def test_point_mode():
 
 
 def test_norms_against_numpy():
+    # one norm per space: Euclidean for dense points, sup for SparseVecs
     rng = np.random.default_rng(0)
     for _ in range(50):
         v = tuple(rng.uniform(-5, 5, size=3))
-        assert norm(v, EUCLIDEAN) == pytest.approx(np.linalg.norm(v))
-        assert norm(v, SUP) == pytest.approx(np.abs(v).max())
-
-
-def test_norm_unknown_kind():
-    with pytest.raises(ValueError):
-        norm((1.0,), "manhattan")
+        assert norm(v) == pytest.approx(np.linalg.norm(v))
+        sparse = SparseVec({i: c for i, c in enumerate(v, start=1)})
+        assert norm(sparse) == np.abs(v).max()
+    assert norm(THETA) == 0.0
 
 
 def test_distance_exact_is_exact():
@@ -197,10 +195,10 @@ def test_gap_components_line_of_points():
 
 
 def test_sup_vs_euclidean_components():
-    # diagonal neighbours: sup distance 1, euclidean sqrt(2)
-    pts = PointSample(((0.0, 0.0), (1.0, 1.0)))
-    assert len(gap_components(pts, 1.0, kind=SUP)) == 1
-    assert len(gap_components(pts, 1.0, kind=EUCLIDEAN)) == 2
+    # diagonal neighbours: euclidean distance sqrt(2) between dense points,
+    # sup distance 1 between the same coordinates as SparseVecs
+    assert len(gap_components(PointSample(((0.0, 0.0), (1.0, 1.0))), 1.0)) == 2
+    assert len(gap_components(PointSample((THETA, SparseVec({1: 1, 2: 1}))), 1.0)) == 1
 
 
 # dyadic points in up to four coordinates, as dense tuples of floats and as
@@ -210,7 +208,6 @@ def dyadic_lists(dim, max_size=8):
                     max_size=max_size)
 
 
-dyadic_rows = st.integers(1, 4).flatmap(dyadic_lists)
 # two samples of one dimension, the second long enough to split into blocks
 dyadic_pairs = st.integers(1, 4).flatmap(
     lambda d: st.tuples(dyadic_lists(d), dyadic_lists(d, max_size=14)))
@@ -225,77 +222,82 @@ def as_sparse(rows):
             for r in rows]
 
 
-def _matrix(a, b, kind):
+def _matrix(a, b):
     # the kernel's blocks stacked back into one matrix, as nested lists
     out = []
-    for lo, block in distance_blocks(a, b, kind):
+    for lo, block in distance_blocks(a, b):
         assert lo == len(out) and block.size <= max(core.BLOCK_ENTRIES, len(b))
         out += block.tolist()
     return out
 
 
 @settings(max_examples=60, deadline=None)
-@given(dyadic_rows, dyadic_rows, st.sampled_from([EUCLIDEAN, SUP]),
-       st.sampled_from([0.25, 0.5, 1.0]))
-def test_sparse_and_dense_layouts_agree(rows_a, rows_b, kind, gap):
-    dense_a, sparse_a = as_dense(rows_a), as_sparse(rows_a)
-    sparse_b = as_sparse(rows_b)
-    # the pairwise loop the numpy kernel replaced is the oracle
-    want = [[distance(u, v, kind) for v in sparse_b] for u in sparse_a]
-    assert _matrix(sparse_a, sparse_b, kind) == want
-    if len(rows_a[0]) == len(rows_b[0]):
-        dense_b = as_dense(rows_b)
-        assert (hausdorff_distance(dense_a, dense_b, kind)
-                == hausdorff_distance(sparse_a, sparse_b, kind))
-    assert gap_components(dense_a, gap, kind) == gap_components(sparse_a, gap, kind)
+@given(dyadic_pairs, st.sampled_from([0.25, 0.5, 1.0]))
+def test_sparse_and_dense_layouts_agree(rows, gap):
+    # the same coordinates as dense tuples and as SparseVecs lay out as the
+    # same matrices, less the columns that no SparseVec uses
+    dense = [as_dense(r) for r in rows]
+    sparse = [as_sparse(r) for r in rows]
+    used = sorted({i for r in rows[0] + rows[1] for i, k in enumerate(r) if k})
+    for d, s in zip(float_rows(*dense), float_rows(*sparse)):
+        assert d[:, used].tolist() == s.tolist()
+        assert not np.delete(d, used, axis=1).any()
+    # on those matrices each layout is measured in its own space's norm,
+    # and the numpy oracle is exact on dyadic coordinates
+    a, b = (np.array(r, dtype=float) / 8 for r in rows)
+    diff = a[:, None, :] - b[None, :, :]
+    euclidean = np.sqrt((diff * diff).sum(axis=2)).tolist()
+    sup = np.abs(diff).max(axis=2).tolist()
+    assert _matrix(*dense) == euclidean
+    assert _matrix(*sparse) == sup
+    for pts in (dense[1], sparse[1]):
+        assert gap_components(pts, gap) == _brute_components(pts, gap)
 
 
 def test_zero_support_points_have_no_columns():
     a, b = float_rows([THETA, THETA], [THETA])
     assert a.shape == (2, 0) and b.shape == (1, 0)
-    assert _matrix([THETA, THETA], [THETA], SUP) == [[0.0], [0.0]]
+    assert _matrix([THETA, THETA], [THETA]) == [[0.0], [0.0]]
     one = SparseVec({3: Fraction(1, 2)})
     a, b = float_rows([THETA], [one, THETA])
     assert a.tolist() == [[0.0]] and b.tolist() == [[0.5], [0.0]]
-    for kind in (EUCLIDEAN, SUP):
-        assert _matrix([THETA], [one, THETA], kind) == [[0.5, 0.0]]
-        assert hausdorff_distance([THETA], [THETA], kind) == 0.0
-        assert gap_components([THETA, one, THETA], 0.25, kind) == [[0, 2], [1]]
+    assert _matrix([THETA], [one, THETA]) == [[0.5, 0.0]]
+    assert hausdorff_distance([THETA], [THETA]) == 0.0
+    assert gap_components([THETA, one, THETA], 0.25) == [[0, 2], [1]]
 
 
-def _cauchy_oracle(sums, tail_fraction, kind):
+def _cauchy_oracle(sums, tail_fraction):
     # the rule itself, over core.distance: the largest tail gap, then the
     # first 32 pairs in (i, j) order within 1e-15 of it
     offset = len(sums) - max(2, math.ceil(tail_fraction * (len(sums) - 1)))
     pairs = [(i, j) for i in range(offset, len(sums)) for j in range(i + 1, len(sums))]
-    gaps = [distance(sums[i], sums[j], kind) for i, j in pairs]
+    gaps = [distance(sums[i], sums[j]) for i, j in pairs]
     top = max(gaps)
     return {"max_gap": top,
             "gap_pairs": [p for p, g in zip(pairs, gaps) if abs(g - top) <= 1e-15][:32]}
 
 
 @settings(max_examples=80, deadline=None)
-@given(dyadic_pairs, st.sampled_from([EUCLIDEAN, SUP]), st.booleans(),
-       st.integers(1, 20), st.sampled_from([0.25, 0.5, 1.0]),
-       st.sampled_from([0.3, 0.5, 1.0]))
-def test_block_reductions_match_pairwise_oracles(rows, kind, sparse, block_entries,
+@given(dyadic_pairs, st.booleans(), st.integers(1, 20),
+       st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([0.3, 0.5, 1.0]))
+def test_block_reductions_match_pairwise_oracles(rows, sparse, block_entries,
                                                  gap, tail_fraction):
+    # dense points measured in the Euclidean norm, SparseVecs in the sup norm
     layout = as_sparse if sparse else as_dense
     a, b = layout(rows[0]), layout(rows[1])
     with pytest.MonkeyPatch.context() as mp:
         # a few entries per block, so that every sample spans several blocks
         mp.setattr(core, "BLOCK_ENTRIES", block_entries)
-        d = [[distance(u, v, kind) for v in b] for u in a]
-        assert _matrix(a, b, kind) == d
-        assert hausdorff_distance(a, b, kind) == max(
+        d = [[distance(u, v) for v in b] for u in a]
+        assert _matrix(a, b) == d
+        assert hausdorff_distance(a, b) == max(
             max(min(row) for row in d), max(min(col) for col in zip(*d)))
-        assert gap_graph(b, gap, kind) == [
-            [j for j, v in enumerate(b) if j != i and distance(u, v, kind) <= gap]
+        assert gap_graph(b, gap) == [
+            [j for j, v in enumerate(b) if j != i and distance(u, v) <= gap]
             for i, u in enumerate(b)]
         sums = [layout([(0,) * len(rows[1][0])])[0]] + b
-        walk = Walk(sums, None, mode="exact" if sparse else "float", kind=kind)
-        assert (cauchy_diagnostic(walk, tail_fraction)
-                == _cauchy_oracle(sums, tail_fraction, kind))
+        assert (cauchy_diagnostic(Walk(sums, None), tail_fraction)
+                == _cauchy_oracle(sums, tail_fraction))
 
 
 def test_cauchy_witnesses_are_the_first_32_ties(monkeypatch):
@@ -304,7 +306,7 @@ def test_cauchy_witnesses_are_the_first_32_ties(monkeypatch):
     monkeypatch.setattr(core, "BLOCK_ENTRIES", 500)
     w = gen_c0_two_point(6)
     got = cauchy_diagnostic(w)
-    assert got == _cauchy_oracle(w.sums, 0.3, w.kind)
+    assert got == _cauchy_oracle(w.sums, 0.3)
     assert got["max_gap"] == 1.0 and len(got["gap_pairs"]) == 32
 
 

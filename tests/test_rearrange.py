@@ -5,9 +5,9 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from serwalk.core import EUCLIDEAN, SUP, PointSample, distance, norm
+from serwalk.core import PointSample, distance, norm
 from serwalk.rearrange import (RPConstants, alternating_harmonic,
                                certify_rp, certify_rp_family,
                                check_stage_invariants,
@@ -16,13 +16,13 @@ from serwalk.rearrange import (RPConstants, alternating_harmonic,
 from serwalk.seqspace import THETA, SparseVec, block_vectors
 
 
-def _prefix_norms(terms, order, kind="euclidean"):
+def _prefix_norms(terms, order):
     cur = None
     out = []
     for i in order:
         t = terms[i - 1]
         cur = t if cur is None else tuple(a + b for a, b in zip(cur, t))
-        out.append(norm(cur, kind))
+        out.append(norm(cur))
     return out
 
 
@@ -78,33 +78,62 @@ def test_find_balanced_permutation_edge_cases():
     assert find_balanced_permutation([(1.0,)] * 11, 1.0) is None
 
 
+def _greedy_oracle(rows, bound, sup):
+    # the balancing rule over exact prefix sums of integer rows (terms are
+    # rows / 4): take the unused term with the lowest prefix score, the first
+    # in index order; past the bound, the first order in lexicographic order
+    # whose every prefix stays below it, or None
+    def score(p):
+        return max(map(abs, p), default=0) if sup else sum(c * c for c in p)
+
+    limit = 4 * bound if sup else (4 * bound) ** 2
+    cur, left, order = [0] * len(rows[0]), list(range(len(rows))), []
+    while left:
+        i = min(left, key=lambda i: (score([c + r for c, r in zip(cur, rows[i])]), i))
+        cur = [c + r for c, r in zip(cur, rows[i])]
+        if score(cur) >= limit:
+            break
+        order.append(i + 1)
+        left.remove(i)
+    else:
+        return order
+    for sigma in permutations(range(len(rows))):
+        prefixes = [[sum(rows[i][c] for i in sigma[:k]) for c in range(len(rows[0]))]
+                    for k in range(1, len(rows) + 1)]
+        if all(score(p) < limit for p in prefixes):
+            return [i + 1 for i in sigma]
+    return None
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda d: st.lists(
-           st.tuples(*[st.integers(-8, 8)] * d), min_size=1, max_size=7)),
-       st.sampled_from([EUCLIDEAN, SUP]), st.sampled_from([0.5, 1.0, 1.5, 2.5]))
-def test_balancing_is_the_same_for_dense_and_sparse_terms(rows, kind, bound):
-    # dyadic terms as float tuples and as Fraction SparseVecs
+           st.tuples(*[st.integers(-8, 8)] * d), min_size=1, max_size=6)),
+       st.sampled_from([0.5, 1.0, 1.5, 2.5]))
+# terms whose greedy orders differ between the two norms
+@example([(-5, -3), (1, -5), (2, 8), (5, 8)], 2.5)
+def test_balancing_is_the_same_for_dense_and_sparse_terms(rows, bound):
+    # dyadic terms as float tuples, balanced in the Euclidean norm, and as
+    # Fraction SparseVecs, balanced in the sup norm: one code path, each
+    # matching the rule written out over exact integer prefix sums
     dense = [tuple(k / 4 for k in r) for r in rows]
     sparse = [SparseVec({i: Fraction(k, 4) for i, k in enumerate(r, start=1)})
               for r in rows]
-    order = find_balanced_permutation(dense, bound, kind)
-    assert find_balanced_permutation(sparse, bound, kind) == order
-    if order is not None:
-        assert max(_prefix_norms(dense, order, kind)) < bound
+    assert find_balanced_permutation(dense, bound) == _greedy_oracle(rows, bound, False)
+    assert find_balanced_permutation(sparse, bound) == _greedy_oracle(rows, bound, True)
 
 
 def test_balancing_zero_support_terms():
-    assert find_balanced_permutation([THETA, THETA], 1.0, SUP) == [1, 2]
-    assert find_balanced_permutation([THETA, THETA], 0.0, SUP) is None
+    assert find_balanced_permutation([THETA, THETA], 1.0) == [1, 2]
+    assert find_balanced_permutation([THETA, THETA], 0.0) is None
 
 
 def test_no_rp_block_defeats_balancing():
     # the k=1 block's four vectors: any two of them already reach sup 1
     ys = [v for v in block_vectors(1)]
-    order = find_balanced_permutation(ys, 1.0, kind=SUP)
+    order = find_balanced_permutation(ys, 1.0)
     assert order is None
     # relaxing the bound by the block's own scale admits an order
-    assert find_balanced_permutation(ys, 2.0 + 1e-9, kind=SUP)
+    assert find_balanced_permutation(ys, 2.0 + 1e-9)
 
 
 def test_rp_constants_thresholds():

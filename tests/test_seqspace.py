@@ -16,15 +16,20 @@ def test_sparsevec_algebra():
     assert v[1] == 1 and v[3] == F(1, 2) and v[2] == 0
     assert v - v == THETA
     assert (-v)[1] == -1
-    assert v.scale(2)[3] == 1
     assert v.sup_norm() == 1.0
     assert THETA.sup_norm() == 0.0
 
 
 def test_sparsevec_never_stores_zero():
     v = SparseVec({1: F(1), 2: F(0)})
-    assert v.support() == {1}
+    assert v.entries == {1: F(1)}
     assert (e(1) - e(1)) == THETA
+
+
+def test_sparsevec_stores_floats_exactly():
+    v = SparseVec({1: 0.1, 2: 0.0, 3: 2})
+    assert v.entries == {1: F(0.1), 3: F(2)}
+    assert all(type(x) is F for x in v.entries.values())
 
 
 def test_sparsevec_rejects_bad_index():
@@ -124,7 +129,7 @@ def test_block_vectors_scaled_and_shifted():
     offsets = coordinate_offsets(2)
     for y in ys:
         assert y.sup_norm() == 0.25
-        assert all(offsets[1] < i <= offsets[2] for i in y.support())
+        assert all(offsets[1] < i <= offsets[2] for i in y.entries)
     total = ys[0]
     for y in ys[1:]:
         total = total + y

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -38,3 +39,30 @@ def test_benchmark_span_targets_resolve():
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert spans.TARGETS and missing == []
+
+
+def _library_callables():
+    # every function serwalk defines and every method of its classes,
+    # dataclass constructors included, as (qualified name, function)
+    for path in SOURCES:
+        module = importlib.import_module(f"serwalk.{path.stem}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+            elif inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+
+
+def test_no_callable_chooses_a_norm_or_a_mode():
+    # the norm is a property of the space and the mode of the points: a
+    # SparseVec is measured in the sup norm, a dense tuple in the Euclidean
+    # one, and Walk.mode is read off the start point
+    found = [f"{name}({param})"
+             for name, obj in _library_callables()
+             for param in inspect.signature(obj).parameters
+             if param in ("kind", "mode")]
+    assert found == []

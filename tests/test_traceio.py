@@ -6,7 +6,7 @@ import pytest
 
 from serwalk.core import PointSample
 from serwalk.seqspace import SparseVec, gen_c0_two_point, gen_no_rp_series
-from serwalk.traceio import (estimate_report, parse_scalar, read_sample_csv,
+from serwalk.traceio import (estimate_report, read_sample_csv,
                              read_terms_json, read_walk_csv, read_walk_jsonl,
                              render_scalar, write_sample_csv, write_terms_json,
                              write_walk_csv, write_walk_jsonl, write_walk_svg)
@@ -25,8 +25,9 @@ def test_render_scalar_goldens():
 
 
 def test_parse_scalar_round_trip():
+    # traces are read back with Fraction, exactly
     for x in [F(1, 2), F(-7, 64), F(3), F(1, 2 ** 20)]:
-        assert parse_scalar(render_scalar(x)) == x
+        assert F(render_scalar(x)) == x
 
 
 def test_walk_csv_round_trip_exact():
@@ -43,7 +44,7 @@ def test_walk_csv_round_trip_exact():
 
 
 def test_walk_csv_round_trip_float():
-    w = Walk([(0.0, 0.0), (0.1, 0.2), (0.3, -0.4)], [2], mode="float")
+    w = Walk([(0.0, 0.0), (0.1, 0.2), (0.3, -0.4)], [2])
     buf = io.StringIO()
     write_walk_csv(w, buf)
     back = read_walk_csv(io.StringIO(buf.getvalue()))
@@ -125,7 +126,7 @@ def test_svg_output():
     assert 'fill="white"' in svg
     assert ">0.5<" in svg  # half-integer tick label
     with pytest.raises(ValueError, match="2-D"):
-        write_walk_svg(Walk([(0.0,), (1.0,)], [1], mode="float"), io.StringIO())
+        write_walk_svg(Walk([(0.0,), (1.0,)], [1]), io.StringIO())
 
 
 @pytest.mark.parametrize("text", [

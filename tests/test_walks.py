@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import random
 from fractions import Fraction as F
@@ -6,6 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from serwalk.core import PointSample, distance, norm
+from serwalk.rearrange import full_range_series, rearrange_to_limit_set
+from serwalk.seqspace import gen_c0_two_point
+from serwalk.traceio import read_walk_csv, read_walk_jsonl
 from serwalk.walks import (PartialPermutation, build_chainable_walk,
                            build_unbounded_components_walk, build_xwalk,
                            gen_halflines, gen_two_lines, series_to_walk,
@@ -175,6 +179,36 @@ def test_unbounded_components_walk_touches_radii():
     lo, hi = w.phase_blocks()[1]
     xs = {round(float(p[0])) for p in w.sums[lo:hi] if abs(abs(p[0]) - 1) < 1e-9}
     assert xs == {-1, 1}
+
+
+@pytest.mark.parametrize("make, mode", [
+    (lambda: gen_two_lines(3), "exact"),
+    (lambda: gen_halflines([0, 1, F(7, 2)], 2), "exact"),
+    (lambda: gen_halflines([0.0, 1.5], 1), "float"),
+    (lambda: build_chainable_walk([(F(0), F(0)), (F(1, 2), F(0))], 2), "exact"),
+    # integer components still give a float walk
+    (lambda: build_unbounded_components_walk(
+        [PointSample(((0, 3), (0, 4))), PointSample(((3, 0), (4, 0)))], [2.0, 2.5], 2),
+     "float"),
+    (lambda: rearrange_to_limit_set(full_range_series(2, 20000),
+                                    PointSample(((0.25, 0.0),)), 1)[1], "float"),
+    (lambda: read_walk_csv(io.StringIO("index,phase,coord_0\n1,1,0.5\n2,1,0.1\n")),
+     "float"),
+    (lambda: read_walk_csv(io.StringIO("index,phase,coord_0\n1,1,0.5\n2,1,0.25\n")),
+     "exact"),
+    (lambda: read_walk_jsonl(io.StringIO(
+        '{"index": 1, "phase": 1, "entries": {"1": 0.5}}\n')), "exact"),
+    (lambda: gen_c0_two_point(2), "exact"),
+], ids=["two-lines", "halflines-rational", "halflines-float", "chainable",
+        "unbounded-int", "rearrange", "csv-nondyadic", "csv-dyadic", "jsonl", "c0"])
+def test_walk_mode_is_read_off_the_points(make, mode):
+    # the mode each generator and reader stored before it became a property
+    w = make()
+    assert w.mode == mode
+    if not hasattr(w.anchor, "entries"):
+        # and every point agrees with the start point
+        types = {type(c) for p in w.sums for c in p}
+        assert types <= ({float} if mode == "float" else {int, F})
 
 
 def test_steps_match_sum_differences():
