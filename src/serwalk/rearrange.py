@@ -12,6 +12,16 @@ the batch with ``find_balanced_permutation`` so that no prefix leaves the
 eps_j-ball around a.  The step checks its postconditions and raises
 ValueError when one fails.
 
+The reservoir keeps one queue per axis and sign.  A pick takes the first
+queued index whose magnitude is below twice the error left on that axis,
+and the indices queued before it move, in their order, to the back of the
+queue (one rotate); a queue with no such index is left as it was.  Later
+picks depend on this order.
+
+N(eps) is a bisection over the term norms, which ``RPConstants`` computes
+once, in one pass over the series' float64 rows, and checks to be finite
+and nonincreasing; "norm <= eps/4" is then monotone in the index.
+
 Balancing orders the batch by one deterministic greedy pass over the
 terms' float64 rows (``core.float_rows``), the same code for dense tuples
 and SparseVecs, and falls back to a complete search for batches of at most
@@ -29,7 +39,9 @@ small-sum batches.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -162,28 +174,46 @@ class RPConstants:
     """The balancing-constant family used by the rearranger:
     N(eps) = first index with term norm <= eps/4, delta(eps) = eps/2.
 
-    Requires nonincreasing term norms so that the family is monotone
-    (delta nonincreasing and N nondecreasing as eps decreases); raises
-    ValueError naming the first term whose norm exceeds its predecessor's.
-    Terms are numbered from 1, as N(eps) is.
+    Requires finite, nonincreasing term norms so that the family is
+    monotone (delta nonincreasing and N nondecreasing as eps decreases) and
+    N(eps) can be found by bisection over the stored norms; raises
+    ValueError naming the first term whose norm is NaN or infinite, else
+    the first whose norm exceeds its predecessor's.  Terms are numbered
+    from 1, as N(eps) is.
+
+    The norms accumulate one coordinate at a time over ``core.float_rows``,
+    in the order :func:`core.norm` sums, so each equals ``norm(term)`` bit
+    for bit.  A SparseVec series is laid out over the union of its supports.
     """
 
     def __init__(self, series: Sequence):
-        self._norms = [norm(t) for t in series]
-        for i in range(1, len(self._norms)):
-            if self._norms[i] > self._norms[i - 1]:
-                raise ValueError(f"term norms must be nonincreasing: term {i + 1} "
-                                 f"is longer than term {i}")
+        rows = float_rows(series)[0]
+        sup = bool(len(series)) and hasattr(series[0], "entries")
+        norms = np.zeros(len(rows))
+        for col in range(rows.shape[1]):
+            fold_coordinate(norms, rows[:, col], sup)
+        if not sup:
+            np.sqrt(norms, out=norms)
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            raise ValueError(f"term norms must be finite: term {bad[0] + 1} "
+                             f"has norm {norms[bad[0]]}")
+        bad = np.flatnonzero(norms[1:] > norms[:-1])
+        if bad.size:
+            raise ValueError(f"term norms must be nonincreasing: term {bad[0] + 2} "
+                             f"is longer than term {bad[0] + 1}")
+        self._norms = norms
 
     def delta(self, eps: float) -> float:
         return eps / 2
 
     def n_threshold(self, eps: float) -> int:
         target = eps / 4
-        for i, v in enumerate(self._norms, start=1):
-            if v <= target:
-                return i
-        raise ValueError("series prefix too short: no term below eps/4")
+        i = bisect.bisect_left(self._norms, -target, key=operator.neg)
+        # a NaN eps qualifies no term, as a scan would find
+        if i == len(self._norms) or not self._norms[i] <= target:
+            raise ValueError("series prefix too short: no term below eps/4")
+        return i + 1
 
 def certify_rp(series_prefix: Sequence, epsilon: float,
                instance_budget: int = 500,
@@ -321,15 +351,12 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             buf.append(cur)
 
     def take(axis, positive, err_abs):
-        q = reservoir.get((axis, positive))
-        if not q:
+        q = reservoir.get((axis, positive), ())
+        k = next((k for k, (mag, _) in enumerate(q) if mag < 2 * err_abs), None)
+        if k is None:
             return None
-        for _ in range(len(q)):
-            mag, idx = q.popleft()
-            if mag < 2 * err_abs:
-                return mag, idx
-            q.append((mag, idx))
-        return None
+        q.rotate(-k)
+        return q.popleft()
 
     def select(err, tol):
         # greedy Riemann selection: drain the reservoir first, scan past

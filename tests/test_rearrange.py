@@ -153,6 +153,69 @@ def test_rp_constants_reject_increasing_norms():
         RPConstants(series)
 
 
+
+def test_rp_constants_reject_non_finite_norms():
+    # a NaN norm would make N(eps) depend on how the norms are searched
+    for series, term in [([(1.0,), (math.nan,), (0.1,), (0.05,)], 2),
+                         ([(math.inf, 0.0), (1.0, 0.0)], 1),
+                         ([(1.0,), (0.5,), (-math.inf,)], 3),
+                         ([(0.5, 0.5), (0.25, math.nan)], 2)]:
+        with pytest.raises(ValueError, match=f"finite: term {term} "):
+            RPConstants(series)
+
+
+def _scan_threshold(norms, eps):
+    return next((i for i, v in enumerate(norms, start=1) if v <= eps / 4), None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-8, 8)] * d), max_size=12)))
+@example([])
+@example([(4, 3), (5, 0), (0, -5), (3, 0), (0, 0)])
+def test_n_threshold_matches_linear_scan(rows):
+    # dyadic terms sorted by norm, with ties ((4, 3) and (5, 0) both have
+    # norm 5/8); every eps/4 equal to a norm, between two norms, above the
+    # largest, and below or beside every norm
+    series = sorted((tuple(c / 8 for c in r) for r in rows), key=norm, reverse=True)
+    norms = [norm(t) for t in series]
+    constants = RPConstants(series)
+    levels = sorted(set(norms))
+    epsilons = ([4 * v for v in levels]
+                + [2 * (a + b) for a, b in zip(levels, levels[1:])]
+                + [4 * max(norms, default=0.0) + 1.0, 0.0, -1.0, math.nan])
+    for eps in epsilons:
+        expected = _scan_threshold(norms, eps)
+        if expected is None:
+            with pytest.raises(ValueError, match="too short"):
+                constants.n_threshold(eps)
+        else:
+            assert constants.n_threshold(eps) == expected
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_rp_constants_norms_equal_core_norm(dim):
+    # term by term and bit for bit: from 8 coordinates up a pairwise sum
+    # would round differently from core.norm's left-to-right sum
+    rng = random.Random(dim)
+    terms = [tuple(rng.uniform(-1, 1) * 2.0 ** rng.randint(-20, 20) for _ in range(dim))
+             for _ in range(300)]
+    series = sorted(terms, key=norm, reverse=True)
+    assert list(RPConstants(series)._norms) == [norm(t) for t in series]
+
+
+def test_rp_constants_sparse_norms_equal_core_norm():
+    # a SparseVec series is laid out over the union of its supports
+    series = [SparseVec({3: Fraction(-3, 4), 7: Fraction(1, 3)}),
+              SparseVec({1: Fraction(1, 10), 2: Fraction(-2, 3)}),
+              SparseVec({9: Fraction(2, 3)}),
+              SparseVec({2: Fraction(1, 7), 5: Fraction(-1, 9)}),
+              SparseVec({})]
+    constants = RPConstants(series)
+    assert list(constants._norms) == [norm(t) for t in series]
+    assert constants.n_threshold(4 * 2 / 3) == 2
+    assert constants.n_threshold(0.0) == 5
+
 def test_certify_rp_witness_fields():
     series = alternating_harmonic(2000)
     wit = certify_rp(series, 1.0, instance_budget=100,
@@ -245,6 +308,19 @@ def test_rearrange_c10_pinned(target, digest):
                                           rng=random.Random(0))
     assert hashlib.sha256(repr((tau.images, walk.sums)).encode()).hexdigest() == digest
 
+
+
+def test_rearrange_3d_pinned():
+    # three axes give six reservoir queues, where the c10 pins have four;
+    # a change to the order in which the reservoir hands out its indices
+    # changes the digest
+    series = full_range_series(3, 30000)
+    target = tuple((0.5 * math.cos(2 * math.pi * i / 20),
+                    0.5 * math.sin(2 * math.pi * i / 20), 0.25) for i in range(20))
+    tau, walk, _ = rearrange_to_limit_set(series, PointSample(target), stages=3)
+    assert len(tau.images) == 6661
+    assert (hashlib.sha256(repr((tau.images, walk.sums)).encode()).hexdigest()
+            == "454afcf1004a4ad761d134f4e486a682302c2e972575720e0b94782bc810f342")
 
 def test_rearrange_singleton_converges():
     series = full_range_series(2, 60000)
