@@ -3,7 +3,7 @@
 A true limit point is hit infinitely often; the finite shadow used here is
 recurrence inside a late window.  All canonical walk generators revisit
 their limit sets every phase, so a grid cell is kept when the walk returns
-to it in at least ``min_hits`` distinct phases of the window (falling back
+to it in at least ``MIN_HITS`` distinct phases of the window (falling back
 to raw hit counts when the window does not span two phases).
 """
 
@@ -17,6 +17,12 @@ import numpy as np
 
 from .core import PointSample, distance, distance_blocks, gap_components, norm
 from .walks import Walk
+
+#: a grid cell is kept when the walk returns to it in this many phases
+MIN_HITS = 2
+
+#: the Cauchy diagnostic's tail: this fraction of the walk's sums
+TAIL_FRACTION = 0.3
 
 
 def _snap_key(p, resolution: float):
@@ -73,7 +79,7 @@ def _window_bounds(w: Walk, window_fraction: float) -> tuple[int, list[tuple[int
     total = len(w.sums) - 1
     want = max(2, math.ceil(window_fraction * total))
     blocks = w.phase_blocks()
-    if w.phase_lengths is None or len(blocks) < 2:
+    if len(blocks) < 2:
         start = max(1, len(w.sums) - want)
         return start, [(start, len(w.sums))]
     chosen: list[tuple[int, int]] = []
@@ -87,7 +93,7 @@ def _window_bounds(w: Walk, window_fraction: float) -> tuple[int, list[tuple[int
 
 
 def estimate_limit_set(w: Walk, window_fraction: float = 0.3,
-                       resolution: float = 0.1, min_hits: int = 2) -> LimitEstimate:
+                       resolution: float = 0.1) -> LimitEstimate:
     """Grid-based recurrence estimate of LIM from the walk's late window."""
     if window_fraction <= 0 or window_fraction > 1:
         raise ValueError("window_fraction must be in (0, 1]")
@@ -114,7 +120,7 @@ def estimate_limit_set(w: Walk, window_fraction: float = 0.3,
     kept = []
     for key, pts in cells.items():
         score = len(phase_sets[key]) if multi_phase else len(pts)
-        if score >= min_hits:
+        if score >= MIN_HITS:
             kept.append((rep_of(pts), len(pts), pts))
     if not kept:
         return LimitEstimate(PointSample(()), start, resolution, [])
@@ -156,14 +162,14 @@ def verify_dichotomy(est: LimitEstimate, gap: float, bound: float) -> dict:
             "component_max_norms": maxnorms, "escaped": escaped}
 
 
-def singleton_convergence_check(w: Walk, tol: float,
-                                resolution: float = 0.2,
-                                window_fraction: float = 0.3) -> dict:
-    """Distinguish convergence from a divergent walk with singleton limit set."""
+def singleton_convergence_check(w: Walk, tol: float) -> dict:
+    """Distinguish convergence from a divergent walk with singleton limit set.
+
+    The limit estimate uses the default window at resolution 0.2.
+    """
     if len(w.sums) - 1 < 100:
         raise ValueError("walk too short (need >= 100 sums)")
-    est = estimate_limit_set(w, window_fraction=window_fraction,
-                             resolution=resolution)
+    est = estimate_limit_set(w, resolution=0.2)
     if len(est) != 1:
         return {"verdict": "not-singleton", "estimate": est}
     p = est.points.points[0]
@@ -173,19 +179,17 @@ def singleton_convergence_check(w: Walk, tol: float,
     return {"verdict": "diverges-with-singleton", "point": p, "estimate": est}
 
 
-def cauchy_diagnostic(w: Walk, tail_fraction: float = 0.3) -> dict:
+def cauchy_diagnostic(w: Walk) -> dict:
     """Largest pairwise distance between late partial sums.
 
     A convergent walk's tail gap shrinks with the tail; recurring gaps of
     fixed size witness divergence even when the limit set is a singleton.
     ``max_gap`` is the largest distance between two sums of the tail (the
-    last ``tail_fraction`` of the walk, at least two points), and
+    last TAIL_FRACTION of the walk, at least two points), and
     ``gap_pairs`` holds the first 32 index pairs (i, j), i < j, in (i, j)
     order, whose distance is within 1e-15 of it.
     """
-    if tail_fraction <= 0 or tail_fraction > 1:
-        raise ValueError("tail_fraction must be in (0, 1]")
-    offset = len(w.sums) - max(2, math.ceil(tail_fraction * (len(w.sums) - 1)))
+    offset = len(w.sums) - max(2, math.ceil(TAIL_FRACTION * (len(w.sums) - 1)))
     if offset < 0:
         raise ValueError("tail shorter than 2 points")
     tail = w.sums[offset:]

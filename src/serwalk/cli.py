@@ -63,7 +63,7 @@ def _load_walk(path):
             if head == "{":
                 return traceio.read_walk_jsonl(fp)
             return traceio.read_walk_csv(fp)
-    except (OSError, ValueError, KeyError) as err:
+    except (OSError, ValueError) as err:
         raise UsageError(f"cannot read trace {path}: {err}") from err
 
 
@@ -221,7 +221,7 @@ def cmd_verify(args) -> int:
         try:
             with open(args.input) as fp:
                 terms = traceio.read_terms_json(fp)
-        except (OSError, ValueError, KeyError) as err:
+        except (OSError, ValueError) as err:
             raise UsageError(f"cannot read terms {args.input}: {err}") from err
         prefix = min(len(terms), args.prefix)
         order = rearrange.find_balanced_permutation(terms[:prefix], args.epsilon)

@@ -102,8 +102,8 @@ def distance(u, v) -> float:
     return norm(sub(u, v))
 
 
-def same_point(u, v, tol: float = MEMBERSHIP_TOL) -> bool:
-    return distance(u, v) <= tol
+def same_point(u, v) -> bool:
+    return distance(u, v) <= MEMBERSHIP_TOL
 
 
 @dataclass(frozen=True)

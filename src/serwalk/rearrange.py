@@ -55,12 +55,12 @@ from .walks import PartialPermutation, Walk
 # ---------------------------------------------------------------------------
 # test series with full sum range
 
-def full_range_series(dim: int, count: int, scale: float = 8.0) -> list[tuple]:
+def full_range_series(dim: int, count: int) -> list[tuple]:
     """Round-robin signed harmonic-type terms: for t = 1, 2, ... emit
-    +scale/t and -scale/t along each axis in turn.
+    +8/t and -8/t along each axis in turn.
 
     Every coordinate has divergent positive and negative parts with terms
-    tending to zero, so the sum range is all of R^dim.  The scale leaves a
+    tending to zero, so the sum range is all of R^dim.  The scale 8 leaves a
     desk-scale prefix with enough mass for multi-stage rearrangements.
     """
     out = []
@@ -69,7 +69,7 @@ def full_range_series(dim: int, count: int, scale: float = 8.0) -> list[tuple]:
         for axis in range(dim):
             for sign in (1.0, -1.0):
                 coords = [0.0] * dim
-                coords[axis] = sign * scale / t
+                coords[axis] = sign * 8.0 / t
                 out.append(tuple(coords))
         t += 1
     return out[:count]
@@ -121,10 +121,10 @@ def find_balanced_permutation(terms: Sequence, bound: float) -> Optional[list[in
     One deterministic greedy pass over the terms' float rows appends, at
     each step, the unused term whose prefix scores lowest (the squared
     Euclidean norm of dense terms, the sup norm of SparseVecs), the first
-    such in index order.  When the chosen
-    prefix reaches the bound and n <= 10, a complete prefix-pruned search
-    decides, so that None is then a proof that no such order exists.  For
-    n > 10, None only means that the greedy pass failed.
+    such in index order.  When the chosen prefix reaches the bound (or its
+    norm is NaN) and n <= 10, a complete prefix-pruned search decides, so
+    that None is then a proof that no such order exists.  For n > 10, None
+    only means that the greedy pass failed.
 
     Dense tuples and SparseVecs take the same path.  The greedy pass scores
     prefixes in float64, which is exact for dyadic terms (every
@@ -146,7 +146,7 @@ def find_balanced_permutation(terms: Sequence, bound: float) -> Optional[list[in
         score[used] = np.inf
         i = int(np.argmin(score))
         value = score[i] if sup else math.sqrt(score[i])
-        if value >= bound:
+        if not value < bound:  # a NaN prefix is never inside the bound
             return _dfs_balance(terms, bound) if n <= 10 else None
         order.append(i + 1)
         used[i] = True

@@ -143,9 +143,10 @@ class VectorFamily:
     def check_zero_sum(self) -> bool:
         return all(sum(col) == 0 for col in zip(*self.vectors))
 
-    def check_prefix_lower_bound(self, exhaustive_limit: int = 6) -> bool:
-        """Exhaustively verify the >= k prefix bound over all (2k)! orders."""
-        if 2 * self.k > exhaustive_limit:
+    def check_prefix_lower_bound(self) -> bool:
+        """Exhaustively verify the >= k prefix bound over all (2k)! orders,
+        for families of at most 6 vectors (k <= 3)."""
+        if self.k > 3:
             raise ValueError("family too large for exhaustive check")
         for sigma in permutations(range(2 * self.k)):
             prefix = [0] * self.dim
@@ -234,7 +235,7 @@ def gen_no_rp_series(kmax: int) -> tuple[SignedSeries, PartialPermutation]:
         n_pairs = len(ys)
         images.extend(offset + 2 * i + 1 for i in range(n_pairs))
         images.extend(offset + 2 * i + 2 for i in range(n_pairs))
-    return SignedSeries(terms, alternating=True), PartialPermutation(images)
+    return SignedSeries(terms), PartialPermutation(images)
 
 
 def per_coordinate_profile(series: SignedSeries) -> dict[int, tuple[int, Fraction]]:

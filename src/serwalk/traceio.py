@@ -6,7 +6,8 @@ as exact terminating decimal strings -- never scientific notation -- so
 golden files stay stable.  Sequence-space walks serialize as JSON lines
 ``{"index": n, "phase": p, "entries": {"i": v, ...}}``.  Both readers
 reject a trace whose index runs other than 1, 2, ..., n or whose phase
-goes down.
+goes down.  Sparse entries and dense series terms must be JSON ints or
+finite floats; JSON-line index and phase must be JSON ints.
 """
 
 from __future__ import annotations
@@ -41,13 +42,6 @@ def render_scalar(x) -> str:
     return s
 
 
-def _phase_of(blocks, row_index: int) -> int:
-    for p, (lo, hi) in enumerate(blocks, start=1):
-        if lo <= row_index < hi:
-            return p
-    return len(blocks)
-
-
 def _phase_lengths(rows) -> list[int]:
     """Phase lengths from the (index, phase) of each trace row.
 
@@ -71,9 +65,9 @@ def write_walk_csv(w: Walk, fp: TextIO) -> None:
     dim = len(w.sums[0])
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(["index", "phase"] + [f"coord_{i}" for i in range(dim)])
-    blocks = w.phase_blocks()
-    for n, p in enumerate(w.sums[1:], start=1):
-        writer.writerow([n, _phase_of(blocks, n)] + [render_scalar(c) for c in p])
+    for phase, (lo, hi) in enumerate(w.phase_blocks(), start=1):
+        for n in range(lo, hi):
+            writer.writerow([n, phase] + [render_scalar(c) for c in w.sums[n]])
 
 
 def read_walk_csv(fp: TextIO) -> Walk:
@@ -108,30 +102,51 @@ def _encode_entries(v) -> dict:
             for i, x in v.entries.items()}
 
 
-def _decode_entries(entries: dict):
+def _check_numbers(values, where: str) -> None:
+    """ValueError unless every value is a JSON int (not a bool) or a float
+    whose float value is finite."""
+    for x in values:
+        try:
+            if type(x) in (int, float) and math.isfinite(x):
+                continue
+        except OverflowError:  # an int beyond the float range
+            pass
+        raise ValueError(f"{where} holds {x!r:.40}, not a finite number")
+
+
+def _decode_entries(entries, where: str) -> SparseVec:
     """Inverse of _encode_entries: a SparseVec of exact Fractions."""
-    return SparseVec({int(i): Fraction(x) for i, x in entries.items()})
+    if not isinstance(entries, dict):
+        raise ValueError(f"{where} has no entries object")
+    _check_numbers(entries.values(), where)
+    return SparseVec({int(i): x for i, x in entries.items()})
 
 
 def write_walk_jsonl(w: Walk, fp: TextIO) -> None:
     if not w.sums or not hasattr(w.sums[0], "entries"):
         raise ValueError("JSON-line traces are for sequence-space walks")
-    blocks = w.phase_blocks()
-    for n, p in enumerate(w.sums[1:], start=1):
-        fp.write(json.dumps({"index": n, "phase": _phase_of(blocks, n),
-                             "entries": _encode_entries(p)}) + "\n")
+    for phase, (lo, hi) in enumerate(w.phase_blocks(), start=1):
+        for n in range(lo, hi):
+            fp.write(json.dumps({"index": n, "phase": phase,
+                                 "entries": _encode_entries(w.sums[n])}) + "\n")
 
 
 def read_walk_jsonl(fp: TextIO) -> Walk:
     sums = []
     rows = []
-    for line in fp:
+    for n, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
             continue
         rec = json.loads(line)
-        sums.append(_decode_entries(rec["entries"]))
-        rows.append((rec.get("index"), int(rec.get("phase", 1))))
+        if not isinstance(rec, dict):
+            raise ValueError(f"line {n} is not a JSON object")
+        index, phase = rec.get("index"), rec.get("phase")
+        if type(index) is not int or type(phase) is not int:
+            raise ValueError(f"line {n} has index {index!r:.40} and phase "
+                             f"{phase!r:.40}, not two JSON ints")
+        sums.append(_decode_entries(rec.get("entries"), f"line {n}"))
+        rows.append((index, phase))
     if not sums:
         raise ValueError("empty trace")
     return Walk([SparseVec()] + sums, _phase_lengths(rows))
@@ -164,19 +179,37 @@ def read_sample_csv(fp: TextIO) -> PointSample:
     return PointSample(tuple(pts))
 
 
+def _term_kind(t, n: int) -> str:
+    if isinstance(t, dict):
+        return "sparse"
+    if isinstance(t, list):
+        return "dense"
+    raise ValueError(f"term {n} is neither a dense list nor a sparse object")
+
+
 def read_terms_json(fp: TextIO):
-    """Series terms from JSON {"terms": [...]}; each term is a dense list
-    or a sparse {index: value} object."""
+    """Series terms from JSON {"terms": [...]}: all dense lists of one
+    length, read as float tuples, or all sparse {index: value} objects,
+    read as SparseVecs.  Every value must be a JSON int or a finite float.
+    A term (numbered from 1) that breaks a rule raises ValueError naming
+    it."""
     doc = json.load(fp)
-    terms = doc["terms"] if isinstance(doc, dict) else doc
-    out = []
-    for t in terms:
-        if isinstance(t, dict):
-            out.append(_decode_entries(t))
-        else:
-            out.append(tuple(float(c) for c in t))
-    if not out:
+    terms = doc.get("terms") if isinstance(doc, dict) else doc
+    if not isinstance(terms, list) or not terms:
         raise ValueError("no terms")
+    kind = _term_kind(terms[0], 1)
+    out = []
+    for n, t in enumerate(terms, start=1):
+        if _term_kind(t, n) != kind:
+            raise ValueError(f"term {n} is {_term_kind(t, n)}, term 1 is {kind}")
+        if kind == "sparse":
+            out.append(_decode_entries(t, f"term {n}"))
+            continue
+        if len(t) != len(terms[0]):
+            raise ValueError(f"term {n} has {len(t)} coordinates, "
+                             f"term 1 has {len(terms[0])}")
+        _check_numbers(t, f"term {n}")
+        out.append(tuple(float(c) for c in t))
     return out
 
 
@@ -214,13 +247,14 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#17becf", "#e377c2"]
 
 
-def write_walk_svg(w: Walk, fp: TextIO, size: int = 480,
+def write_walk_svg(w: Walk, fp: TextIO,
                    marks: Optional[Sequence] = None) -> None:
     """SVG polyline of a 2-D walk, one color per phase, optional marked
     sample points, with axis tick labels at the integer and half-integer
-    levels the trace reaches."""
+    levels the trace reaches, on a 480-pixel square."""
     if not w.sums or hasattr(w.sums[0], "entries") or len(w.sums[0]) != 2:
         raise ValueError("plotting needs a 2-D dense trace")
+    size = 480
     xs = [float(p[0]) for p in w.sums]
     ys = [float(p[1]) for p in w.sums]
     lo_x, hi_x = min(xs), max(xs)

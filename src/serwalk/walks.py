@@ -33,19 +33,16 @@ class PartialPermutation:
     def __len__(self):
         return len(self.images)
 
-    def __call__(self, n: int) -> int:
-        return self.images[n - 1]
-
     def covers_initial_segment(self, m: int) -> bool:
         return all(i in self._range for i in range(1, m + 1))
 
 
 @dataclass
 class SignedSeries:
-    """A finite series prefix; alternating means y_{2n} = -y_{2n-1} exactly."""
+    """A finite series prefix; it is alternating when y_{2n} = -y_{2n-1}
+    exactly."""
 
     terms: list
-    alternating: bool = False
 
     def check_alternating(self) -> bool:
         it = iter(self.terms)
@@ -60,14 +57,23 @@ class Walk:
     """Prefix of a partial-sum trajectory.
 
     sums[0] is the start point; sums[1:] are s_1..s_P.  phase_lengths[k]
-    counts the entries of sums[1:] that belong to phase k+1.  step_bounds,
-    when present, gives the declared per-phase maximum step norm.  Steps
-    are measured in the norm of the points' space (see :mod:`serwalk.core`).
+    counts the entries of sums[1:] that belong to phase k+1: nonnegative
+    ints summing to P, else ValueError.  step_bounds, when present, gives
+    the declared per-phase maximum step norm.  Steps are measured in the
+    norm of the points' space (see :mod:`serwalk.core`).
     """
 
     sums: list
-    phase_lengths: Optional[list[int]] = None
+    phase_lengths: list[int]
     step_bounds: Optional[list[float]] = None
+
+    def __post_init__(self):
+        if not all(isinstance(n, int) and n >= 0 for n in self.phase_lengths):
+            raise ValueError(f"phase lengths must be nonnegative ints: "
+                             f"{self.phase_lengths}")
+        if sum(self.phase_lengths) != len(self.sums) - 1:
+            raise ValueError(f"phase lengths sum to {sum(self.phase_lengths)}, "
+                             f"not to the {len(self.sums) - 1} sums after the start")
 
     @property
     def mode(self) -> str:
@@ -87,8 +93,6 @@ class Walk:
     def phase_blocks(self) -> list[tuple[int, int]]:
         """(start, end) slices into ``sums`` per phase; block k spans
         sums[start:end] with sums[start-1] its anchor."""
-        if self.phase_lengths is None:
-            return [(1, len(self.sums))]
         blocks, pos = [], 1
         for n in self.phase_lengths:
             blocks.append((pos, pos + n))
@@ -97,10 +101,6 @@ class Walk:
 
     def is_palindromic(self) -> bool:
         """Each phase block, read with its anchor, equals its own reversal."""
-        if self.phase_lengths is None:
-            return False
-        if sum(self.phase_lengths) != len(self.sums) - 1:
-            return False
         for start, end in self.phase_blocks():
             block = self.sums[start - 1:end]
             if block != block[::-1]:
@@ -108,7 +108,7 @@ class Walk:
         return True
 
     def check_step_bounds(self) -> bool:
-        if self.step_bounds is None or self.phase_lengths is None:
+        if self.step_bounds is None:
             return True
         steps = self.steps()
         pos = 0
@@ -165,7 +165,7 @@ def walk_to_series(w: Walk) -> tuple[SignedSeries, PartialPermutation]:
             terms.append(steps[pos + n - r])
             images.append(pos + n - r + 1)
         pos += n
-    return SignedSeries(terms, alternating=True), PartialPermutation(images)
+    return SignedSeries(terms), PartialPermutation(images)
 
 
 def series_to_walk(series: SignedSeries, sigma: PartialPermutation, start) -> list:

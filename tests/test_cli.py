@@ -222,6 +222,47 @@ def test_verify_rejects_misordered_trace(tmp_path, name, text):
     assert "cannot read trace" in r.stderr and "Traceback" not in r.stderr
 
 
+def _record(entries='{"1": 1}', index="1", phase="1"):
+    return f'{{"index": {index}, "phase": {phase}, "entries": {entries}}}\n'
+
+
+@pytest.mark.parametrize("check, name, text", [
+    # sparse entries: JSON ints (not bools) and finite floats only
+    ("cauchy", "w.jsonl", _record('{"1": "1/3"}')),
+    ("cauchy", "w.jsonl", _record('{"1": true}')),
+    ("cauchy", "w.jsonl", _record('{"1": Infinity}')),
+    ("cauchy", "w.jsonl", _record('{"1": NaN}')),
+    ("cauchy", "w.jsonl", _record('{"1": 1' + "0" * 400 + '}')),
+    ("cauchy", "w.jsonl", _record("[1]")),
+    # index and phase: JSON ints, both present
+    ("cauchy", "w.jsonl", _record(phase="1.9")),
+    ("cauchy", "w.jsonl", '{"index": 1, "entries": {"1": 1}}\n'),
+    ("cauchy", "w.jsonl", _record(index="true")),
+    ("cauchy", "w.jsonl", _record() + "[1, 2]\n"),
+    # series terms: one kind, one dense length, finite numbers, every term
+    ("rp-instance", "t.json", '{"terms": [[NaN, 0.0], [1.0, 0.0]]}'),
+    ("rp-instance", "t.json", '{"terms": [{"1": 1}, [1.0]]}'),
+    ("rp-instance", "t.json", '{"terms": [[1.0], {"1": 1}]}'),
+    ("rp-instance", "t.json", '{"terms": [[1.0, 0.0], [-1.0, 0.0], [0.5]]}'),
+    ("rp-instance", "t.json", '{"terms": [[1.0, 0.0], [-1.0, "0"]]}'),
+    ("rp-instance", "t.json", '{"terms": [{"1": 1}, {"1": "-1"}]}'),
+    ("rp-instance", "t.json", '{"terms": [5]}'),
+    ("rp-instance", "t.json", '{"terms": 5}'),
+    ("rp-instance", "t.json", '{"term": [[1.0]]}'),
+], ids=["fraction-string", "bool", "infinity", "nan", "huge-int", "entries-list",
+        "float-phase", "missing-phase", "bool-index", "not-an-object",
+        "dense-nan", "sparse-then-dense", "dense-then-sparse", "ragged-past-prefix",
+        "dense-string", "sparse-string", "number-term", "terms-not-a-list",
+        "no-terms-key"])
+def test_malformed_values_are_usage_errors(tmp_path, check, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    r = run("verify", check, "--input", str(path), "--prefix", "2")
+    assert r.returncode == 2, r.stdout
+    assert "cannot read" in r.stderr and "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 def test_closed_stdout_exits_quietly():
     # `serwalk generate ... | head -1`: the reader leaves after one line
     p = subprocess.Popen(CLI + ["generate", "two-lines", "--phases", "9"],

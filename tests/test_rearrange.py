@@ -27,10 +27,10 @@ def _prefix_norms(terms, order):
 
 
 def test_full_range_series_shape():
-    s = full_range_series(2, 12, scale=1.0)
-    assert s[0] == (1.0, 0.0) and s[1] == (-1.0, 0.0)
-    assert s[2] == (0.0, 1.0) and s[3] == (0.0, -1.0)
-    assert s[4] == (0.5, 0.0)
+    s = full_range_series(2, 12)
+    assert s[0] == (8.0, 0.0) and s[1] == (-8.0, 0.0)
+    assert s[2] == (0.0, 8.0) and s[3] == (0.0, -8.0)
+    assert s[4] == (4.0, 0.0)
     norms = [norm(t) for t in s]
     assert norms == sorted(norms, reverse=True)
 
@@ -76,6 +76,14 @@ def test_find_balanced_permutation_edge_cases():
     # past the complete search's size limit an impossible bound is a
     # failed greedy pass, not an error
     assert find_balanced_permutation([(1.0,)] * 11, 1.0) is None
+
+
+@pytest.mark.parametrize("terms", [
+    [(math.nan, 0.0), (1.0, 0.0)],  # the complete search decides
+    [(math.nan,)] + [(0.0,)] * 10,  # the greedy pass alone decides
+], ids=["searched", "greedy"])
+def test_nan_prefix_is_never_inside_the_bound(terms):
+    assert find_balanced_permutation(terms, 2.5) is None
 
 
 def _greedy_oracle(rows, bound, sup):

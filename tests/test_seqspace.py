@@ -138,7 +138,7 @@ def test_block_vectors_scaled_and_shifted():
 
 def test_no_rp_series_alternates_and_cancels():
     series, witness = gen_no_rp_series(2)
-    assert series.alternating and series.check_alternating()
+    assert series.check_alternating()
     profile = per_coordinate_profile(series)
     assert all(total == 0 for _, total in profile.values())
     # witness fronts the positive copies of each block

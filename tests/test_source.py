@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import math
 import types
 from pathlib import Path
 
@@ -66,3 +67,48 @@ def test_no_callable_chooses_a_norm_or_a_mode():
              for param in inspect.signature(obj).parameters
              if param in ("kind", "mode")]
     assert found == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+#: the code that counts as a caller: the library, the demos, the benchmark
+#: and the fixed acceptance gate (other tests are not callers)
+CALLERS = [*SOURCES, *sorted((ROOT / "demos").glob("*.py")),
+           *sorted((ROOT / "perfbench").glob("*.py")),
+           ROOT / "tests" / "test_acceptance.py"]
+
+
+def _calls_by_name():
+    # callee name -> (positional count, keyword names) of every call in the
+    # callers; a *args or **kwargs argument may pass anything
+    calls: dict[str, list] = {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            positional = math.inf if starred else len(node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((positional, keywords))
+    return calls
+
+
+def test_every_default_is_set_by_a_caller():
+    # a default that no caller ever changes is a constant in disguise
+    calls = _calls_by_name()
+    unset = []
+    for qualname, obj in _library_callables():
+        parts = qualname.split(".")
+        callee = parts[2] if parts[-1] == "__init__" else parts[-1]
+        params = list(inspect.signature(obj).parameters.values())
+        if len(parts) == 4:
+            params = params[1:]  # self is bound by the call
+        for k, p in enumerate(params):
+            if p.default is p.empty:
+                continue
+            by_position = p.kind is not p.KEYWORD_ONLY
+            if not any(None in kw or p.name in kw or (by_position and k < n)
+                       for n, kw in calls.get(callee, ())):
+                unset.append(f"{qualname}({p.name})")
+    assert unset == [], unset

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -77,6 +78,28 @@ def test_walk_jsonl_round_trip():
         write_walk_jsonl(gen_two_lines(1), io.StringIO())
 
 
+# phase lengths [2, 0, 2]: the phase column jumps from 1 to 3
+EMPTY_PHASE_CSV = ("index,phase,coord_0\n"
+                   "1,1,0.5\n2,1,0\n3,3,0.25\n4,3,0\n")
+EMPTY_PHASE_JSONL = "".join(
+    json.dumps({"index": n, "phase": phase, "entries": entries}) + "\n"
+    for n, phase, entries in [(1, 1, {"1": 1}), (2, 1, {}),
+                              (3, 3, {"2": 0.5}), (4, 3, {})])
+
+
+@pytest.mark.parametrize("text, read, write", [
+    (EMPTY_PHASE_CSV, read_walk_csv, write_walk_csv),
+    (EMPTY_PHASE_JSONL, read_walk_jsonl, write_walk_jsonl),
+], ids=["csv", "jsonl"])
+def test_empty_phase_round_trips_byte_identically(text, read, write):
+    w = read(io.StringIO(text))
+    assert w.phase_lengths == [2, 0, 2]
+    assert w.phase_blocks() == [(1, 3), (3, 3), (3, 5)]
+    buf = io.StringIO()
+    write(w, buf)
+    assert buf.getvalue() == text
+
+
 def test_sample_csv_round_trip():
     sample = PointSample(((0.5, -1.25), (2.0, 3.0)))
     buf = io.StringIO()
@@ -100,9 +123,24 @@ def test_terms_json_dense_and_sparse():
     back = read_terms_json(io.StringIO(buf.getvalue()))
     assert all(isinstance(t, SparseVec) for t in back)
     assert back == list(series.terms)
+    # a JSON float is stored exactly, and a zero entry is dropped
+    back = read_terms_json(io.StringIO('{"terms": [{"1": 3, "2": 0.1, "4": 0}]}'))
+    assert back == [SparseVec({1: F(3), 2: F(3602879701896397, 36028797018963968)})]
 
     with pytest.raises(ValueError, match="no terms"):
         read_terms_json(io.StringIO('{"terms": []}'))
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"terms": [[1.0], [2.0], [0.5, 0.5]]}', "term 3 has 2 coordinates, term 1 has 1"),
+    ('{"terms": [[1.0], [NaN]]}', "term 2 holds nan, not a finite number"),
+    ('{"terms": [{"1": 1}, [1.0]]}', "term 2 is dense, term 1 is sparse"),
+    ('{"terms": [{"1": 1}, {"2": "1/3"}]}', "term 2 holds '1/3', not a finite number"),
+    ('{"terms": [{"1": 1}, {"2": false}]}', "term 2 holds False, not a finite number"),
+])
+def test_read_terms_json_names_the_bad_term(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_terms_json(io.StringIO(text))
 
 
 def test_estimate_report_shapes():

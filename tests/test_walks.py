@@ -10,7 +10,7 @@ from serwalk.core import PointSample, distance, norm
 from serwalk.rearrange import full_range_series, rearrange_to_limit_set
 from serwalk.seqspace import gen_c0_two_point
 from serwalk.traceio import read_walk_csv, read_walk_jsonl
-from serwalk.walks import (PartialPermutation, build_chainable_walk,
+from serwalk.walks import (PartialPermutation, Walk, build_chainable_walk,
                            build_unbounded_components_walk, build_xwalk,
                            gen_halflines, gen_two_lines, series_to_walk,
                            walk_to_series)
@@ -18,7 +18,7 @@ from serwalk.walks import (PartialPermutation, build_chainable_walk,
 
 def test_partial_permutation_basics():
     tau = PartialPermutation([3, 1, 2])
-    assert len(tau) == 3 and tau(1) == 3
+    assert len(tau) == 3 and tau.images[0] == 3
     assert tau.covers_initial_segment(3)
     assert not tau.covers_initial_segment(4)
 
@@ -95,16 +95,27 @@ def test_halflines_float_mode():
 def test_walk_to_series_is_alternating_and_invertible():
     w = gen_two_lines(3)
     series, sigma = walk_to_series(w)
-    assert series.alternating and series.check_alternating()
+    assert series.check_alternating()
     assert sorted(sigma.images) == list(range(1, len(series.terms) + 1))
     assert series_to_walk(series, sigma, w.anchor) == w.sums
 
 
 def test_walk_to_series_rejects_non_palindromic():
-    from serwalk.walks import Walk
     w = Walk([(F(0),), (F(1),), (F(2),)], [2])
     with pytest.raises(ValueError, match="not an X-walk"):
         walk_to_series(w)
+
+
+@pytest.mark.parametrize("lengths, message", [
+    ([3, -1], "nonnegative ints"),
+    ([2.0], "nonnegative ints"),
+    ([1], "sum to 1, not to the 2 sums"),
+    ([2, 1], "sum to 3, not to the 2 sums"),
+    ([], "sum to 0, not to the 2 sums"),
+], ids=["negative", "float", "short", "long", "none"])
+def test_walk_rejects_phase_lengths_that_do_not_cover_its_sums(lengths, message):
+    with pytest.raises(ValueError, match=message):
+        Walk([(F(0),), (F(1),), (F(0),)], lengths)
 
 
 def test_random_palindromic_round_trips():
