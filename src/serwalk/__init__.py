@@ -24,9 +24,8 @@ from .analysis import (ALL_COMPONENTS_ESCAPE, COMPACT_CONNECTED, VIOLATION,
                        LimitEstimate, cauchy_diagnostic, estimate_limit_set,
                        singleton_convergence_check, verify_dichotomy)
 from .traceio import (read_sample_csv, read_terms_json, read_walk_csv,
-                      read_walk_jsonl, render_scalar, write_sample_csv,
-                      write_terms_json, write_walk_csv, write_walk_jsonl,
-                      write_walk_svg)
+                      read_walk_jsonl, render_scalar, write_terms_json,
+                      write_walk_csv, write_walk_jsonl, write_walk_svg)
 
 __version__ = "0.1.0"
 

@@ -34,7 +34,9 @@ diagnostic scans the upper triangle of a walk's tail, and :func:`gap_graph`
 thresholds each block.  Every distance-threshold question -- gap
 components, epsilon-chains, the merge step of a limit estimate, chain
 building -- is answered by that one gap graph: :func:`gap_path` is its
-breadth-first search.
+breadth-first search.  Chains are built by index: a walk builder knows the
+sample index of every point it joins and asks :func:`gap_path` for the
+indices between them, never looking a point up by its coordinates.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-
-#: points closer than this are considered the same sample element
-MEMBERSHIP_TOL = 1e-12
 
 #: most entries in one block of :func:`distance_blocks` (2 MB of float64)
 BLOCK_ENTRIES = 1 << 18
@@ -102,10 +101,6 @@ def distance(u, v) -> float:
     return norm(sub(u, v))
 
 
-def same_point(u, v) -> bool:
-    return distance(u, v) <= MEMBERSHIP_TOL
-
-
 @dataclass(frozen=True)
 class PointSample:
     """A finite list of points standing in for a (possibly infinite) set."""
@@ -121,12 +116,6 @@ class PointSample:
 
     def __iter__(self):
         return iter(self.points)
-
-    def index_of(self, p) -> Optional[int]:
-        for i, q in enumerate(self.points):
-            if same_point(p, q):
-                return i
-        return None
 
 
 def _as_sample(a) -> PointSample:
@@ -262,13 +251,15 @@ def gap_chainable(a, gap: float, start, end):
     """BFS chain from start to end inside the sample with steps <= gap.
 
     Returns the chain as a list of points, or None when start and end sit in
-    different gap-components.  Raises ValueError when an endpoint is not a
-    sample element.
+    different gap-components.  Raises ValueError when an endpoint is not
+    exactly a sample element.  No library code calls it: the walk builders
+    join indices with :func:`gap_path`.  It stays only while the benchmark
+    traces it by name, and goes with that benchmark change (ROADMAP item 2).
     """
     a = _as_sample(a)
-    si = a.index_of(start)
-    ei = a.index_of(end)
-    if si is None or ei is None:
-        raise ValueError("endpoint not in sample")
+    try:
+        si, ei = a.points.index(start), a.points.index(end)
+    except ValueError:
+        raise ValueError("endpoint not in sample") from None
     path = gap_path(gap_graph(a, gap), si, ei)
     return None if path is None else [a.points[i] for i in path]

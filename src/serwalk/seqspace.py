@@ -10,8 +10,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Mapping
 
+from .core import norm
 from .walks import PartialPermutation, SignedSeries, Walk, build_xwalk
 
 
@@ -23,19 +25,17 @@ class SparseVec:
     float entry is stored exactly and a SparseVec walk is always exact.
     """
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries: Mapping[int, object] | Iterable = ()):
-        items = entries.items() if hasattr(entries, "items") else entries
+    def __init__(self, entries: Mapping[int, object] = MappingProxyType({})):
         clean = {}
-        for i, v in items:
+        for i, v in entries.items():
             if i < 1:
                 raise ValueError("indices are 1-based positive integers")
             v = Fraction(v)
             if v != 0:
                 clean[int(i)] = v
         self.entries = dict(sorted(clean.items()))
-        self._hash = hash(tuple(self.entries.items()))
 
     def __getitem__(self, i: int):
         return self.entries.get(i, 0)
@@ -49,7 +49,7 @@ class SparseVec:
         return isinstance(other, SparseVec) and self.entries == other.entries
 
     def __hash__(self):
-        return self._hash
+        return hash(tuple(self.entries.items()))
 
     def __repr__(self):
         if not self.entries:
@@ -69,7 +69,7 @@ class SparseVec:
         return SparseVec({i: -v for i, v in self.entries.items()})
 
     def sup_norm(self) -> float:
-        return max((abs(float(v)) for v in self.entries.values()), default=0.0)
+        return norm(self)
 
 
 THETA = SparseVec()

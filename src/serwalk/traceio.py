@@ -7,7 +7,11 @@ golden files stay stable.  Sequence-space walks serialize as JSON lines
 ``{"index": n, "phase": p, "entries": {"i": v, ...}}``.  Both readers
 reject a trace whose index runs other than 1, 2, ..., n or whose phase
 goes down.  Sparse entries and dense series terms must be JSON ints or
-finite floats; JSON-line index and phase must be JSON ints.
+finite floats; JSON-line index and phase must be JSON ints.  The readers
+take only what the writers write: a CSV coordinate is a plain decimal in
+the float range (an optional ``-``, digits, an optional ``.digits``), and
+a CSV index or phase, or a sparse key, is an integer as ``str(int)``
+writes it.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
@@ -33,13 +38,45 @@ def render_scalar(x) -> str:
         if not is_dyadic(x):
             x = float(x)
         else:
-            # 1/2^k = 5^k/10^k: scale the numerator to a decimal string
+            # 1/2^k = 5^k/10^k: the numerator times 5^k has k decimals
             k = x.denominator.bit_length() - 1
-            return str(Decimal(x.numerator * 5 ** k).scaleb(-k))
+            if k == 0:
+                return str(x.numerator)
+            digits = str(abs(x.numerator) * 5 ** k).rjust(k + 1, "0")
+            return f"{'-' if x < 0 else ''}{digits[:-k]}.{digits[-k:]}"
     s = repr(float(x))
     if "e" in s or "E" in s:
         s = format(Decimal(s), "f")
     return s
+
+
+#: a CSV coordinate as render_scalar writes it
+_PLAIN_DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
+
+
+def _read_cell(cell: str, where: str) -> Fraction:
+    """A CSV coordinate as an exact Fraction: a plain decimal whose value
+    fits a float, else ValueError.  So ``1/3``, ``1_0`` and `` 1`` are not
+    reinterpreted, and ``1e400`` or ``1e-999999999`` is never expanded."""
+    if _PLAIN_DECIMAL.fullmatch(cell):
+        x = Fraction(cell)
+        try:
+            float(x)
+            return x
+        except OverflowError:
+            pass
+    raise ValueError(f"{where} holds {cell!r:.40}, not a plain decimal in the float range")
+
+
+def _read_int(text: str, where: str) -> int:
+    """An integer written as ``str(int)`` writes it, else ValueError: no
+    sign ``+``, no spaces, no ``_`` and no leading zeros."""
+    try:
+        if str(int(text)) == text:
+            return int(text)
+    except ValueError:
+        pass
+    raise ValueError(f"{where} holds {text!r:.40}, not a plain integer")
 
 
 def _phase_lengths(rows) -> list[int]:
@@ -78,13 +115,14 @@ def read_walk_csv(fp: TextIO) -> Walk:
     dim = len(header) - 2
     sums = []
     rows = []
-    for row in reader:
+    for n, row in enumerate(reader, start=1):
         if not row:
             continue
         if len(row) != dim + 2:
             raise ValueError(f"row width mismatch at index {row[0]}")
-        sums.append(tuple(Fraction(c) for c in row[2:]))
-        rows.append((int(row[0]), int(row[1])))
+        where = f"trace row {n}"
+        sums.append(tuple(_read_cell(c, where) for c in row[2:]))
+        rows.append((_read_int(row[0], where), _read_int(row[1], where)))
     if not sums:
         raise ValueError("empty trace")
     phase_lengths = _phase_lengths(rows)
@@ -119,7 +157,7 @@ def _decode_entries(entries, where: str) -> SparseVec:
     if not isinstance(entries, dict):
         raise ValueError(f"{where} has no entries object")
     _check_numbers(entries.values(), where)
-    return SparseVec({int(i): x for i, x in entries.items()})
+    return SparseVec({_read_int(i, where): x for i, x in entries.items()})
 
 
 def write_walk_jsonl(w: Walk, fp: TextIO) -> None:
@@ -152,16 +190,6 @@ def read_walk_jsonl(fp: TextIO) -> Walk:
     return Walk([SparseVec()] + sums, _phase_lengths(rows))
 
 
-def write_sample_csv(sample: PointSample, fp: TextIO) -> None:
-    if not sample.points:
-        raise ValueError("empty sample")
-    dim = len(sample.points[0])
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow([f"coord_{i}" for i in range(dim)])
-    for p in sample.points:
-        writer.writerow([render_scalar(c) for c in p])
-
-
 def read_sample_csv(fp: TextIO) -> PointSample:
     reader = csv.reader(fp)
     header = next(reader, None)
@@ -173,7 +201,7 @@ def read_sample_csv(fp: TextIO) -> PointSample:
             continue
         if len(row) != len(header):
             raise ValueError(f"row width mismatch at sample row {n}")
-        pts.append(tuple(float(Fraction(c)) for c in row))
+        pts.append(tuple(float(_read_cell(c, f"sample row {n}")) for c in row))
     if not pts:
         raise ValueError("empty sample")
     return PointSample(tuple(pts))

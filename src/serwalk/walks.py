@@ -259,13 +259,6 @@ def gen_halflines(abscissae: Sequence, phases: int) -> Walk:
     return build_xwalk(schedule, step_bounds=bounds)
 
 
-def _chain_between(sample: PointSample, gap: float, a, b):
-    chain = core.gap_chainable(sample, gap, a, b)
-    if chain is None:
-        raise ValueError(f"sample too sparse for gap {gap}")
-    return chain
-
-
 def build_chainable_walk(dense: Sequence, phases: int) -> Walk:
     """Walk converging (in limit-set terms) to the closure of a chainable set.
 
@@ -327,8 +320,11 @@ def build_unbounded_components_walk(components: Sequence[PointSample],
     components, by 2^-k-chains routed via the sphere S(0,R_k): up the source
     component to its point nearest the sphere, along a discretized
     equatorial arc, and down the target component; then the whole phase
-    retraces back to d_1.  Requires ambient dimension >= 2.  The walk is a
-    float walk: component coordinates are converted to float on entry.
+    retraces back to d_1.  Each d_i is the first minimum-norm point of its
+    component, and the chains join sample indices on one gap graph per
+    component and phase, as :func:`build_chainable_walk` does.  Requires
+    ambient dimension >= 2.  The walk is a float walk: component
+    coordinates are converted to float on entry.
     """
     components = [PointSample(tuple(tuple(float(x) for x in p) for p in c),
                               getattr(c, "label", "")) for c in components]
@@ -346,28 +342,35 @@ def build_unbounded_components_walk(components: Sequence[PointSample],
             if max(norm(p) for p in c.points) < radius:
                 raise ValueError(f"component {c.label!r} does not reach radius {radius}")
 
-    reps = [components[i % len(components)] for i in range(phases + 1)]
-    base = [min(c.points, key=norm) for c in reps]
+    n = len(components)
+    pts = [c.points for c in components]
+    base = [min(range(len(p)), key=lambda i: norm(p[i])) for p in pts]
     schedule = []
     bounds = []
     for k in range(1, phases + 1):
         gap = 2.0 ** -k
         radius = float(radii[k - 1])
-        chain = [base[0]]
+        visited = range(min(k + 1, n))  # the components of d_1..d_{k+1}
+        nbrs = [core.gap_graph(pts[c], gap) for c in visited]
+        top = [_nearest_to_radius(pts[c], radius) for c in visited]
+
+        def leg(c, i, j):
+            path = core.gap_path(nbrs[c], i, j)
+            if path is None:
+                raise ValueError(f"sample too sparse for gap {gap} at phase {k}")
+            return [pts[c][m] for m in path[1:]]
+
+        chain = [pts[0][base[0]]]
         for i in range(k):
-            src, dst = reps[i], reps[i + 1]
-            a_s = src.points[_nearest_to_radius(src.points, radius)]
-            a_t = dst.points[_nearest_to_radius(dst.points, radius)]
-            up = _chain_between(src, gap, chain[-1], a_s)
-            chain.extend(up[1:])
-            if src is not dst:
-                chain.extend(_sphere_arc(a_s, a_t, radius, gap))
-                chain.append(a_t)
-            down = _chain_between(dst, gap, a_t, base[i + 1])
-            chain.extend(down[1:])
+            src, dst = i % n, (i + 1) % n
+            chain.extend(leg(src, base[src], top[src]))
+            if src != dst:
+                chain.extend(_sphere_arc(pts[src][top[src]], pts[dst][top[dst]],
+                                         radius, gap))
+                chain.append(pts[dst][top[dst]])
+            chain.extend(leg(dst, top[dst], base[dst]))
         schedule.append(chain)
-        # the hop on/off the sphere can add the radius mismatch of a_s/a_t
-        slack = max(abs(norm(a) - radius) for c in (reps[:k + 1]) for a in
-                    [c.points[_nearest_to_radius(c.points, radius)]])
+        # the hop on/off the sphere can add the radius mismatch of a top point
+        slack = max(abs(norm(pts[c][top[c]]) - radius) for c in visited)
         bounds.append(gap + 2 * slack)
     return build_xwalk(schedule, step_bounds=bounds)

@@ -226,38 +226,69 @@ def _record(entries='{"1": 1}', index="1", phase="1"):
     return f'{{"index": {index}, "phase": {phase}, "entries": {entries}}}\n'
 
 
-@pytest.mark.parametrize("check, name, text", [
+#: each command reads the file whose path is appended to it
+CAUCHY = ("verify", "cauchy", "--input")
+RP_INSTANCE = ("verify", "rp-instance", "--prefix", "2", "--input")
+CHAINABLE = ("generate", "chainable", "--target")
+
+
+def _trace(cell="0", index="1"):
+    return f"index,phase,coord_0\n{index},1,{cell}\n2,1,0\n"
+
+
+def _sample(cell):
+    return f"coord_0,coord_1\n0,0\n{cell},0\n"
+
+
+@pytest.mark.parametrize("command, name, text", [
     # sparse entries: JSON ints (not bools) and finite floats only
-    ("cauchy", "w.jsonl", _record('{"1": "1/3"}')),
-    ("cauchy", "w.jsonl", _record('{"1": true}')),
-    ("cauchy", "w.jsonl", _record('{"1": Infinity}')),
-    ("cauchy", "w.jsonl", _record('{"1": NaN}')),
-    ("cauchy", "w.jsonl", _record('{"1": 1' + "0" * 400 + '}')),
-    ("cauchy", "w.jsonl", _record("[1]")),
+    (CAUCHY, "w.jsonl", _record('{"1": "1/3"}')),
+    (CAUCHY, "w.jsonl", _record('{"1": true}')),
+    (CAUCHY, "w.jsonl", _record('{"1": Infinity}')),
+    (CAUCHY, "w.jsonl", _record('{"1": NaN}')),
+    (CAUCHY, "w.jsonl", _record('{"1": 1' + "0" * 400 + '}')),
+    (CAUCHY, "w.jsonl", _record("[1]")),
     # index and phase: JSON ints, both present
-    ("cauchy", "w.jsonl", _record(phase="1.9")),
-    ("cauchy", "w.jsonl", '{"index": 1, "entries": {"1": 1}}\n'),
-    ("cauchy", "w.jsonl", _record(index="true")),
-    ("cauchy", "w.jsonl", _record() + "[1, 2]\n"),
+    (CAUCHY, "w.jsonl", _record(phase="1.9")),
+    (CAUCHY, "w.jsonl", '{"index": 1, "entries": {"1": 1}}\n'),
+    (CAUCHY, "w.jsonl", _record(index="true")),
+    (CAUCHY, "w.jsonl", _record() + "[1, 2]\n"),
     # series terms: one kind, one dense length, finite numbers, every term
-    ("rp-instance", "t.json", '{"terms": [[NaN, 0.0], [1.0, 0.0]]}'),
-    ("rp-instance", "t.json", '{"terms": [{"1": 1}, [1.0]]}'),
-    ("rp-instance", "t.json", '{"terms": [[1.0], {"1": 1}]}'),
-    ("rp-instance", "t.json", '{"terms": [[1.0, 0.0], [-1.0, 0.0], [0.5]]}'),
-    ("rp-instance", "t.json", '{"terms": [[1.0, 0.0], [-1.0, "0"]]}'),
-    ("rp-instance", "t.json", '{"terms": [{"1": 1}, {"1": "-1"}]}'),
-    ("rp-instance", "t.json", '{"terms": [5]}'),
-    ("rp-instance", "t.json", '{"terms": 5}'),
-    ("rp-instance", "t.json", '{"term": [[1.0]]}'),
+    (RP_INSTANCE, "t.json", '{"terms": [[NaN, 0.0], [1.0, 0.0]]}'),
+    (RP_INSTANCE, "t.json", '{"terms": [{"1": 1}, [1.0]]}'),
+    (RP_INSTANCE, "t.json", '{"terms": [[1.0], {"1": 1}]}'),
+    (RP_INSTANCE, "t.json", '{"terms": [[1.0, 0.0], [-1.0, 0.0], [0.5]]}'),
+    (RP_INSTANCE, "t.json", '{"terms": [[1.0, 0.0], [-1.0, "0"]]}'),
+    (RP_INSTANCE, "t.json", '{"terms": [{"1": 1}, {"1": "-1"}]}'),
+    (RP_INSTANCE, "t.json", '{"terms": [5]}'),
+    (RP_INSTANCE, "t.json", '{"terms": 5}'),
+    (RP_INSTANCE, "t.json", '{"term": [[1.0]]}'),
+    # sparse keys: integers as str(int) writes them
+    (CAUCHY, "w.jsonl", _record('{"1_0": 1}')),
+    (CAUCHY, "w.jsonl", _record('{" 1": 1}')),
+    (CAUCHY, "w.jsonl", _record('{"+1": 1}')),
+    # CSV cells: plain decimals in the float range, as render_scalar writes
+    (CAUCHY, "w.csv", _trace("1/3")),
+    (CAUCHY, "w.csv", _trace("1_0")),
+    (CAUCHY, "w.csv", _trace(" 1")),
+    (CAUCHY, "w.csv", _trace("1e400")),
+    (CAUCHY, "w.csv", _trace("1e-999999999")),
+    (CAUCHY, "w.csv", _trace("1" + "0" * 400)),
+    (CAUCHY, "w.csv", _trace(index="+1")),
+    (CHAINABLE, "s.csv", _sample("1/3")),
+    (CHAINABLE, "s.csv", _sample("1e400")),
 ], ids=["fraction-string", "bool", "infinity", "nan", "huge-int", "entries-list",
         "float-phase", "missing-phase", "bool-index", "not-an-object",
         "dense-nan", "sparse-then-dense", "dense-then-sparse", "ragged-past-prefix",
         "dense-string", "sparse-string", "number-term", "terms-not-a-list",
-        "no-terms-key"])
-def test_malformed_values_are_usage_errors(tmp_path, check, name, text):
+        "no-terms-key", "key-underscore", "key-space", "key-plus",
+        "cell-fraction", "cell-underscore", "cell-space", "cell-exponent",
+        "cell-tiny-exponent", "cell-huge", "csv-index-plus",
+        "sample-fraction", "sample-exponent"])
+def test_malformed_values_are_usage_errors(tmp_path, command, name, text):
     path = tmp_path / name
     path.write_text(text)
-    r = run("verify", check, "--input", str(path), "--prefix", "2")
+    r = run(*command, str(path))
     assert r.returncode == 2, r.stdout
     assert "cannot read" in r.stderr and "Traceback" not in r.stderr
     assert r.stdout == ""

@@ -10,8 +10,7 @@ from serwalk import core
 from serwalk.analysis import cauchy_diagnostic
 from serwalk.core import (PointSample, distance, distance_blocks, float_rows,
                           gap_chainable, gap_components, gap_graph, gap_path,
-                          hausdorff_distance, is_dyadic, norm, point_mode,
-                          same_point)
+                          hausdorff_distance, is_dyadic, norm, point_mode)
 from serwalk.seqspace import THETA, SparseVec, gen_c0_two_point
 from serwalk.walks import Walk
 
@@ -48,8 +47,6 @@ def test_distance_exact_is_exact():
     a = (Fraction(1, 2), Fraction(0))
     b = (Fraction(1), Fraction(0))
     assert distance(a, b) == 0.5
-    assert same_point(a, a)
-    assert not same_point(a, b)
 
 
 def test_hausdorff_against_scipy():
@@ -121,10 +118,9 @@ def test_chainable_iff_same_component(pts, gap):
         for i in comp:
             where[i] = ci
     chain = gap_chainable(sample, gap, pts[0], pts[-1])
-    if where[0] == where[sample.index_of(pts[-1])]:
+    if where[0] == where[pts.index(pts[-1])]:
         assert chain is not None
-        assert same_point(chain[0], pts[0])
-        assert same_point(chain[-1], pts[-1])
+        assert chain[0] == pts[0] and chain[-1] == pts[-1]
         for u, v in zip(chain, chain[1:]):
             assert distance(u, v) <= gap + 1e-12
     else:

@@ -112,3 +112,23 @@ def test_every_default_is_set_by_a_caller():
                        for n, kw in calls.get(callee, ())):
                 unset.append(f"{qualname}({p.name})")
     assert unset == [], unset
+
+
+def _used_names(path) -> set:
+    # every name, attribute and string constant a file uses; a definition
+    # or an import alone is not a use
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)  # e.g. a target the benchmark wraps by name
+    return used
+
+
+def test_every_export_has_a_caller():
+    # an export is public surface: one that no caller uses is dead weight
+    used = set().union(*(_used_names(p) for p in CALLERS if p.name != "__init__.py"))
+    assert [name for name in serwalk.__all__ if name not in used] == []

@@ -5,11 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from serwalk.core import PointSample
 from serwalk.seqspace import SparseVec, gen_c0_two_point, gen_no_rp_series
 from serwalk.traceio import (estimate_report, read_sample_csv,
                              read_terms_json, read_walk_csv, read_walk_jsonl,
-                             render_scalar, write_sample_csv, write_terms_json,
+                             render_scalar, write_terms_json,
                              write_walk_csv, write_walk_jsonl, write_walk_svg)
 from serwalk.walks import Walk, gen_two_lines
 
@@ -29,6 +28,16 @@ def test_parse_scalar_round_trip():
     # traces are read back with Fraction, exactly
     for x in [F(1, 2), F(-7, 64), F(3), F(1, 2 ** 20)]:
         assert F(render_scalar(x)) == x
+
+
+def test_tiny_and_long_dyadics_round_trip_exactly():
+    # a Decimal string would turn 2^-30 into exponent notation, which the
+    # CSV reader rejects, and round 3/2^40 to 28 significant digits
+    w = Walk([(F(0),), (F(1, 2 ** 30),), (F(-3, 2 ** 40),), (F(0),)], [3])
+    buf = io.StringIO()
+    write_walk_csv(w, buf)
+    assert "1,1,0.000000000931322574615478515625\n" in buf.getvalue()
+    assert read_walk_csv(io.StringIO(buf.getvalue())).sums == w.sums
 
 
 def test_walk_csv_round_trip_exact():
@@ -101,12 +110,9 @@ def test_empty_phase_round_trips_byte_identically(text, read, write):
 
 
 def test_sample_csv_round_trip():
-    sample = PointSample(((0.5, -1.25), (2.0, 3.0)))
-    buf = io.StringIO()
-    write_sample_csv(sample, buf)
-    assert buf.getvalue().splitlines()[0] == "coord_0,coord_1"
-    back = read_sample_csv(io.StringIO(buf.getvalue()))
-    assert back.points == sample.points
+    # samples are written by hand: a coord_ header, one row per point
+    back = read_sample_csv(io.StringIO("coord_0,coord_1\n0.5,-1.25\n2,3.0\n"))
+    assert back.points == ((0.5, -1.25), (2.0, 3.0))
     with pytest.raises(ValueError, match="bad sample header"):
         read_sample_csv(io.StringIO("x,y\n1,2\n"))
 

@@ -192,6 +192,34 @@ def test_unbounded_components_walk_touches_radii():
     assert xs == {-1, 1}
 
 
+@pytest.mark.parametrize("components, radii, phases, digest", [
+    (2, [2.0, 3.0, 4.0], 3,
+     "34d6d10f779ae552bf917ecb7eaeba2d614d4cb2490c09740b024b6e1b2ca4e0"),
+    (2, [2.0, 3.0], 2,
+     "789166a1d3514eaff21028bf9ae248af4d715a7901b5d43281f1f0ac60c14979"),
+    (1, [2.0, 3.0, 4.0], 3,
+     "52c9b013efb345e068e81f4b3fab2fe28c499b1e8e74f2a8ed20a9fcd2a2076a"),
+], ids=["c09", "c11", "one-component"])
+def test_unbounded_components_walk_pinned(components, radii, phases, digest):
+    # acceptance c09's and c11's half-line walks and a one-component walk
+    # must stay byte-identical, step bounds and phase lengths included
+    left = PointSample(tuple((-1.0, 0.1 * i) for i in range(42)), "left")
+    right = PointSample(tuple((1.0, 0.1 * i) for i in range(42)), "right")
+    seg = PointSample(tuple((0.0, 0.1 * i) for i in range(60)), "seg")
+    w = build_unbounded_components_walk([left, right] if components == 2 else [seg],
+                                        radii, phases)
+    state = repr((w.sums, w.phase_lengths, w.step_bounds))
+    assert hashlib.sha256(state.encode()).hexdigest() == digest
+
+
+def test_unbounded_components_walk_sparse_component_fails():
+    # steps of 0.3 chain at phase 1's gap 0.5 but not at phase 2's 0.25
+    sparse = PointSample(tuple((0.0, 0.3 * i) for i in range(20)), "sparse")
+    build_unbounded_components_walk([sparse], [2.0], 1)
+    with pytest.raises(ValueError, match="too sparse for gap 0.25 at phase 2"):
+        build_unbounded_components_walk([sparse], [2.0, 3.0], 2)
+
+
 @pytest.mark.parametrize("make, mode", [
     (lambda: gen_two_lines(3), "exact"),
     (lambda: gen_halflines([0, 1, F(7, 2)], 2), "exact"),
