@@ -33,10 +33,13 @@ entries, so memory stays bounded however large the samples are:
 diagnostic scans the upper triangle of a walk's tail, and :func:`gap_graph`
 thresholds each block.  Every distance-threshold question -- gap
 components, epsilon-chains, the merge step of a limit estimate, chain
-building -- is answered by that one gap graph: :func:`gap_path` is its
-breadth-first search.  Chains are built by index: a walk builder knows the
-sample index of every point it joins and asks :func:`gap_path` for the
-indices between them, never looking a point up by its coordinates.
+building, the rearranger's stage tours -- is answered by that one gap
+graph: :func:`gap_path` is its breadth-first search, :func:`gap_tour`
+strings such paths through a list of stops, and :func:`chain_gap` is the
+smallest gap at which the graph is connected.  Chains are built by index:
+a walk builder or the rearranger knows the sample index of every point it
+joins and asks for the indices between them, never looking a point up by
+its coordinates.
 """
 
 from __future__ import annotations
@@ -166,13 +169,18 @@ def distance_blocks(a, b):
     sup = hasattr(_first_point((a, b)), "entries")  # samples never mix spaces
     step = max(1, BLOCK_ENTRIES // max(1, len(rows_b)))
     for lo in range(0, len(rows_a), step):
-        rows = rows_a[lo:lo + step]
-        block = np.zeros((len(rows), len(rows_b)))
-        for col in range(rows.shape[1]):
-            fold_coordinate(block, rows[:, col, None] - rows_b[None, :, col], sup)
-        if not sup:
-            np.sqrt(block, out=block)
-        yield lo, block
+        yield lo, _block(rows_a[lo:lo + step], rows_b, sup)
+
+
+def _block(rows_a: np.ndarray, rows_b: np.ndarray, sup: bool) -> np.ndarray:
+    """The distance matrix between two float row matrices, the kernel of
+    :func:`distance_blocks`."""
+    block = np.zeros((len(rows_a), len(rows_b)))
+    for col in range(rows_a.shape[1]):
+        fold_coordinate(block, rows_a[:, col, None] - rows_b[None, :, col], sup)
+    if not sup:
+        np.sqrt(block, out=block)
+    return block
 
 
 def hausdorff_distance(a, b) -> float:
@@ -225,6 +233,45 @@ def gap_path(nbrs: list[list[int]], i: int, j: int) -> Optional[list[int]]:
     return path[::-1]
 
 
+def gap_tour(nbrs: list[list[int]], stops) -> Optional[list[int]]:
+    """Indices of a tour of a gap graph through the stops in turn, each leg
+    a fewest-hop :func:`gap_path`, or None when a leg has no path.  A stop
+    repeated in place is one zero-length hop, so ``[i, i]`` tours to
+    ``[i, i]``."""
+    tour = [stops[0]]
+    for i, j in zip(stops, stops[1:]):
+        path = gap_path(nbrs, i, j)
+        if path is None:
+            return None
+        tour += path[1:] or [j]
+    return tour
+
+
+def chain_gap(a) -> float:
+    """The smallest gap at which the sample's gap graph is connected: the
+    longest edge of a minimum spanning tree, 0.0 for a single point.
+
+    Prim's algorithm over the kernel of :func:`distance_blocks`, one row of
+    distances per point joined, so memory stays linear in the sample and
+    every distance equals the one :func:`gap_graph` thresholds.
+    """
+    a = _as_sample(a)
+    if not a.points:
+        raise ValueError("empty sample")
+    rows = float_rows(a.points)[0]
+    sup = hasattr(a.points[0], "entries")
+    rest = np.arange(1, len(rows))  # points not yet in the tree
+    near = _block(rows[:1], rows[rest], sup)[0]  # their distance to the tree
+    gap = 0.0
+    while rest.size:
+        k = int(np.argmin(near))
+        gap = max(gap, float(near[k]))
+        u = rest[k]
+        rest, near = np.delete(rest, k), np.delete(near, k)
+        np.minimum(near, _block(rows[u:u + 1], rows[rest], sup)[0], out=near)
+    return gap
+
+
 def gap_components(a, gap: float) -> list[list[int]]:
     """Connected components of the gap graph (edges: distance <= gap).
 
@@ -253,8 +300,8 @@ def gap_chainable(a, gap: float, start, end):
     Returns the chain as a list of points, or None when start and end sit in
     different gap-components.  Raises ValueError when an endpoint is not
     exactly a sample element.  No library code calls it: the walk builders
-    join indices with :func:`gap_path`.  It stays only while the benchmark
-    traces it by name, and goes with that benchmark change (ROADMAP item 2).
+    and the rearranger join indices with :func:`gap_path`.  It stays only while the benchmark
+    traces it by name, and goes with that benchmark change (ROADMAP item 5).
     """
     a = _as_sample(a)
     try:

@@ -2,8 +2,9 @@
 
 ``rearrange_to_limit_set`` mirrors the inductive construction behind
 rearranging a series so its partial sums cluster exactly on a prescribed
-chainable set.  Stage j walks a refined tour of the target, and each hop
-from anchor a to anchor b is one stage step (the ``move`` closure):
+chainable set.  Stage j walks a refined tour of the target, the same
+closed tour over the target's gap graph every stage, and each hop from
+anchor a to anchor b is one stage step (the ``move`` closure):
 (1) append the untouched indices through N(eps_j/2) in order, and at the
 stage hand-off also gather every index skipped so far; (2) select tail
 indices whose sum steers the running total to within the next stage's
@@ -49,7 +50,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import PointSample, add, distance, float_rows, fold_coordinate, norm
+from .core import (PointSample, add, chain_gap, distance, float_rows,
+                   fold_coordinate, gap_graph, gap_tour, norm)
 from .walks import PartialPermutation, Walk
 
 # ---------------------------------------------------------------------------
@@ -277,16 +279,21 @@ def _axis_of(term) -> tuple[int, float]:
         raise ValueError("tail selection needs axis-aligned terms")
     return nz[0] if nz else (-1, 0.0)
 
-def _refined_loop(points: Sequence, hop: float) -> list:
-    """Cyclic tour of the points with linear refinement to steps <= hop."""
-    pts = list(points)
-    if len(pts) == 1:
-        return [pts[0], pts[0]]
-    loop = pts + [pts[0]]
-    out = [loop[0]]
-    for a, b in zip(loop, loop[1:]):
-        d = distance(a, b)
-        n = max(1, math.ceil(d / hop))
+def _chain_tour(points: Sequence) -> list[int]:
+    """Indices of the closed tour 0, 1, ..., n-1, 0 of the sample over its
+    gap graph (see :func:`rearrange_to_limit_set`)."""
+    # at the exact bottleneck, float jitter can drop an edge between
+    # neighbours: on c10's circle one is 5e-17 longer than the spanning
+    # tree's longest edge, and the tour would go the long way round
+    gap = chain_gap(points) * (1 + 1e-9)
+    return gap_tour(gap_graph(points, gap), [*range(len(points)), 0])
+
+def _refined_tour(points: Sequence, tour: Sequence[int], hop: float) -> list:
+    """The tour's points, each edge refined linearly to steps <= hop."""
+    out = [points[tour[0]]]
+    for a, b in zip(tour, tour[1:]):
+        a, b = points[a], points[b]
+        n = max(1, math.ceil(distance(a, b) / hop))
         for i in range(1, n + 1):
             out.append(tuple(ca + (cb - ca) * i / n for ca, cb in zip(a, b)))
     return out
@@ -315,10 +322,20 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     anchor.  The induction states these as min(eps/48, delta(eps/2)/12)
     and min(eps/12, delta(eps/2)/3); with delta(eps) = eps/2 the two terms
     of each min are equal, and for eps = 2^-j, j = 1..59, the plain
-    formulas give bit-identical floats.  Chain refinement interpolates
-    linearly between consecutive sample points, so targets should be
-    samples of sets that are near-convex between neighbours (pitch^2-scale
-    refinement error).
+    formulas give bit-identical floats.
+
+    The tour, computed once per call, visits the sample points in order
+    and returns to the first, each leg a fewest-hop path (``core.gap_tour``)
+    on the gap graph at the sample's ``core.chain_gap`` times 1 + 1e-9.
+    The slack rule: an edge longer than the spanning tree's longest by less
+    than a relative 1e-9, as float jitter makes some edges of a uniform
+    sample, stays a direct hop.  Stage j refines each tour edge of length d
+    linearly into ceil(d / (HOP_FACTOR * eta_j)) equal hops.  Every tour
+    edge is at most the slackened chain gap, so every tour point lies
+    within about chain_gap/2 of the sample, and the partial sums cluster on
+    the tour.  A small chain gap is the sample-level form of the paper's
+    requirement that the target be eps-chainable for every eps > 0; on two
+    disjoint circles it is the bridge between them, which the tour crosses.
 
     The rearrangement is deterministic: ``rng`` is accepted for callers
     that pass one and is unused.
@@ -330,6 +347,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     target = target if isinstance(target, PointSample) else PointSample(tuple(target))
     if not target.points:
         raise ValueError("empty target")
+    tour = _chain_tour(target.points)
     terms = series_prefix
     constants = RPConstants(terms)
     dim = len(terms[0])
@@ -438,7 +456,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     for j in range(1, stages + 1):
         eps = 2.0 ** -j
         eta = _eta(eps)
-        loop = _refined_loop(target.points, HOP_FACTOR * eta)
+        loop = _refined_tour(target.points, tour, HOP_FACTOR * eta)
         start_len = len(buf)
         excursion = 0.0
         for d in loop[1:]:

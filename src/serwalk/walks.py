@@ -264,26 +264,21 @@ def build_chainable_walk(dense: Sequence, phases: int) -> Walk:
 
     Phase i is a 2^(1-i)-chain out-and-back from d_1; so that a finite
     prefix already revisits the whole target every phase, the phase-i chain
-    threads through every dense point (BFS chains between consecutive ones)
-    rather than stopping at d_{i+1}.
+    threads through every dense point (one :func:`core.gap_tour` through
+    them in sample order) rather than stopping at d_{i+1}.
     """
     if phases < 1:
         raise ValueError("phases must be >= 1")
     pts = tuple(dict.fromkeys(dense))  # dedupe, keep order
+    stops = range(len(pts)) if len(pts) > 1 else (0, 0)  # a point stays put
     bounds = []
     schedule = []
     for i in range(1, phases + 1):
         gap = 2.0 ** (1 - i)
-        nbrs = core.gap_graph(pts, gap)
-        chain = [pts[0]]
-        if len(pts) == 1:
-            chain.append(pts[0])
-        for j in range(len(pts) - 1):
-            path = core.gap_path(nbrs, j, j + 1)
-            if path is None:
-                raise ValueError(f"sample too sparse for gap {gap} at phase {i}")
-            chain.extend(pts[k] for k in path[1:])
-        schedule.append(chain)
+        tour = core.gap_tour(core.gap_graph(pts, gap), stops)
+        if tour is None:
+            raise ValueError(f"sample too sparse for gap {gap} at phase {i}")
+        schedule.append([pts[k] for k in tour])
         bounds.append(gap)
     return build_xwalk(schedule, step_bounds=bounds)
 
@@ -330,8 +325,11 @@ def build_unbounded_components_walk(components: Sequence[PointSample],
                               getattr(c, "label", "")) for c in components]
     if phases < 1:
         raise ValueError("phases must be >= 1")
-    if not components or not components[0].points:
+    if not components:
         raise ValueError("empty sample")
+    for c in components:
+        if not c.points:
+            raise ValueError(f"component {c.label!r} is empty")
     dim = len(components[0].points[0])
     if dim < 2:
         raise ValueError("requires dimension >= 2")

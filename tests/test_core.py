@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from serwalk import core
 from serwalk.analysis import cauchy_diagnostic
 from serwalk.core import (PointSample, distance, distance_blocks, float_rows,
-                          gap_chainable, gap_components, gap_graph, gap_path,
-                          hausdorff_distance, is_dyadic, norm, point_mode)
+                          chain_gap, gap_chainable, gap_components, gap_graph,
+                          gap_path, gap_tour, hausdorff_distance, is_dyadic,
+                          norm, point_mode)
 from serwalk.seqspace import THETA, SparseVec, gen_c0_two_point
 from serwalk.walks import Walk
 
@@ -173,6 +174,15 @@ def test_gap_path_on_a_cycle():
     assert gap_path([[], []], 0, 1) is None
 
 
+def test_gap_tour_on_a_cycle():
+    # legs 0->4, 4->3 and 3->0 of the same 5-cycle, each the short way round
+    nbrs = [[1, 2], [0, 4], [0, 3], [2, 4], [1, 3]]
+    assert gap_tour(nbrs, [0, 4, 3, 0]) == [0, 1, 4, 3, 2, 0]
+    assert gap_tour(nbrs, [2, 2]) == [2, 2]  # a stop repeated in place
+    assert gap_tour(nbrs, [3]) == [3]
+    assert gap_tour([[1], [0], []], [0, 1, 2]) is None
+
+
 def test_gap_chainable_endpoint_not_in_sample():
     sample = PointSample(((0.0, 0.0), (1.0, 0.0)))
     with pytest.raises(ValueError, match="endpoint not in sample"):
@@ -248,6 +258,29 @@ def test_sparse_and_dense_layouts_agree(rows, gap):
     assert _matrix(*sparse) == sup
     for pts in (dense[1], sparse[1]):
         assert gap_components(pts, gap) == _brute_components(pts, gap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: dyadic_lists(d, max_size=12)), st.booleans())
+def test_chain_gap_is_the_smallest_connecting_gap(rows, sparse):
+    # the oracle tries every pairwise distance, 0.0 included, in order
+    pts = (as_sparse if sparse else as_dense)(rows)
+    gaps = sorted({distance(u, v) for u in pts for v in pts})
+    assert chain_gap(pts) == next(g for g in gaps if len(gap_components(pts, g)) == 1)
+
+
+def test_chain_gap_examples():
+    assert chain_gap([(0.3, -1.0)]) == 0.0
+    circle = [(math.cos(2 * math.pi * i / 126), math.sin(2 * math.pi * i / 126))
+              for i in range(126)]  # acceptance c10's circle
+    assert chain_gap(circle) == 0.049861383476146826
+    # two radius-0.3 circles centred at (-0.5, 0) and (0.5, 0): the bridge
+    # from (-0.2, 0) to (0.2, 0) is the longest spanning-tree edge
+    two = [(c + 0.3 * math.cos(2 * math.pi * i / 64), 0.3 * math.sin(2 * math.pi * i / 64))
+           for c in (-0.5, 0.5) for i in range(64)]
+    assert chain_gap(two) == 0.4
+    with pytest.raises(ValueError, match="empty sample"):
+        chain_gap([])
 
 
 def test_zero_support_points_have_no_columns():

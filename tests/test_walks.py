@@ -176,6 +176,10 @@ def test_unbounded_components_walk_validation():
     short = PointSample(tuple((0.0, 0.1 * i) for i in range(5)), "short")
     with pytest.raises(ValueError, match="does not reach"):
         build_unbounded_components_walk([short], [2.0], 1)
+    # every component is checked, not only the first
+    for components in ([seg, PointSample((), "empty")], [PointSample((), "empty"), seg]):
+        with pytest.raises(ValueError, match="component 'empty' is empty"):
+            build_unbounded_components_walk(components, [2.0], 1)
 
 
 def test_unbounded_components_walk_touches_radii():
