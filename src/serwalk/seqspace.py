@@ -21,8 +21,10 @@ class SparseVec:
     """Finite map index -> nonzero Fraction, modelling an element of c0.
 
     Immutable and hashable; supports +, - and unary -.  Indices are 1-based
-    positive integers.  Every entry is converted with ``Fraction(v)``, so a
-    float entry is stored exactly and a SparseVec walk is always exact.
+    positive integers.  A ``Fraction`` entry is kept as it is and any other
+    is converted with ``Fraction(v)``, so a float entry is stored exactly and
+    a SparseVec walk is always exact.  Arithmetic builds its result through
+    the trusted constructor ``_clean``, which skips these checks.
     """
 
     __slots__ = ("entries",)
@@ -32,10 +34,19 @@ class SparseVec:
         for i, v in entries.items():
             if i < 1:
                 raise ValueError("indices are 1-based positive integers")
-            v = Fraction(v)
+            if type(v) is not Fraction:
+                v = Fraction(v)
             if v != 0:
                 clean[int(i)] = v
         self.entries = dict(sorted(clean.items()))
+
+    @classmethod
+    def _clean(cls, entries: dict) -> SparseVec:
+        """A SparseVec holding entries as they are: nonzero Fractions under
+        sorted int keys, as the arithmetic below builds them."""
+        vec = object.__new__(cls)
+        vec.entries = entries
+        return vec
 
     def __getitem__(self, i: int):
         return self.entries.get(i, 0)
@@ -59,14 +70,14 @@ class SparseVec:
     def __add__(self, other):
         out = dict(self.entries)
         for i, v in other.entries.items():
-            out[i] = out.get(i, 0) + v
-        return SparseVec(out)
+            out[i] = out[i] + v if i in out else v
+        return SparseVec._clean({i: v for i, v in sorted(out.items()) if v})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return SparseVec({i: -v for i, v in self.entries.items()})
+        return SparseVec._clean({i: -v for i, v in self.entries.items()})
 
     def sup_norm(self) -> float:
         return norm(self)
@@ -203,10 +214,10 @@ def block_vectors(k: int) -> list[SparseVec]:
     vectors of sup norm 2^-k supported on coordinates n_(k-1)+1..n_k."""
     offsets = coordinate_offsets(k)
     family = _vector_family(2 ** k)
-    scale = Fraction(1, 2 ** k)
+    scaled = {1: Fraction(1, 2 ** k), -1: Fraction(-1, 2 ** k)}
     out = []
     for vec in family.vectors:
-        out.append(SparseVec({offsets[k - 1] + j: scale * c
+        out.append(SparseVec({offsets[k - 1] + j: scaled[c]
                               for j, c in enumerate(vec, start=1)}))
     return out
 

@@ -152,12 +152,20 @@ def _check_numbers(values, where: str) -> None:
         raise ValueError(f"{where} holds {x!r:.40}, not a finite number")
 
 
-def _decode_entries(entries, where: str) -> SparseVec:
-    """Inverse of _encode_entries: a SparseVec of exact Fractions."""
+def _decode_entries(entries, where: str, keys: dict, values: dict) -> SparseVec:
+    """Inverse of _encode_entries: a SparseVec of exact Fractions, with each
+    distinct raw key and number parsed once into the reader's memos."""
     if not isinstance(entries, dict):
         raise ValueError(f"{where} has no entries object")
     _check_numbers(entries.values(), where)
-    return SparseVec({_read_int(i, where): x for i, x in entries.items()})
+    clean = {}
+    for i, x in entries.items():
+        if i not in keys:
+            keys[i] = _read_int(i, where)
+        if x not in values:
+            values[x] = Fraction(x)
+        clean[keys[i]] = values[x]
+    return SparseVec(clean)
 
 
 def write_walk_jsonl(w: Walk, fp: TextIO) -> None:
@@ -172,6 +180,8 @@ def write_walk_jsonl(w: Walk, fp: TextIO) -> None:
 def read_walk_jsonl(fp: TextIO) -> Walk:
     sums = []
     rows = []
+    keys: dict = {}
+    values: dict = {}
     for n, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
@@ -183,7 +193,7 @@ def read_walk_jsonl(fp: TextIO) -> Walk:
         if type(index) is not int or type(phase) is not int:
             raise ValueError(f"line {n} has index {index!r:.40} and phase "
                              f"{phase!r:.40}, not two JSON ints")
-        sums.append(_decode_entries(rec.get("entries"), f"line {n}"))
+        sums.append(_decode_entries(rec.get("entries"), f"line {n}", keys, values))
         rows.append((index, phase))
     if not sums:
         raise ValueError("empty trace")
@@ -227,11 +237,13 @@ def read_terms_json(fp: TextIO):
         raise ValueError("no terms")
     kind = _term_kind(terms[0], 1)
     out = []
+    keys: dict = {}
+    values: dict = {}
     for n, t in enumerate(terms, start=1):
         if _term_kind(t, n) != kind:
             raise ValueError(f"term {n} is {_term_kind(t, n)}, term 1 is {kind}")
         if kind == "sparse":
-            out.append(_decode_entries(t, f"term {n}"))
+            out.append(_decode_entries(t, f"term {n}", keys, values))
             continue
         if len(t) != len(terms[0]):
             raise ValueError(f"term {n} has {len(t)} coordinates, "
@@ -242,14 +254,14 @@ def read_terms_json(fp: TextIO):
 
 
 def write_terms_json(terms: Sequence, fp: TextIO) -> None:
-    enc = []
-    for t in terms:
-        if hasattr(t, "entries"):
-            enc.append(_encode_entries(t))
-        else:
-            enc.append([float(c) for c in t])
-    json.dump({"terms": enc}, fp)
-    fp.write("\n")
+    """The bytes of ``json.dump({"terms": [...]})`` and a newline, written
+    one term at a time through ``json.dumps``, whose C encoder ``json.dump``
+    never uses."""
+    fp.write('{"terms": [')
+    for n, t in enumerate(terms):
+        enc = _encode_entries(t) if hasattr(t, "entries") else [float(c) for c in t]
+        fp.write((", " if n else "") + json.dumps(enc))
+    fp.write("]}\n")
 
 
 def estimate_report(est, verdicts: Optional[dict] = None) -> dict:

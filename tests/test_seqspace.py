@@ -3,8 +3,9 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from serwalk.seqspace import (THETA, SparseVec, block_vectors,
+from serwalk.seqspace import (THETA, SparseVec, _vector_family, block_vectors,
                               coordinate_offsets, e,
                               gen_c0_singleton_divergent, gen_c0_two_point,
                               gen_no_rp_series, gen_vector_family,
@@ -134,6 +135,45 @@ def test_block_vectors_scaled_and_shifted():
     for y in ys[1:]:
         total = total + y
     assert total == THETA
+
+
+def _validated(a, b, op):
+    # the result the validating public constructor builds, coordinate by
+    # coordinate
+    return SparseVec({i: op(a[i], b[i]) for i in {*a.entries, *b.entries}})
+
+
+def _is_clean(v):
+    return (all(type(x) is F and x != 0 for x in v.entries.values())
+            and list(v.entries) == sorted(v.entries))
+
+
+# small indices and values, so that keys collide and sums cancel to zero
+sparse_dicts = st.dictionaries(st.integers(1, 12),
+                               st.builds(F, st.integers(-3, 3), st.integers(1, 4)),
+                               max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_dicts, sparse_dicts)
+def test_trusted_arithmetic_matches_the_validating_constructor(da, db):
+    a, b = SparseVec(da), SparseVec(db)
+    for got, want in [(a + b, _validated(a, b, lambda x, y: x + y)),
+                      (a - b, _validated(a, b, lambda x, y: x - y)),
+                      (-a, _validated(a, THETA, lambda x, _: -x))]:
+        assert list(got.entries.items()) == list(want.entries.items())
+        assert _is_clean(got)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_vectors_match_the_multiplied_formula(k):
+    offsets = coordinate_offsets(k)
+    scale = F(1, 2 ** k)
+    want = [SparseVec({offsets[k - 1] + j: scale * c for j, c in enumerate(vec, start=1)})
+            for vec in _vector_family(2 ** k).vectors]
+    got = block_vectors(k)
+    assert [list(y.entries.items()) for y in got] == [list(y.entries.items()) for y in want]
+    assert all(_is_clean(y) for y in got)
 
 
 def test_no_rp_series_alternates_and_cancels():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -5,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from serwalk.seqspace import SparseVec, gen_c0_two_point, gen_no_rp_series
+from serwalk.seqspace import (SparseVec, gen_c0_singleton_divergent,
+                              gen_c0_two_point, gen_no_rp_series)
 from serwalk.traceio import (estimate_report, read_sample_csv,
                              read_terms_json, read_walk_csv, read_walk_jsonl,
                              render_scalar, write_terms_json,
@@ -147,6 +149,67 @@ def test_terms_json_dense_and_sparse():
 def test_read_terms_json_names_the_bad_term(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         read_terms_json(io.StringIO(text))
+
+
+@pytest.mark.parametrize("make, write, digest", [
+    (lambda: gen_no_rp_series(3)[0].terms, write_terms_json,
+     "9bca4e1956ede0d29266de77791a0ceda4c61fb679512e0dfe7e380c94bb3669"),
+    (lambda: gen_no_rp_series(2)[0].terms, write_terms_json,
+     "2abebe592fae129769a03926c6b054ae84f70b7ab3fc3384420b71edc0948456"),
+    (lambda: gen_c0_two_point(9), write_walk_jsonl,
+     "75fa3cfbcf483a0ae5a0992f81618a584fcd15d16b13e89397af17149c813dca"),
+    (lambda: gen_c0_singleton_divergent(9), write_walk_jsonl,
+     "01a5b77598354bb67ce8dbbc533eef9041c00b7551b8b6504b8d07f439dd7959"),
+], ids=["no-rp-3", "no-rp-2", "c0-two-point-9", "c0-singleton-9"])
+def test_sparse_outputs_are_byte_identical_to_their_pins(make, write, digest):
+    # the serwalk generate outputs, pinned by sha256
+    buf = io.StringIO()
+    write(make(), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("terms, enc", [
+    ([(0.5, 0.0), (-0.5, 0)], [[0.5, 0.0], [-0.5, 0.0]]),
+    ([SparseVec({1: F(1, 2), 3: F(-2)}), SparseVec({2: F(3)})],
+     [{"1": 0.5, "3": -2}, {"2": 3}]),
+    ([SparseVec({7: F(-1, 4)})], [{"7": -0.25}]),
+    ([SparseVec({1: F(1)}), SparseVec()], [{"1": 1}, {}]),
+], ids=["dense", "sparse", "one-term", "empty-sparse-term"])
+def test_write_terms_json_writes_what_json_dump_writes(terms, enc):
+    want = io.StringIO()
+    json.dump({"terms": enc}, want)
+    got = io.StringIO()
+    write_terms_json(terms, got)
+    assert got.getvalue() == want.getvalue() + "\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"terms": [{"1": 1}, {"01": 1}]}', "term 2 holds '01', not a plain integer"),
+    ('{"terms": [{"1": 1}, {"1": true}]}', "term 2 holds True, not a finite number"),
+])
+def test_read_terms_json_memos_keep_every_check(text, message):
+    # a key or value already parsed for an earlier term is checked again
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_terms_json(io.StringIO(text))
+
+
+def test_read_terms_json_memos_read_equal_numbers_exactly():
+    back = read_terms_json(io.StringIO(
+        '{"terms": [{"1": 1, "2": 1.0, "3": -0.0}, {"1": 1.0, "2": 0, "3": 1}]}'))
+    assert [list(t.entries.items()) for t in back] == [[(1, F(1)), (2, F(1))],
+                                                       [(1, F(1)), (3, F(1))]]
+    assert all(type(x) is F for t in back for x in t.entries.values())
+
+
+@pytest.mark.parametrize("second, message", [
+    ('{"01": 1}', "line 2 holds '01', not a plain integer"),
+    ('{"1": true}', "line 2 holds True, not a finite number"),
+])
+def test_read_walk_jsonl_memos_keep_every_check(second, message):
+    text = ('{"index": 1, "phase": 1, "entries": {"1": 1}}\n'
+            f'{{"index": 2, "phase": 1, "entries": {second}}}\n')
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_walk_jsonl(io.StringIO(text))
 
 
 def test_estimate_report_shapes():
