@@ -10,12 +10,11 @@ to raw hit counts when the window does not span two phases).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSample, distance, distance_blocks, gap_components, norm
+from .core import PointSample, distance, gap_components, norm, upper_distance_blocks
 from .walks import Walk
 
 #: a grid cell is kept when the walk returns to it in this many phases
@@ -39,15 +38,16 @@ def _snap_key(p, resolution: float):
 def _modal_point(tagged):
     """Exact point recurring in the most distinct phases (ties: raw count,
     then first seen).  Exact walks revisit their limit points bit-for-bit,
-    so the mode shakes off one-shot transients sharing the cell."""
-    phases: dict[object, set[int]] = {}
-    counts: Counter = Counter()
-    order: dict[object, int] = {}
-    for rank, (p, phase_idx) in enumerate(tagged):
-        phases.setdefault(p, set()).add(phase_idx)
-        counts[p] += 1
-        order.setdefault(p, rank)
-    return max(phases, key=lambda p: (len(phases[p]), counts[p], -order[p]))
+    so the mode shakes off one-shot transients sharing the cell.  Each point
+    is hashed once, into one record of its phases and count; the records
+    keep first-seen order, and max keeps the first of equal keys."""
+    records: dict[object, list] = {}  # point -> [phases, count]
+    for p, phase_idx in tagged:
+        rec = records.setdefault(p, [set(), 0])
+        rec[0].add(phase_idx)
+        rec[1] += 1
+    best = max(records.items(), key=lambda item: (len(item[1][0]), item[1][1]))
+    return best[0]
 
 
 def _mean_point(points):
@@ -192,25 +192,27 @@ def cauchy_diagnostic(w: Walk) -> dict:
     offset = len(w.sums) - max(2, math.ceil(TAIL_FRACTION * (len(w.sums) - 1)))
     if offset < 0:
         raise ValueError("tail shorter than 2 points")
-    tail = w.sums[offset:]
-
-    def upper(lo, block):
-        # entries of the block's rows lo, lo + 1, ... with column > row
-        return np.arange(block.shape[1]) > np.arange(lo, lo + len(block))[:, None]
-
-    block_max = [(lo, float(block[upper(lo, block)].max(initial=0.0)))
-                 for lo, block in distance_blocks(tail, tail)]
-    max_gap = max(m for _, m in block_max)
-    # no pair of an earlier block is within 1e-15 of the maximum; the block
-    # step depends only on len(tail), so restarting there keeps the blocks
-    lo0 = next(lo for lo, m in block_max if max_gap - m <= 1e-15)
-    pairs: list[tuple[int, int]] = []
-    for lo, block in distance_blocks(tail[lo0:], tail):
-        lo += lo0
-        rows, cols = np.nonzero(upper(lo, block) & (np.abs(block - max_gap) <= 1e-15))
-        keep = 32 - len(pairs)
-        pairs += [(offset + lo + i, offset + j)
-                  for i, j in zip(rows[:keep].tolist(), cols[:keep].tolist())]
-        if len(pairs) == 32:
-            break
+    # one pass: the running maximum, and for each distance within 1e-15 of
+    # it the first 32 pairs at that distance.  A rise of the maximum drops
+    # only the distances it leaves behind, so the first 32 pairs tying the
+    # final maximum are among those kept, whatever their distances.
+    max_gap = 0.0
+    levels: dict[float, list[tuple[int, int]]] = {}
+    for lo, block in upper_distance_blocks(w.sums[offset:]):
+        top = float(block.max())
+        max_gap = max(max_gap, top)
+        if max_gap - top > 1e-15:
+            continue  # no pair of this block is near the maximum
+        near = np.abs(block - max_gap) <= 1e-15
+        near &= np.arange(block.shape[1]) >= np.arange(len(block))[:, None]
+        rows, cols = np.nonzero(near)
+        found = block[rows, cols]
+        for gap in np.unique(found).tolist():
+            level = levels.setdefault(gap, [])
+            pick = np.flatnonzero(found == gap)[:32 - len(level)]
+            level += zip((offset + lo + rows[pick]).tolist(),
+                         (offset + lo + 1 + cols[pick]).tolist())
+        levels = {gap: level for gap, level in levels.items()
+                  if abs(gap - max_gap) <= 1e-15}
+    pairs = sorted(p for level in levels.values() for p in level)[:32]
     return {"max_gap": max_gap, "gap_pairs": pairs}

@@ -29,9 +29,11 @@ Every all-pairs question is a reduction over one kernel,
 :func:`distance_blocks`, which yields the distance matrix between two
 samples a block of rows at a time, each block at most ``BLOCK_ENTRIES``
 entries, so memory stays bounded however large the samples are:
-:func:`hausdorff_distance` keeps running row and column minima, the Cauchy
-diagnostic scans the upper triangle of a walk's tail, and :func:`gap_graph`
-thresholds each block.  Every distance-threshold question -- gap
+:func:`hausdorff_distance` keeps running row and column minima and
+:func:`gap_graph` thresholds each block.  :func:`upper_distance_blocks`
+runs the same kernel over one sample's pairs i < j only, the columns right
+of each block's first row: the Cauchy diagnostic scans that upper triangle
+of a walk's tail in one pass.  Every distance-threshold question -- gap
 components, epsilon-chains, the merge step of a limit estimate, chain
 building, the rearranger's stage tours -- is answered by that one gap
 graph: :func:`gap_path` is its breadth-first search, :func:`gap_tour`
@@ -172,9 +174,26 @@ def distance_blocks(a, b):
         yield lo, _block(rows_a[lo:lo + step], rows_b, sup)
 
 
+def upper_distance_blocks(a):
+    """The distances of the pairs i < j of sample a as ``(row_offset,
+    block)`` pairs, in row order: ``block[r, c]`` is the distance from
+    ``a[row_offset + r]`` to ``a[row_offset + 1 + c]``, so the pairs i < j
+    are the entries with c >= r.  The rest are the same block's pairs
+    mirrored and zeros (i == j), so a block's maximum is that of its pairs.
+    Each block starts at its first row's right neighbour and holds at most
+    BLOCK_ENTRIES entries, or one row when a row alone is longer."""
+    rows = float_rows(a)[0]
+    sup = hasattr(_first_point((a,)), "entries")
+    lo = 0
+    while lo < len(rows) - 1:
+        step = max(1, BLOCK_ENTRIES // (len(rows) - lo - 1))
+        yield lo, _block(rows[lo:lo + step], rows[lo + 1:], sup)
+        lo += step
+
+
 def _block(rows_a: np.ndarray, rows_b: np.ndarray, sup: bool) -> np.ndarray:
     """The distance matrix between two float row matrices, the kernel of
-    :func:`distance_blocks`."""
+    :func:`distance_blocks` and :func:`upper_distance_blocks`."""
     block = np.zeros((len(rows_a), len(rows_b)))
     for col in range(rows_a.shape[1]):
         fold_coordinate(block, rows_a[:, col, None] - rows_b[None, :, col], sup)

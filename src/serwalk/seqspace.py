@@ -23,8 +23,10 @@ class SparseVec:
     Immutable and hashable; supports +, - and unary -.  Indices are 1-based
     positive integers.  A ``Fraction`` entry is kept as it is and any other
     is converted with ``Fraction(v)``, so a float entry is stored exactly and
-    a SparseVec walk is always exact.  Arithmetic builds its result through
-    the trusted constructor ``_clean``, which skips these checks.
+    a SparseVec walk is always exact.  Arithmetic, the no-RP generator and
+    the sparse trace readers build their vectors through the trusted
+    constructor ``_clean``, which skips these checks: each establishes them
+    itself.
     """
 
     __slots__ = ("entries",)
@@ -188,7 +190,7 @@ def _vector_family(k: int) -> VectorFamily:
     dim = math.comb(2 * k, k)
     if len(patterns) != dim:
         raise RuntimeError(f"{len(patterns)} sign patterns for k={k}, expected {dim}")
-    vectors = [tuple(patterns[j][i] for j in range(dim)) for i in range(2 * k)]
+    vectors = list(zip(*patterns))  # x_i(j) = t_j(i)
     return VectorFamily(k=k, dim=dim, vectors=vectors)
 
 
@@ -209,17 +211,26 @@ def coordinate_offsets(kmax: int) -> list[int]:
     return offsets
 
 
+def _block_pairs(k: int) -> list[tuple[SparseVec, SparseVec]]:
+    """Each block-k vector y_i^(k) with its negative, both built through the
+    trusted ``SparseVec._clean`` from the family's signs.  That is safe: the
+    keys n_(k-1)+1, n_(k-1)+2, ... rise, and every value is one of the two
+    shared nonzero Fractions +-2^-k, looked up by sign, so no entry is
+    converted, checked or negated."""
+    offsets = coordinate_offsets(k)
+    keys = range(offsets[k - 1] + 1, offsets[k] + 1)
+    scaled = {1: Fraction(1, 2 ** k), -1: Fraction(-1, 2 ** k)}
+    flipped = {c: scaled[-c] for c in scaled}
+    return [(SparseVec._clean(dict(zip(keys, map(scaled.__getitem__, vec)))),
+             SparseVec._clean(dict(zip(keys, map(flipped.__getitem__, vec)))))
+            for vec in _vector_family(2 ** k).vectors]
+
+
 def block_vectors(k: int) -> list[SparseVec]:
     """The scaled, coordinate-shifted block-k vectors y_i^(k): 2^(k+1)
-    vectors of sup norm 2^-k supported on coordinates n_(k-1)+1..n_k."""
-    offsets = coordinate_offsets(k)
-    family = _vector_family(2 ** k)
-    scaled = {1: Fraction(1, 2 ** k), -1: Fraction(-1, 2 ** k)}
-    out = []
-    for vec in family.vectors:
-        out.append(SparseVec({offsets[k - 1] + j: scaled[c]
-                              for j, c in enumerate(vec, start=1)}))
-    return out
+    vectors of sup norm 2^-k supported on coordinates n_(k-1)+1..n_k,
+    built through the trusted constructor as :func:`_block_pairs` says."""
+    return [y for y, _ in _block_pairs(k)]
 
 
 def gen_no_rp_series(kmax: int) -> tuple[SignedSeries, PartialPermutation]:
@@ -238,14 +249,12 @@ def gen_no_rp_series(kmax: int) -> tuple[SignedSeries, PartialPermutation]:
     terms: list[SparseVec] = []
     images: list[int] = []
     for k in range(1, kmax + 1):
-        ys = block_vectors(k)
+        pairs = _block_pairs(k)
         offset = len(terms)
-        for y in ys:
-            terms.append(y)
-            terms.append(-y)
-        n_pairs = len(ys)
-        images.extend(offset + 2 * i + 1 for i in range(n_pairs))
-        images.extend(offset + 2 * i + 2 for i in range(n_pairs))
+        for pair in pairs:
+            terms.extend(pair)
+        images.extend(offset + 2 * i + 1 for i in range(len(pairs)))
+        images.extend(offset + 2 * i + 2 for i in range(len(pairs)))
     return SignedSeries(terms), PartialPermutation(images)
 
 

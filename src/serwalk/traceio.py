@@ -11,7 +11,17 @@ finite floats; JSON-line index and phase must be JSON ints.  The readers
 take only what the writers write: a CSV coordinate is a plain decimal in
 the float range (an optional ``-``, digits, an optional ``.digits``), and
 a CSV index or phase, or a sparse key, is an integer as ``str(int)``
-writes it.
+writes it, and a sparse key is at least 1.
+
+Each reader parses every distinct raw spelling once, into a per-file memo:
+CSV cells by their string, sparse keys by their string and sparse values
+by their JSON number.  A memo is keyed by the exact input, so every check
+still runs on every distinct spelling, and the per-value number check runs
+on every entry.  A sparse term or trace row is then built through the
+trusted ``SparseVec._clean``: its keys passed the index check and are
+sorted, and its values are nonzero Fractions, which is all the validating
+constructor would establish.  The writers emit each entry as a JSON int or
+float without going through ``Fraction.__float__``.
 """
 
 from __future__ import annotations
@@ -79,6 +89,14 @@ def _read_int(text: str, where: str) -> int:
     raise ValueError(f"{where} holds {text!r:.40}, not a plain integer")
 
 
+def _read_index(text: str, where: str) -> int:
+    """A sparse key: an integer as ``str(int)`` writes it and at least 1."""
+    i = _read_int(text, where)
+    if i < 1:
+        raise ValueError(f"{where} has index {i}, not a 1-based positive integer")
+    return i
+
+
 def _phase_lengths(rows) -> list[int]:
     """Phase lengths from the (index, phase) of each trace row.
 
@@ -115,18 +133,22 @@ def read_walk_csv(fp: TextIO) -> Walk:
     dim = len(header) - 2
     sums = []
     rows = []
+    cells: dict[str, Fraction] = {}  # raw cell -> its value, read once
     for n, row in enumerate(reader, start=1):
         if not row:
             continue
         if len(row) != dim + 2:
             raise ValueError(f"row width mismatch at index {row[0]}")
         where = f"trace row {n}"
-        sums.append(tuple(_read_cell(c, where) for c in row[2:]))
+        for c in row[2:]:
+            if c not in cells:
+                cells[c] = _read_cell(c, where)
+        sums.append(tuple(map(cells.__getitem__, row[2:])))
         rows.append((_read_int(row[0], where), _read_int(row[1], where)))
     if not sums:
         raise ValueError("empty trace")
     phase_lengths = _phase_lengths(rows)
-    exact = all(is_dyadic(c) for p in sums for c in p)
+    exact = all(map(is_dyadic, cells.values()))
     if not exact:
         sums = [tuple(float(c) for c in p) for p in sums]
     start = tuple([Fraction(0) if exact else 0.0] * dim)
@@ -135,8 +157,10 @@ def read_walk_csv(fp: TextIO) -> Walk:
 
 def _encode_entries(v) -> dict:
     """A SparseVec's entries as JSON: integral values as ints, the rest as
-    floats."""
-    return {str(i): int(x) if x.denominator == 1 else float(x)
+    floats.  The keys stay ints, which ``json.dumps`` writes as the same
+    ``"i"`` strings, and ``numerator / denominator`` is the float that
+    ``float(x)`` gives, without its generic ``numbers.Rational`` method."""
+    return {i: x.numerator if x.denominator == 1 else x.numerator / x.denominator
             for i, x in v.entries.items()}
 
 
@@ -154,18 +178,30 @@ def _check_numbers(values, where: str) -> None:
 
 def _decode_entries(entries, where: str, keys: dict, values: dict) -> SparseVec:
     """Inverse of _encode_entries: a SparseVec of exact Fractions, with each
-    distinct raw key and number parsed once into the reader's memos."""
+    distinct raw key and number parsed once into the reader's memos.
+
+    Every value is checked by _check_numbers and every key, on its memo
+    miss, by _read_int and as an index >= 1; the memo holds only keys that
+    passed, and distinct canonical spellings are distinct ints.  So the
+    result is what the validating ``SparseVec`` constructor would build --
+    nonzero Fractions under sorted int keys -- and is built through the
+    trusted ``SparseVec._clean`` after dropping zeros and sorting the keys
+    when they arrive unsorted."""
     if not isinstance(entries, dict):
         raise ValueError(f"{where} has no entries object")
     _check_numbers(entries.values(), where)
     clean = {}
     for i, x in entries.items():
         if i not in keys:
-            keys[i] = _read_int(i, where)
-        if x not in values:
-            values[x] = Fraction(x)
-        clean[keys[i]] = values[x]
-    return SparseVec(clean)
+            keys[i] = _read_index(i, where)
+        if x:  # a JSON int or float: zero, 0.0 and -0.0 are dropped
+            if x not in values:
+                values[x] = Fraction(x)
+            clean[keys[i]] = values[x]
+    order = list(clean)
+    if order != sorted(order):
+        clean = {i: clean[i] for i in sorted(order)}
+    return SparseVec._clean(clean)
 
 
 def write_walk_jsonl(w: Walk, fp: TextIO) -> None:
@@ -321,8 +357,8 @@ def write_walk_svg(w: Walk, fp: TextIO,
         level += tick
     for (lo, hi), color in zip(w.phase_blocks(),
                                _PALETTE * (len(w.phase_blocks()) // len(_PALETTE) + 1)):
-        pts = w.sums[lo - 1:hi]
-        coords = " ".join(f"{sx(float(p[0])):.2f},{sy(float(p[1])):.2f}" for p in pts)
+        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}"
+                          for x, y in zip(xs[lo - 1:hi], ys[lo - 1:hi]))
         fp.write(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
                  f'points="{coords}"/>\n')
     for p in marks or ():

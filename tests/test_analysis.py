@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from serwalk.analysis import (ALL_COMPONENTS_ESCAPE, COMPACT_CONNECTED,
-                              VIOLATION, LimitEstimate, cauchy_diagnostic,
+                              VIOLATION, LimitEstimate, _modal_point,
+                              cauchy_diagnostic,
                               estimate_limit_set, singleton_convergence_check,
                               verify_dichotomy)
 from serwalk.core import PointSample, distance
@@ -75,6 +76,17 @@ def test_estimate_merge_is_strictly_below_half_resolution():
     assert est.points.points == (near, far)  # exactly resolution / 2 apart
     est = estimate_limit_set(walk, resolution=0.625)
     assert len(est.points) == 1  # 1/4 < 0.625 / 2: the cells merge
+
+
+def test_modal_point_ranks_phases_then_count_then_first_seen():
+    p, q = (F(0),), (F(1, 64),)
+    # two phases beat three hits in one
+    assert _modal_point([(q, 0), (q, 0), (q, 0), (p, 0), (p, 1)]) == p
+    # equal phases: more hits win
+    assert _modal_point([(q, 0), (p, 0), (q, 1), (p, 1), (q, 1)]) == q
+    # equal phases and hits: the first seen wins
+    assert _modal_point([(q, 0), (p, 0), (q, 1), (p, 1)]) == q
+    assert _modal_point([(p, 0), (q, 0), (q, 1), (p, 1)]) == p
 
 
 def test_verify_dichotomy_two_lines_escape():

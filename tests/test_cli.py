@@ -165,6 +165,15 @@ def test_verify_rp_instance_interleaved_blocks(tmp_path):
     assert r.returncode == 0
 
 
+@pytest.mark.parametrize("key", ["0", "-1"])
+def test_verify_rp_instance_names_a_key_below_one(tmp_path, key):
+    terms = tmp_path / "terms.json"
+    terms.write_text(f'{{"terms": [{{"1": 1}}, {{"{key}": 1}}]}}\n')
+    r = run("verify", "rp-instance", "--input", str(terms))
+    assert r.returncode == 2 and r.stdout == ""
+    assert f"term 2 has index {key}, not a 1-based positive integer" in r.stderr
+
+
 def test_verify_missing_input_is_usage_error():
     r = run("verify", "estimate", "--input", "/nonexistent.csv")
     assert r.returncode == 2

@@ -338,6 +338,23 @@ def test_cauchy_witnesses_are_the_first_32_ties(monkeypatch):
     assert got["max_gap"] == 1.0 and len(got["gap_pairs"]) == 32
 
 
+def test_cauchy_witnesses_survive_a_rise_within_the_band(monkeypatch):
+    # pairs at 1, then at b = 1 + 2^-51, then at c = 1 + 5 * 2^-52, each on
+    # its own coordinate so that no cross pair comes near: c - b is within
+    # 1e-15 and c - 1 is not, so the witnesses are the first 32 pairs at b,
+    # found before the maximum rose to c
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", 200)
+    b, c = Fraction(1) + Fraction(1, 2 ** 51), Fraction(1) + Fraction(5, 2 ** 52)
+    tail = [SparseVec({axis: s * half}) for axis, half, reps in
+            [(1, Fraction(1, 2), 20), (2, b / 2, 10), (3, c / 2, 3)]
+            for _ in range(reps) for s in (-1, 1)]
+    sums = [THETA] * 155 + tail
+    got = cauchy_diagnostic(Walk(sums, [len(sums) - 1]))
+    assert got == _cauchy_oracle(sums)
+    assert got["max_gap"] == float(c) and len(got["gap_pairs"]) == 32
+    assert {distance(sums[i], sums[j]) for i, j in got["gap_pairs"]} == {float(b)}
+
+
 def test_hausdorff_memory_is_bounded():
     # the full 4,000 x 4,000 float64 matrix alone would take 128 MB
     rng = np.random.default_rng(4)

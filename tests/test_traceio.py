@@ -5,7 +5,9 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from serwalk import cli
 from serwalk.seqspace import (SparseVec, gen_c0_singleton_divergent,
                               gen_c0_two_point, gen_no_rp_series)
 from serwalk.traceio import (estimate_report, read_sample_csv,
@@ -168,6 +170,26 @@ def test_sparse_outputs_are_byte_identical_to_their_pins(make, write, digest):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, name, digest", [
+    (["generate", "two-lines", "--phases", "7", "--out"], "tl7.csv",
+     "82cb6968ae641cdca8917ba7237c5b1a6a59e90f01663f192778f076cab3bb53"),
+    (["verify", "dichotomy", "--input", "tl7.csv", "--gap", "0.9", "--bound", "4",
+      "--out"], "tl7.report.json",
+     "339e7f2b29e9803e31df412e70a49ba4cd7b6f7e9dda46bdcde1b5349b99ee3b"),
+    (["plot", "--input", "tl7.csv", "--out"], "tl7.svg",
+     "3d9ac45ddf50aa83873505b1a91a6f9d5dc502a067986ce88a150389a6a0dbda"),
+], ids=["generate-two-lines-7", "dichotomy-two-lines-7", "plot-two-lines-7"])
+def test_dense_cli_outputs_are_byte_identical_to_their_pins(tmp_path, monkeypatch,
+                                                            argv, name, digest):
+    # the dense trace, its dichotomy report and its plot, pinned by sha256:
+    # they cover the CSV reader and the modal representatives' tie order
+    monkeypatch.chdir(tmp_path)
+    if name != "tl7.csv":
+        assert cli.main(["generate", "two-lines", "--phases", "7", "--out", "tl7.csv"]) == 0
+    assert cli.main(argv + [name]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("terms, enc", [
     ([(0.5, 0.0), (-0.5, 0)], [[0.5, 0.0], [-0.5, 0.0]]),
     ([SparseVec({1: F(1, 2), 3: F(-2)}), SparseVec({2: F(3)})],
@@ -210,6 +232,62 @@ def test_read_walk_jsonl_memos_keep_every_check(second, message):
             f'{{"index": 2, "phase": 1, "entries": {second}}}\n')
     with pytest.raises(ValueError, match=re.escape(message)):
         read_walk_jsonl(io.StringIO(text))
+
+
+# JSON numbers for sparse values: zeros of every spelling, and equal
+# numbers spelled as an int and as a float
+json_values = st.one_of(st.sampled_from([0, 0.0, -0.0, 1, 1.0, -2, -2.0]),
+                        st.builds(lambda n: n / 4, st.integers(-8, 8)),
+                        st.integers(-3, 3))
+# keys in the order hypothesis draws them, so often unsorted
+raw_entries = st.dictionaries(st.integers(1, 40).map(str), json_values, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(raw_entries, min_size=1, max_size=4))
+def test_sparse_readers_match_the_validating_constructor(terms):
+    want = [SparseVec({int(i): x for i, x in t.items()}) for t in terms]
+    doc = json.dumps({"terms": terms})
+    lines = "".join(json.dumps({"index": n, "phase": 1, "entries": t}) + "\n"
+                    for n, t in enumerate(terms, start=1))
+    for got in (read_terms_json(io.StringIO(doc)),
+                read_walk_jsonl(io.StringIO(lines)).sums[1:]):
+        assert [list(t.entries.items()) for t in got] == [
+            list(t.entries.items()) for t in want]
+        assert all(type(x) is F for t in got for x in t.entries.values())
+
+
+@pytest.mark.parametrize("key", ["0", "-1"])
+@pytest.mark.parametrize("value", ["1", "0"])
+def test_sparse_readers_name_a_key_below_one(key, value):
+    second = f'{{"{key}": {value}}}'
+    with pytest.raises(ValueError, match=f"term 2 has index {key}, not a 1-based"):
+        read_terms_json(io.StringIO(f'{{"terms": [{{"1": 1}}, {second}]}}'))
+    text = ('{"index": 1, "phase": 1, "entries": {"1": 1}}\n'
+            f'{{"index": 2, "phase": 1, "entries": {second}}}\n')
+    with pytest.raises(ValueError, match=f"line 2 has index {key}, not a 1-based"):
+        read_walk_jsonl(io.StringIO(text))
+
+
+@pytest.mark.parametrize("cell", ["1/3", "1e400", " 1"])
+def test_walk_csv_memo_names_the_row_of_a_bad_cell(cell):
+    # the memo holds only cells that passed: a bad one misses it wherever it is
+    rows = "".join(f"{n},1,0.5,-0.25\n" for n in range(1, 201))
+    text = f"index,phase,coord_0,coord_1\n{rows}201,1,0.5,{cell}\n"
+    with pytest.raises(ValueError, match=re.escape(f"trace row 201 holds {cell!r}")):
+        read_walk_csv(io.StringIO(text))
+
+
+def test_walk_csv_memo_reads_each_spelling_exactly():
+    text = "index,phase,coord_0\n1,1,0.5\n2,1,0.50\n3,1,0.5\n"
+    w = read_walk_csv(io.StringIO(text))
+    assert w.mode == "exact" and w.sums[1:] == [(F(1, 2),)] * 3
+    # one non-dyadic decimal after many dyadic repeats makes the walk float
+    text = "index,phase,coord_0\n" + "".join(
+        f"{n},1,0.5\n" for n in range(1, 101)) + "101,1,0.1\n"
+    w = read_walk_csv(io.StringIO(text))
+    assert w.mode == "float" and w.sums[-1] == (0.1,) and w.sums[1] == (0.5,)
+    assert all(type(c) is float for p in w.sums for c in p)
 
 
 def test_estimate_report_shapes():
