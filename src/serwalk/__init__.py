@@ -16,10 +16,10 @@ from .seqspace import (THETA, SparseVec, VectorFamily, block_vectors, e,
                        gen_c0_singleton_divergent, gen_c0_two_point,
                        gen_no_rp_series, gen_vector_family,
                        per_coordinate_profile, sign_patterns)
-from .rearrange import (RPCertificationError, RPConstants, RPWitness,
-                        alternating_harmonic, certify_rp, certify_rp_family,
-                        check_stage_invariants, find_balanced_permutation,
-                        full_range_series, rearrange_to_limit_set)
+from .rearrange import (RPConstants, RPWitness, alternating_harmonic,
+                        certify_rp, certify_rp_family, check_stage_invariants,
+                        find_balanced_permutation, full_range_series,
+                        rearrange_to_limit_set)
 from .analysis import (ALL_COMPONENTS_ESCAPE, COMPACT_CONNECTED, VIOLATION,
                        LimitEstimate, cauchy_diagnostic, estimate_limit_set,
                        singleton_convergence_check, verify_dichotomy)

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import PointSample, distance, gap_components, norm, upper_distance_blocks
 from .walks import Walk
 
@@ -103,12 +101,9 @@ def estimate_limit_set(w: Walk, window_fraction: float = 0.3,
     if len(w.sums) - start < 2:
         raise ValueError("window shorter than 2 points")
     cells: dict[object, list] = {}
-    phase_sets: dict[object, set[int]] = {}
     for phase_idx, (lo, hi) in enumerate(blocks):
         for p in w.sums[lo:hi]:
-            key = _snap_key(p, resolution)
-            cells.setdefault(key, []).append((p, phase_idx))
-            phase_sets.setdefault(key, set()).add(phase_idx)
+            cells.setdefault(_snap_key(p, resolution), []).append((p, phase_idx))
     multi_phase = len(blocks) >= 2
     exact = w.mode == "exact"
 
@@ -118,21 +113,25 @@ def estimate_limit_set(w: Walk, window_fraction: float = 0.3,
         return _mean_point([p for p, _ in tagged])
 
     kept = []
-    for key, pts in cells.items():
-        score = len(phase_sets[key]) if multi_phase else len(pts)
+    for tagged in cells.values():
+        score = len({phase for _, phase in tagged}) if multi_phase else len(tagged)
         if score >= MIN_HITS:
-            kept.append((rep_of(pts), len(pts), pts))
+            kept.append((rep_of(tagged), tagged))
     if not kept:
         return LimitEstimate(PointSample(()), start, resolution, [])
-    # merge representatives that landed strictly closer than resolution/2
-    groups = gap_components([rep for rep, _, _ in kept],
+    # merge representatives that landed strictly closer than resolution/2;
+    # a group of one cell keeps that cell's representative
+    groups = gap_components([rep for rep, _ in kept],
                             math.nextafter(resolution / 2, 0))
     reps, counts = [], []
     for idx in groups:
-        members = [kept[i] for i in idx]
-        merged = [t for _, _, tagged in members for t in tagged]
-        reps.append(rep_of(merged))
-        counts.append(sum(c for _, c, _ in members))
+        if len(idx) == 1:
+            rep, merged = kept[idx[0]]
+        else:
+            merged = [t for i in idx for t in kept[i][1]]
+            rep = rep_of(merged)
+        reps.append(rep)
+        counts.append(len(merged))
     return LimitEstimate(PointSample(tuple(reps)), start, resolution, counts)
 
 
@@ -184,35 +183,14 @@ def cauchy_diagnostic(w: Walk) -> dict:
 
     A convergent walk's tail gap shrinks with the tail; recurring gaps of
     fixed size witness divergence even when the limit set is a singleton.
-    ``max_gap`` is the largest distance between two sums of the tail (the
-    last TAIL_FRACTION of the walk, at least two points), and
-    ``gap_pairs`` holds the first 32 index pairs (i, j), i < j, in (i, j)
-    order, whose distance is within 1e-15 of it.
+    ``max_gap`` is the largest distance between two sums of the tail, the
+    last TAIL_FRACTION of the walk (at least two points): a running maximum
+    from 0.0 over the blocks of the tail's upper triangle.
     """
     offset = len(w.sums) - max(2, math.ceil(TAIL_FRACTION * (len(w.sums) - 1)))
     if offset < 0:
         raise ValueError("tail shorter than 2 points")
-    # one pass: the running maximum, and for each distance within 1e-15 of
-    # it the first 32 pairs at that distance.  A rise of the maximum drops
-    # only the distances it leaves behind, so the first 32 pairs tying the
-    # final maximum are among those kept, whatever their distances.
     max_gap = 0.0
-    levels: dict[float, list[tuple[int, int]]] = {}
-    for lo, block in upper_distance_blocks(w.sums[offset:]):
-        top = float(block.max())
-        max_gap = max(max_gap, top)
-        if max_gap - top > 1e-15:
-            continue  # no pair of this block is near the maximum
-        near = np.abs(block - max_gap) <= 1e-15
-        near &= np.arange(block.shape[1]) >= np.arange(len(block))[:, None]
-        rows, cols = np.nonzero(near)
-        found = block[rows, cols]
-        for gap in np.unique(found).tolist():
-            level = levels.setdefault(gap, [])
-            pick = np.flatnonzero(found == gap)[:32 - len(level)]
-            level += zip((offset + lo + rows[pick]).tolist(),
-                         (offset + lo + 1 + cols[pick]).tolist())
-        levels = {gap: level for gap, level in levels.items()
-                  if abs(gap - max_gap) <= 1e-15}
-    pairs = sorted(p for level in levels.values() for p in level)[:32]
-    return {"max_gap": max_gap, "gap_pairs": pairs}
+    for _, block in upper_distance_blocks(w.sums[offset:]):
+        max_gap = max(max_gap, float(block.max()))
+    return {"max_gap": max_gap}

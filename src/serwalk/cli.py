@@ -84,7 +84,6 @@ def _parse_floats(text):
 
 def cmd_generate(args) -> int:
     name = args.generator
-    sparse = None
     walk = None
     terms = None
     if name == "two-lines":
@@ -103,9 +102,9 @@ def cmd_generate(args) -> int:
         comps = _demo_components(max(radii))
         walk = walks.build_unbounded_components_walk(comps, radii, args.phases)
     elif name == "c0-two-point":
-        walk, sparse = seqspace.gen_c0_two_point(args.phases), True
+        walk = seqspace.gen_c0_two_point(args.phases)
     elif name == "c0-singleton":
-        walk, sparse = seqspace.gen_c0_singleton_divergent(args.phases), True
+        walk = seqspace.gen_c0_singleton_divergent(args.phases)
     elif name == "no-rp":
         series, _ = seqspace.gen_no_rp_series(args.kmax)
         terms = series.terms
@@ -115,10 +114,8 @@ def cmd_generate(args) -> int:
     with _out_stream(args.out) as fp:
         if terms is not None:
             traceio.write_terms_json(terms, fp)
-        elif sparse:
+        elif hasattr(walk.sums[0], "entries"):
             traceio.write_walk_jsonl(walk, fp)
-        elif args.format == "svg":
-            traceio.write_walk_svg(walk, fp)
         else:
             traceio.write_walk_csv(walk, fp)
     _write_manifest(args.out, args)
@@ -263,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--radii")
     g.add_argument("--target")
     g.add_argument("--out")
-    g.add_argument("--format", choices=["csv", "svg"], default="csv")
     g.set_defaults(func=cmd_generate)
 
     r = sub.add_parser("rearrange", help="steer a full-sum-range series onto a target")
@@ -309,10 +305,7 @@ def main(argv=None) -> int:
         # so the flush at exit cannot fail again, as the Python docs advise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return FAIL
-    except UsageError as err:
-        print(str(err), file=sys.stderr)
-        return USAGE
-    except ValueError as err:
+    except (UsageError, ValueError) as err:
         print(str(err), file=sys.stderr)
         return USAGE
 

@@ -32,8 +32,8 @@ entries, so memory stays bounded however large the samples are:
 :func:`hausdorff_distance` keeps running row and column minima and
 :func:`gap_graph` thresholds each block.  :func:`upper_distance_blocks`
 runs the same kernel over one sample's pairs i < j only, the columns right
-of each block's first row: the Cauchy diagnostic scans that upper triangle
-of a walk's tail in one pass.  Every distance-threshold question -- gap
+of each block's first row: the Cauchy diagnostic takes the maximum of that
+upper triangle of a walk's tail.  Every distance-threshold question -- gap
 components, epsilon-chains, the merge step of a limit estimate, chain
 building, the rearranger's stage tours -- is answered by that one gap
 graph: :func:`gap_path` is its breadth-first search, :func:`gap_tour`

@@ -167,11 +167,6 @@ class RPWitness:
     delta: float
     evidence: dict = field(default_factory=dict)
 
-class RPCertificationError(ValueError):
-    def __init__(self, message: str, instance=None):
-        super().__init__(message)
-        self.instance = instance
-
 class RPConstants:
     """The balancing-constant family used by the rearranger:
     N(eps) = first index with term norm <= eps/4, delta(eps) = eps/2.
@@ -223,8 +218,7 @@ def certify_rp(series_prefix: Sequence, epsilon: float,
     """Stress-test the empirical constants N(eps), delta(eps).
 
     Samples random small-sum batches of terms past N(eps) and demands a
-    balanced permutation below eps for each; raises RPCertificationError
-    with the counterexample batch otherwise.
+    balanced permutation below eps for each; raises ValueError otherwise.
     """
     rng = rng or random.Random(20240817)
     constants = RPConstants(series_prefix)
@@ -251,8 +245,7 @@ def certify_rp(series_prefix: Sequence, epsilon: float,
             continue
         order = find_balanced_permutation(instance, epsilon)
         if order is None:
-            raise RPCertificationError(
-                f"RP certification failed at eps={epsilon}", instance)
+            raise ValueError(f"RP certification failed at eps={epsilon}")
         worst = max(worst, _max_prefix_norm(instance, order))
         checked += 1
     return RPWitness(epsilon, n_thr, delta,
@@ -266,7 +259,7 @@ def certify_rp_family(series_prefix: Sequence, epsilons: Sequence[float],
            for eps in sorted(epsilons, reverse=True)]
     for w1, w2 in zip(out, out[1:]):
         if w1.delta < w2.delta or w1.n_threshold > w2.n_threshold:
-            raise RPCertificationError(
+            raise ValueError(
                 f"witnesses not monotone between eps={w1.epsilon} and eps={w2.epsilon}")
     return out
 

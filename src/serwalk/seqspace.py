@@ -50,14 +50,6 @@ class SparseVec:
         vec.entries = entries
         return vec
 
-    def __getitem__(self, i: int):
-        return self.entries.get(i, 0)
-
-    def __iter__(self):
-        # block the implicit __getitem__ iteration protocol, which would
-        # spin forever on the infinite tail of zeros
-        raise TypeError("SparseVec is not iterable; use .entries")
-
     def __eq__(self, other):
         return isinstance(other, SparseVec) and self.entries == other.entries
 
@@ -172,7 +164,8 @@ class VectorFamily:
 
 def sign_patterns(k: int) -> list[tuple[int, ...]]:
     """All length-2k patterns with k entries +1 and k entries -1, in
-    lexicographic order with +1 sorting before -1."""
+    lexicographic order with +1 sorting before -1: the order in which
+    ``combinations`` yields the positions of the +1s."""
     n = 2 * k
     out = []
     for plus_positions in combinations(range(n), k):
@@ -180,8 +173,6 @@ def sign_patterns(k: int) -> list[tuple[int, ...]]:
         for i in plus_positions:
             pat[i] = 1
         out.append(tuple(pat))
-    # +1 < -1 lexicographically: patterns with earlier +1s come first
-    out.sort(key=lambda pat: tuple(0 if c == 1 else 1 for c in pat))
     return out
 
 

@@ -47,14 +47,9 @@ def test_generate_no_rp_terms():
     assert all(set(t.values()) <= {0.5, -0.5} for t in doc["terms"])
 
 
-def test_generate_svg_format():
-    r = run("generate", "two-lines", "--phases", "2", "--format", "svg")
-    assert r.returncode == 0
-    assert r.stdout.startswith("<svg ")
-
-
 @pytest.mark.parametrize("argv, message", [
-    (["generate", "two-lines", "--format", "json"], "invalid choice: 'json'"),
+    # SVG comes only through `plot`
+    (["generate", "two-lines", "--format", "svg"], "unrecognized arguments: --format"),
     (["generate", "two-lines", "--seed", "1"], "unrecognized arguments: --seed"),
     (["plot", "--input", "walk.csv", "--seed", "1"], "unrecognized arguments: --seed"),
     # the rearrangement and the balancing order draw no random numbers

@@ -14,9 +14,9 @@ from serwalk.seqspace import (THETA, SparseVec, _vector_family, block_vectors,
 
 def test_sparsevec_algebra():
     v = e(1) + e(3, F(1, 2))
-    assert v[1] == 1 and v[3] == F(1, 2) and v[2] == 0
+    assert v.entries == {1: 1, 3: F(1, 2)}
     assert v - v == THETA
-    assert (-v)[1] == -1
+    assert (-v).entries == {1: -1, 3: F(-1, 2)}
     assert v.sup_norm() == 1.0
     assert THETA.sup_norm() == 0.0
 
@@ -140,7 +140,8 @@ def test_block_vectors_scaled_and_shifted():
 def _validated(a, b, op):
     # the result the validating public constructor builds, coordinate by
     # coordinate
-    return SparseVec({i: op(a[i], b[i]) for i in {*a.entries, *b.entries}})
+    return SparseVec({i: op(a.entries.get(i, 0), b.entries.get(i, 0))
+                      for i in {*a.entries, *b.entries}})
 
 
 def _is_clean(v):

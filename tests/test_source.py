@@ -2,6 +2,10 @@ import ast
 import importlib
 import inspect
 import math
+import os
+import shutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -132,3 +136,17 @@ def test_every_export_has_a_caller():
     # an export is public surface: one that no caller uses is dead weight
     used = set().union(*(_used_names(p) for p in CALLERS if p.name != "__init__.py"))
     assert [name for name in serwalk.__all__ if name not in used] == []
+
+
+def test_demos_run_and_redraw_the_committed_svgs(tmp_path):
+    # each demo runs from a copy, so the SVGs it writes next to itself land
+    # in tmp_path and must equal the committed ones byte for byte
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        shutil.copy(demo, tmp_path)
+        r = subprocess.run([sys.executable, demo.name], cwd=tmp_path, env=env,
+                           capture_output=True, text=True)
+        assert r.returncode == 0, f"{demo.name}: {r.stderr}"
+    for svg in ("circle.svg", "two_lines.svg"):
+        assert (tmp_path / svg).read_bytes() == (ROOT / "demos" / svg).read_bytes()
