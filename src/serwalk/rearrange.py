@@ -13,24 +13,37 @@ the batch with ``find_balanced_permutation`` so that no prefix leaves the
 eps_j-ball around a.  The step checks its postconditions and raises
 ValueError when one fails.
 
+A stage step costs Python work per move and per index it picks, and numpy
+work per stage: ``push`` only records indices and keeps the running total
+in Python floats, and at the end of a stage one ``np.cumsum`` over the
+series' float64 rows (``RPConstants.rows``) gives the stage's partial
+sums, in the order and to the bit of that running total.  The eps-ball
+check then measures every sum of the stage against its move's start anchor
+in one pass.
+
 The reservoir keeps one queue per axis and sign.  A pick takes the first
 queued index whose magnitude is below twice the error left on that axis,
 and the indices queued before it move, in their order, to the back of the
 queue (one rotate); a queue with no such index is left as it was.  Later
-picks depend on this order.
+picks depend on this order.  Each queue's magnitudes are also kept sorted,
+so a queue that cannot serve a pick is known from its smallest magnitude,
+without a scan.
 
 N(eps) is a bisection over the term norms, which ``RPConstants`` computes
 once, in one pass over the series' float64 rows, and checks to be finite
-and nonincreasing; "norm <= eps/4" is then monotone in the index.
+and nonincreasing; "norm <= eps/4" is then monotone in the index.  The
+stage loop asks for it twice a stage: once for the stage's moves, which
+all use N(eps_j/2), and once for the hand-off.
 
 Balancing orders the batch by one deterministic greedy pass over the
 terms' float64 rows (``core.float_rows``), the same code for dense tuples
 and SparseVecs, and falls back to a complete search for batches of at most
-10 terms.  No randomized pass breaks ties, so a batch of more than 10
-terms with exactly tied scores, where only a tie-broken greedy order stays
-inside the bound, fails with "balancing failed".  No workload, test or
-demo has such a batch; a Steinitz-lemma construction with a proven bound
-is the planned answer for it.
+10 terms; a one-term batch is decided by its norm alone.  No randomized
+pass breaks ties, so a batch of more than 10 terms with exactly tied
+scores, where only a tie-broken greedy order stays inside the bound, fails
+with "balancing failed".  No workload, test or demo has such a batch; a
+Steinitz-lemma construction with a proven bound is the planned answer for
+it.
 
 Balancing constants are certified empirically, not proven: for a series
 with nonincreasing term norms we take N(eps) = first index whose term norm
@@ -132,9 +145,16 @@ def find_balanced_permutation(terms: Sequence, bound: float) -> Optional[list[in
     prefixes in float64, which is exact for dyadic terms (every
     generator's, and every trace read from disk); the complete search sums
     the terms in their own arithmetic.
+
+    A batch of one term is decided by ``core.norm``, which is the greedy
+    pass's first score bit for bit (and the complete search's answer when
+    that score is not below the bound): ``[1]`` when the norm is below the
+    bound, else None.  Most of the rearranger's batches have one term.
     """
     if not terms:
         return []
+    if len(terms) == 1:
+        return [1] if norm(terms[0]) < bound else None
     rows = float_rows(terms)[0]
     sup = hasattr(terms[0], "entries")
     n = len(rows)
@@ -181,10 +201,13 @@ class RPConstants:
     The norms accumulate one coordinate at a time over ``core.float_rows``,
     in the order :func:`core.norm` sums, so each equals ``norm(term)`` bit
     for bit.  A SparseVec series is laid out over the union of its supports.
+    That float64 matrix stays as ``rows``, one row per term, so that the
+    rearranger converts its series once: it adds the stage's partial sums
+    from these rows.
     """
 
     def __init__(self, series: Sequence):
-        rows = float_rows(series)[0]
+        self.rows = rows = float_rows(series)[0]
         sup = bool(len(series)) and hasattr(series[0], "entries")
         norms = np.zeros(len(rows))
         for col in range(rows.shape[1]):
@@ -333,6 +356,17 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     The rearrangement is deterministic: ``rng`` is accepted for callers
     that pass one and is unused.
 
+    The walk's sums are float64 partial sums, tuples of Python floats, as
+    every caller's series is float: each is the left-to-right fold of the
+    float64 terms, ``core.add`` bit for bit on a float series.  A target
+    point with a NaN or infinite coordinate raises ValueError naming it.
+
+    Every sum is checked against the eps_j-ball around its move's start
+    anchor, but once per stage, after the stage's last move: within one
+    stage another failure ("balancing failed", "terminal sum off target",
+    an exhausted prefix) may now be reported before an escape ("prefix
+    escaped its eps-ball") of an earlier move.
+
     Returns (tau, walk, stage_reports).
     """
     if stages < 1:
@@ -340,34 +374,66 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     target = target if isinstance(target, PointSample) else PointSample(tuple(target))
     if not target.points:
         raise ValueError("empty target")
+    for i, p in enumerate(target.points):
+        if not all(math.isfinite(float(c)) for c in p):
+            raise ValueError(f"target point {i} is not finite: {p}")
     tour = _chain_tour(target.points)
     terms = series_prefix
     constants = RPConstants(terms)
+    rows = constants.rows
     dim = len(terms[0])
 
     images: list[int] = []
-    buf: list = []
+    sums = [tuple([0.0] * dim)]
     frontier = 0
-    cur = tuple([0.0] * dim)
+    cur = [0.0] * dim  # the running total: flush's last sum, bit for bit
     # scanned-but-unused indices wait here until the walk swings back their
     # way; sweeping them at every extension instead would feed each move's
     # displacement back into the next one and exhaust the prefix
     reservoir: dict[tuple[int, bool], deque] = {}
+    # each queue's magnitudes, sorted: a take that no queued index can serve
+    # reads the smallest and scans nothing
+    mags: dict[tuple[int, bool], list] = {}
+    # (first image, start anchor) of each move of the current stage
+    marks: list = []
 
     def push(order):
-        nonlocal cur
         for i in order:
-            cur = add(cur, terms[i - 1])
             images.append(i)
-            buf.append(cur)
+            t = terms[i - 1]
+            for ax in range(dim):
+                cur[ax] += t[ax]
+
+    def flush(start):
+        # the partial sums of images[start:], appended to sums and returned
+        # as a matrix: np.cumsum adds in order, so each is the left-to-right
+        # fold from the last sum, and the final one equals cur
+        picked = rows[np.array(images[start:], dtype=np.intp) - 1]
+        block = np.cumsum(np.vstack([sums[-1], picked]), axis=0)[1:]
+        sums.extend(map(tuple, block.tolist()))
+        return block
+
+    def max_excursion(block):
+        # the largest distance from a sum of the stage's block to its move's
+        # start anchor, accumulated as core.distance accumulates it
+        firsts = [m for m, _ in marks] + [len(images)]
+        anchors = np.repeat(np.array([a for _, a in marks], dtype=float),
+                            np.diff(firsts), axis=0)
+        score = np.zeros(len(block))
+        for col in range(dim):
+            fold_coordinate(score, block[:, col] - anchors[:, col], False)
+        return float(np.sqrt(score).max(initial=0.0))
 
     def take(axis, positive, err_abs):
-        q = reservoir.get((axis, positive), ())
-        k = next((k for k, (mag, _) in enumerate(q) if mag < 2 * err_abs), None)
-        if k is None:
+        key = (axis, positive)
+        if not mags.get(key) or not mags[key][0] < 2 * err_abs:
             return None
+        q = reservoir[key]
+        k = next(k for k, (mag, _) in enumerate(q) if mag < 2 * err_abs)
         q.rotate(-k)
-        return q.popleft()
+        got = q.popleft()
+        del mags[key][bisect.bisect_left(mags[key], got[0])]
+        return got
 
     def select(err, tol):
         # greedy Riemann selection: drain the reservoir first, scan past
@@ -393,8 +459,9 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
                 selected.append(frontier)
                 err[ax] -= value
             elif ax >= 0:
-                reservoir.setdefault((ax, value > 0), deque()).append(
-                    (abs(value), frontier))
+                key = (ax, value > 0)
+                reservoir.setdefault(key, deque()).append((abs(value), frontier))
+                bisect.insort(mags.setdefault(key, []), abs(value))
 
     # straight prefix through N(eps_1 / 2), then steer onto the first anchor
     n1 = constants.n_threshold(0.25)
@@ -403,11 +470,13 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     d1 = tuple(float(c) for c in target.points[0])
     base_err = [float(a) - float(b) for a, b in zip(d1, cur)]
     push(select(base_err, _landing_tol(0.5) / 2))
+    flush(0)
 
-    def move(a, b, eps, eps_next, sweep=False):
+    def move(a, b, k0, eps, eps_next, sweep=False):
+        # k0 is max(N(eps/2), N(eps_next/2)), the same for every move of a
+        # stage but its hand-off
         nonlocal frontier
-        start = len(buf)
-        k0 = max(constants.n_threshold(eps / 2), constants.n_threshold(eps_next / 2))
+        marks.append((len(images), a))
         if k0 > frontier:
             # untouched indices up to k0 are consecutive signed pairs; in
             # ascending order their prefixes cancel pairwise, so they need
@@ -424,6 +493,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
                     for ax in range(dim):
                         z[ax] += float(t[ax])
                 q.clear()
+            mags.clear()
         err = [float(bc) - float(cc) - zc for bc, cc, zc in zip(b, cur, z)]
         tol = _landing_tol(eps_next) / 2
         batch.extend(select(err, tol))
@@ -433,37 +503,34 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             if order is None:
                 raise ValueError("RP bound violated at stage: balancing failed")
             push(batch[p - 1] for p in order)
-        excursion = 0.0
-        for s in buf[start:]:
-            d = distance(s, a)
-            excursion = max(excursion, d)
-        if excursion > eps + 1e-9:
-            raise ValueError("prefix escaped its eps-ball")
         if distance(cur, b) > _landing_tol(eps_next) + 1e-9:
             raise ValueError("terminal sum off target")
-        return excursion
 
-    phase_lengths = [len(buf)]
+    phase_lengths = [len(images)]
     reports = []
     prev_anchor = d1
     for j in range(1, stages + 1):
-        eps = 2.0 ** -j
+        eps, eps_next = 2.0 ** -j, 2.0 ** -(j + 1)
         eta = _eta(eps)
         loop = _refined_tour(target.points, tour, HOP_FACTOR * eta)
-        start_len = len(buf)
-        excursion = 0.0
+        start = len(images)
+        marks.clear()
+        k0 = constants.n_threshold(eps / 2)
         for d in loop[1:]:
-            excursion = max(excursion, move(prev_anchor, d, eps, eps))
+            move(prev_anchor, d, k0, eps, eps)
             prev_anchor = d
         # stage handoff: sweep the reservoir so the permutation covers an
         # initial segment, landing within the next stage's tolerance
-        excursion = max(excursion, move(prev_anchor, prev_anchor, eps,
-                                        2.0 ** -(j + 1), sweep=True))
+        n_next = constants.n_threshold(eps_next / 2)
+        move(prev_anchor, prev_anchor, max(k0, n_next), eps, eps_next, sweep=True)
+        excursion = max_excursion(flush(start))
+        if excursion > eps + 1e-9:
+            raise ValueError("prefix escaped its eps-ball")
         pending = [idx for q in reservoir.values() for _, idx in q]
         covered_through = min(pending) - 1 if pending else frontier
-        if covered_through < constants.n_threshold(2.0 ** -(j + 1) / 2):
+        if covered_through < n_next:
             raise ValueError("stage handoff left an early index uncovered")
-        phase_lengths.append(len(buf) - start_len)
+        phase_lengths.append(len(images) - start)
         reports.append({
             "stage": j,
             "k_i": len(images),
@@ -478,8 +545,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         })
 
     tau = PartialPermutation(images)
-    start_pt = tuple([0.0] * dim)
-    walk = Walk([start_pt] + buf, phase_lengths)
+    walk = Walk(sums, phase_lengths)
     return tau, walk, reports
 
 def check_stage_invariants(reports: Sequence[dict], tau: PartialPermutation,

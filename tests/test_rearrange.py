@@ -411,3 +411,53 @@ def test_rearrange_exhausts_short_prefix():
     series = full_range_series(2, 800)
     with pytest.raises(ValueError, match="too short"):
         rearrange_to_limit_set(series, PointSample(((1.0, 1.0),)), 3)
+
+
+@pytest.mark.parametrize("target, name", [
+    (((math.nan, 0.0),), r"target point 0 is not finite: \(nan, 0.0\)"),
+    (((0.5, 0.0), (math.nan, 0.25), (0.0, 0.5)),
+     r"target point 1 is not finite: \(nan, 0.25\)"),
+    (((math.inf, 0.0),), r"target point 0 is not finite: \(inf, 0.0\)"),
+], ids=["nan", "nan-among-finite", "inf"])
+def test_rearrange_rejects_a_non_finite_target_point(target, name):
+    series = full_range_series(2, 1000)
+    with pytest.raises(ValueError, match=name):
+        rearrange_to_limit_set(series, PointSample(target), 1)
+
+
+def test_rearrange_reports_failed_balancing(monkeypatch):
+    monkeypatch.setattr("serwalk.rearrange.find_balanced_permutation",
+                        lambda terms, bound: None)
+    with pytest.raises(ValueError, match="balancing failed"):
+        rearrange_to_limit_set(full_range_series(2, 80000),
+                               PointSample(((-0.4, -0.1),)), 5)
+
+
+def test_rearrange_checks_every_sum_against_its_eps_ball(monkeypatch):
+    # a batch summed with its positive-x terms first runs far right of the
+    # anchor before the rest pull it back
+    def positive_x_first(terms, bound):
+        return sorted(range(1, len(terms) + 1), key=lambda p: not terms[p - 1][0] > 0)
+
+    monkeypatch.setattr("serwalk.rearrange.find_balanced_permutation", positive_x_first)
+    with pytest.raises(ValueError, match="prefix escaped its eps-ball"):
+        rearrange_to_limit_set(full_range_series(2, 80000),
+                               PointSample(((-0.4, -0.1),)), 5)
+
+
+@pytest.mark.parametrize("term, bound, expected", [
+    ((3.0, 4.0), 5.0, None),  # a norm exactly at the bound
+    ((3.0, 4.0), 5.0 + 2 ** -50, [1]),
+    ((math.nan, 0.0), 5.0, None),
+    ((0.0, 0.0), 2 ** -1074, [1]),  # no mass: inside every positive bound
+    ((0.0, 0.0), 0.0, None),
+    (SparseVec({2: Fraction(-3, 4), 5: Fraction(1, 2)}), 0.75, None),
+    (SparseVec({2: Fraction(-3, 4), 5: Fraction(1, 2)}), 0.75 + 2 ** -50, [1]),
+    (SparseVec({2: Fraction(-3, 4)}), math.nan, None),  # a SparseVec holds no NaN
+    (THETA, 2 ** -1074, [1]),  # zero support: no columns at all
+    (THETA, 0.0, None),
+], ids=["dense-at-bound", "dense-inside", "dense-nan", "dense-zero",
+        "dense-zero-at-zero", "sparse-at-bound", "sparse-inside", "sparse-nan-bound",
+        "sparse-zero-support", "sparse-zero-support-at-zero"])
+def test_one_term_balancing(term, bound, expected):
+    assert find_balanced_permutation([term], bound) == expected
