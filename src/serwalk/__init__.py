@@ -17,7 +17,7 @@ from .seqspace import (THETA, SparseVec, VectorFamily, block_vectors, e,
                        gen_no_rp_series, gen_vector_family,
                        per_coordinate_profile, sign_patterns)
 from .rearrange import (RPConstants, RPWitness, alternating_harmonic,
-                        certify_rp, certify_rp_family, check_stage_invariants,
+                        certify_rp_family, check_stage_invariants,
                         find_balanced_permutation, full_range_series,
                         rearrange_to_limit_set)
 from .analysis import (ALL_COMPONENTS_ESCAPE, COMPACT_CONNECTED, VIOLATION,

@@ -90,8 +90,8 @@ def _window_bounds(w: Walk, window_fraction: float) -> tuple[int, list[tuple[int
     return chosen[0][0], chosen
 
 
-def estimate_limit_set(w: Walk, window_fraction: float = 0.3,
-                       resolution: float = 0.1) -> LimitEstimate:
+def estimate_limit_set(w: Walk, resolution: float,
+                       window_fraction: float = 0.3) -> LimitEstimate:
     """Grid-based recurrence estimate of LIM from the walk's late window."""
     if window_fraction <= 0 or window_fraction > 1:
         raise ValueError("window_fraction must be in (0, 1]")

@@ -29,10 +29,8 @@ class UsageError(Exception):
 
 
 def _setup_logging():
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(os.environ.get("SERWALK_LOG", "error"))
-    if level is None:
-        level = logging.ERROR
+    level = {"info": logging.INFO, "debug": logging.DEBUG}.get(
+        os.environ.get("SERWALK_LOG"), logging.ERROR)
     logging.basicConfig(level=level, format="%(levelname)s %(message)s")
 
 
@@ -45,34 +43,35 @@ def _out_stream(path):
             yield fp
 
 
+def _write_json(path, obj, **kw):
+    with _out_stream(path) as fp:
+        json.dump(obj, fp, **kw)
+        fp.write("\n")
+
+
 def _write_manifest(path, args):
     if path in (None, "-"):
         return
     manifest = {k: v for k, v in sorted(vars(args).items())
                 if k != "func" and v is not None}
-    with open(path + ".manifest.json", "w") as fp:
-        json.dump(manifest, fp, indent=1, sort_keys=True)
-        fp.write("\n")
+    _write_json(path + ".manifest.json", manifest, indent=1, sort_keys=True)
 
 
-def _load_walk(path):
+def _read(path, what, reader):
+    """reader(fp) on the opened path; any failure is a usage error naming
+    what the input is (trace, sample or terms) and its path."""
     try:
         with open(path) as fp:
-            head = fp.read(1)
-            fp.seek(0)
-            if head == "{":
-                return traceio.read_walk_jsonl(fp)
-            return traceio.read_walk_csv(fp)
+            return reader(fp)
     except (OSError, ValueError) as err:
-        raise UsageError(f"cannot read trace {path}: {err}") from err
+        raise UsageError(f"cannot read {what} {path}: {err}") from err
 
 
-def _load_sample(path):
-    try:
-        with open(path) as fp:
-            return traceio.read_sample_csv(fp)
-    except (OSError, ValueError) as err:
-        raise UsageError(f"cannot read sample {path}: {err}") from err
+def _read_trace(fp):
+    # a JSONL trace (sparse sums) opens with a record, a CSV trace with its header
+    head = fp.read(1)
+    fp.seek(0)
+    return (traceio.read_walk_jsonl if head == "{" else traceio.read_walk_csv)(fp)
 
 
 def _parse_floats(text):
@@ -95,8 +94,8 @@ def cmd_generate(args) -> int:
     elif name == "chainable":
         if not args.target:
             raise UsageError("chainable needs --target")
-        walk = walks.build_chainable_walk(list(_load_sample(args.target)),
-                                          args.phases)
+        target = _read(args.target, "sample", traceio.read_sample_csv)
+        walk = walks.build_chainable_walk(list(target), args.phases)
     elif name == "unbounded":
         radii = _parse_floats(args.radii) if args.radii else [2.0, 3.0, 4.0]
         comps = _demo_components(max(radii))
@@ -105,11 +104,9 @@ def cmd_generate(args) -> int:
         walk = seqspace.gen_c0_two_point(args.phases)
     elif name == "c0-singleton":
         walk = seqspace.gen_c0_singleton_divergent(args.phases)
-    elif name == "no-rp":
+    else:  # no-rp; argparse admits no other name
         series, _ = seqspace.gen_no_rp_series(args.kmax)
         terms = series.terms
-    else:
-        raise UsageError(f"unknown generator {name!r}")
 
     with _out_stream(args.out) as fp:
         if terms is not None:
@@ -139,7 +136,7 @@ def cmd_rearrange(args) -> int:
         raise UsageError("terms must be >= 1")
     if not args.target:
         raise UsageError("rearrange needs --target")
-    target = _load_sample(args.target)
+    target = _read(args.target, "sample", traceio.read_sample_csv)
     dim = len(target.points[0])
     series = rearrange.full_range_series(dim, args.terms)
     try:
@@ -151,16 +148,12 @@ def cmd_rearrange(args) -> int:
     base = args.out or "rearranged"
     with open(base + ".csv", "w") as fp:
         traceio.write_walk_csv(walk, fp)
-    with open(base + ".perm.json", "w") as fp:
-        json.dump({"images": tau.images}, fp)
-        fp.write("\n")
+    _write_json(base + ".perm.json", {"images": tau.images})
     report = {"stages": reports}
     if len(target.points) == 1:
         check = analysis.singleton_convergence_check(walk, 2.0 ** -args.stages)
         report["convergence"] = check["verdict"]
-    with open(base + ".report.json", "w") as fp:
-        json.dump(report, fp, indent=1)
-        fp.write("\n")
+    _write_json(base + ".report.json", report, indent=1)
     _write_manifest(base, args)
     return PASS
 
@@ -170,74 +163,58 @@ def cmd_rearrange(args) -> int:
 
 def cmd_verify(args) -> int:
     what = args.check
-    if what != "vector-family" and not args.input:
-        raise UsageError(f"verify {what} needs --input")
-    if what == "estimate":
-        walk = _load_walk(args.input)
-        est = analysis.estimate_limit_set(walk, window_fraction=args.window,
-                                          resolution=args.resolution)
-        report = traceio.estimate_report(est)
-        with _out_stream(args.out) as fp:
-            json.dump(report, fp, indent=1)
-            fp.write("\n")
-        return PASS
-    if what == "dichotomy":
-        walk = _load_walk(args.input)
-        est = analysis.estimate_limit_set(walk, window_fraction=args.window,
-                                          resolution=args.resolution)
-        bound = args.bound
-        if bound is None:
-            # an empty estimate is reported by verify_dichotomy
-            bound = max((norm(p) for p in est.points), default=0.0)
-        report = analysis.verify_dichotomy(est, args.gap, bound)
-        out = traceio.estimate_report(est, {"dichotomy": report["verdict"]})
-        with _out_stream(args.out) as fp:
-            json.dump(out, fp, indent=1)
-            fp.write("\n")
-        print(report["verdict"])
-        return FAIL if report["verdict"] == analysis.VIOLATION else PASS
-    if what == "singleton":
-        walk = _load_walk(args.input)
-        res = analysis.singleton_convergence_check(walk, args.tol)
-        print(res["verdict"])
-        return PASS if res["verdict"] != "not-singleton" else FAIL
-    if what == "cauchy":
-        walk = _load_walk(args.input)
-        res = analysis.cauchy_diagnostic(walk)
-        print(json.dumps({"max_gap": res["max_gap"]}))
-        return PASS
     if what == "vector-family":
         fam = seqspace.gen_vector_family(args.k)
         ok = (fam.check_unit_norms() and fam.check_zero_sum()
               and fam.check_prefix_lower_bound())
         print("pass" if ok else "fail")
         return PASS if ok else FAIL
+    if not args.input:
+        raise UsageError(f"verify {what} needs --input")
     if what == "rp-instance":
         if args.prefix < 1:
             raise UsageError("prefix must be >= 1")
-        try:
-            with open(args.input) as fp:
-                terms = traceio.read_terms_json(fp)
-        except (OSError, ValueError) as err:
-            raise UsageError(f"cannot read terms {args.input}: {err}") from err
-        prefix = min(len(terms), args.prefix)
-        order = rearrange.find_balanced_permutation(terms[:prefix], args.epsilon)
+        terms = _read(args.input, "terms", traceio.read_terms_json)
+        order = rearrange.find_balanced_permutation(terms[:args.prefix], args.epsilon)
         if order is None:
             print("no balanced permutation")
             return FAIL
         print(json.dumps({"order": order}))
         return PASS
-    raise UsageError(f"unknown verifier {what!r}")
+    walk = _read(args.input, "trace", _read_trace)
+    if what == "singleton":
+        res = analysis.singleton_convergence_check(walk, args.tol)
+        print(res["verdict"])
+        return PASS if res["verdict"] != "not-singleton" else FAIL
+    if what == "cauchy":
+        print(json.dumps(analysis.cauchy_diagnostic(walk)))
+        return PASS
+    est = analysis.estimate_limit_set(walk, resolution=args.resolution,
+                                      window_fraction=args.window)
+    if what == "estimate":
+        _write_json(args.out, traceio.estimate_report(est), indent=1)
+        return PASS
+    # dichotomy
+    bound = args.bound
+    if bound is None:
+        # an empty estimate is reported by verify_dichotomy
+        bound = max((norm(p) for p in est.points), default=0.0)
+    report = analysis.verify_dichotomy(est, args.gap, bound)
+    _write_json(args.out, traceio.estimate_report(est, {"dichotomy": report["verdict"]}),
+                indent=1)
+    print(report["verdict"])
+    return FAIL if report["verdict"] == analysis.VIOLATION else PASS
 
 
 # ---------------------------------------------------------------------------
 # plot
 
 def cmd_plot(args) -> int:
-    walk = _load_walk(args.input)
+    walk = _read(args.input, "trace", _read_trace)
     if hasattr(walk.sums[0], "entries") or len(walk.sums[0]) != 2:
         raise UsageError("plotting needs a 2-D dense trace")
-    marks = list(_load_sample(args.marks)) if args.marks else None
+    marks = (list(_read(args.marks, "sample", traceio.read_sample_csv))
+             if args.marks else None)
     with _out_stream(args.out) as fp:
         traceio.write_walk_svg(walk, fp, marks=marks)
     return PASS

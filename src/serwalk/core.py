@@ -320,7 +320,7 @@ def gap_chainable(a, gap: float, start, end):
     different gap-components.  Raises ValueError when an endpoint is not
     exactly a sample element.  No library code calls it: the walk builders
     and the rearranger join indices with :func:`gap_path`.  It stays only while the benchmark
-    traces it by name, and goes with that benchmark change (ROADMAP item 5).
+    traces it by name, and goes with that benchmark change (ROADMAP item 1).
     """
     a = _as_sample(a)
     try:

@@ -323,8 +323,7 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#17becf", "#e377c2"]
 
 
-def write_walk_svg(w: Walk, fp: TextIO,
-                   marks: Optional[Sequence] = None) -> None:
+def write_walk_svg(w: Walk, fp: TextIO, marks: Optional[Sequence]) -> None:
     """SVG polyline of a 2-D walk, one color per phase, optional marked
     sample points, with axis tick labels at the integer and half-integer
     levels the trace reaches, on a 480-pixel square."""

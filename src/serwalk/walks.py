@@ -11,7 +11,7 @@ an alternating series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -23,7 +23,7 @@ from .core import PointSample, add, distance, neg, norm, point_mode, sub
 class PartialPermutation:
     """Injective map [1,k] -> N, stored as the 1-based image list."""
 
-    images: list[int] = field(default_factory=list)
+    images: list[int]
 
     def __post_init__(self):
         self._range = set(self.images)

@@ -39,7 +39,7 @@ def _noisy_two_point_walk(n_phases=8, reps=20, seed=4):
 def test_estimate_validation():
     w = gen_c0_two_point(3)
     with pytest.raises(ValueError, match="window_fraction"):
-        estimate_limit_set(w, window_fraction=0.0)
+        estimate_limit_set(w, resolution=0.1, window_fraction=0.0)
     with pytest.raises(ValueError, match="resolution"):
         estimate_limit_set(w, resolution=-1.0)
 

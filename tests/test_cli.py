@@ -134,6 +134,25 @@ def test_verify_vector_family():
     assert r.stdout.strip() == "pass"
 
 
+@pytest.mark.parametrize("generator, stdout", [
+    (["two-lines", "--phases", "6"], '{"max_gap": 5.0990195135927845}\n'),  # sqrt(26)
+    (["c0-singleton", "--phases", "9"], '{"max_gap": 1.0}\n'),
+], ids=["two-lines", "c0-singleton"])
+def test_verify_cauchy_prints_the_diagnostic(tmp_path, generator, stdout):
+    trace = tmp_path / "w"
+    assert run("generate", *generator, "--out", str(trace)).returncode == 0
+    r = run("verify", "cauchy", "--input", str(trace))
+    assert r.returncode == 0 and r.stdout == stdout
+
+
+def test_verify_singleton_divergent_c0_walk(tmp_path):
+    trace = tmp_path / "w.jsonl"
+    assert run("generate", "c0-singleton", "--phases", "9",
+               "--out", str(trace)).returncode == 0
+    r = run("verify", "singleton", "--input", str(trace))
+    assert r.returncode == 0 and r.stdout == "diverges-with-singleton\n"
+
+
 def test_verify_rp_instance_failure_path(tmp_path):
     terms = tmp_path / "terms.json"
     # two aligned unit steps: every order's second prefix reaches norm 2
@@ -169,9 +188,22 @@ def test_verify_rp_instance_names_a_key_below_one(tmp_path, key):
     assert f"term 2 has index {key}, not a 1-based positive integer" in r.stderr
 
 
-def test_verify_missing_input_is_usage_error():
-    r = run("verify", "estimate", "--input", "/nonexistent.csv")
-    assert r.returncode == 2
+@pytest.mark.parametrize("argv, kind", [
+    (["verify", "estimate", "--input"], "trace"),
+    (["rearrange", "--target"], "sample"),
+    (["generate", "chainable", "--target"], "sample"),
+    (["plot", "--input", "{trace}", "--marks"], "sample"),
+    (["verify", "rp-instance", "--input"], "terms"),
+], ids=["trace", "rearrange-target", "chainable-target", "plot-marks", "terms"])
+def test_unreadable_input_is_a_usage_error(tmp_path, argv, kind):
+    # every input goes through one reader, whose message names the input's
+    # kind and path; the missing file is appended to the command
+    trace = tmp_path / "w.csv"
+    trace.write_text("index,phase,coord_0,coord_1\n1,1,0,0\n2,1,1,0\n")
+    missing = tmp_path / "missing"
+    r = run(*(a.format(trace=trace) for a in argv), str(missing))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith(f"cannot read {kind} {missing}: ")
 
 
 @pytest.mark.parametrize("check", ["estimate", "dichotomy", "singleton", "cauchy",

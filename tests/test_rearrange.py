@@ -12,8 +12,7 @@ from serwalk.analysis import estimate_limit_set
 from serwalk.core import PointSample, chain_gap, distance, hausdorff_distance, norm
 from serwalk.rearrange import (HOP_FACTOR, RPConstants, _chain_tour, _eta,
                                _refined_tour, alternating_harmonic,
-                               certify_rp, certify_rp_family,
-                               check_stage_invariants,
+                               certify_rp_family, check_stage_invariants,
                                find_balanced_permutation, full_range_series,
                                rearrange_to_limit_set)
 from serwalk.seqspace import THETA, SparseVec, block_vectors
@@ -229,8 +228,8 @@ def test_rp_constants_sparse_norms_equal_core_norm():
 
 def test_certify_rp_witness_fields():
     series = alternating_harmonic(2000)
-    wit = certify_rp(series, 1.0, instance_budget=100,
-                     rng=random.Random(5))
+    [wit] = certify_rp_family(series, [1.0], instance_budget=100,
+                              rng=random.Random(5))
     assert wit.n_threshold == 4 and wit.delta == 0.5
     assert wit.evidence["instances"] == 100
     assert wit.evidence["max_prefix_norm"] < 1.0
@@ -253,7 +252,7 @@ def test_certify_rp_family_is_monotone():
      "0debadd546c27f91b9b89d6a3ee544bc0e3f8cfa034b00466955758592b7cd1a"),
 ], ids=["harmonic", "planar"])
 def test_certify_rp_family_pinned(series, digest):
-    # acceptance c12's witnesses: certify_rp draws its batches from rng, so
+    # acceptance c12's witnesses: certify_rp_family draws its batches from rng, so
     # any change to how much of the stream it consumes changes the digest
     fam = certify_rp_family(series, [1.0, 0.5, 0.25], instance_budget=500,
                             rng=random.Random(20240817))
@@ -263,7 +262,8 @@ def test_certify_rp_family_pinned(series, digest):
 
 def test_certify_rp_short_prefix_raises():
     with pytest.raises(ValueError, match="too short"):
-        certify_rp(alternating_harmonic(12), 1.0)
+        certify_rp_family(alternating_harmonic(12), [1.0], instance_budget=500,
+                          rng=random.Random(20240817))
 
 
 def test_rearrange_small_segment_target():

@@ -98,10 +98,10 @@ def _calls_by_name():
     return calls
 
 
-def test_every_default_is_set_by_a_caller():
-    # a default that no caller ever changes is a constant in disguise
+def _defaults():
+    # (name, parameter, its position after self, calls of its callee) for
+    # every defaulted parameter of the library
     calls = _calls_by_name()
-    unset = []
     for qualname, obj in _library_callables():
         parts = qualname.split(".")
         callee = parts[2] if parts[-1] == "__init__" else parts[-1]
@@ -109,13 +109,29 @@ def test_every_default_is_set_by_a_caller():
         if len(parts) == 4:
             params = params[1:]  # self is bound by the call
         for k, p in enumerate(params):
-            if p.default is p.empty:
-                continue
-            by_position = p.kind is not p.KEYWORD_ONLY
-            if not any(None in kw or p.name in kw or (by_position and k < n)
-                       for n, kw in calls.get(callee, ())):
-                unset.append(f"{qualname}({p.name})")
+            if p.default is not p.empty:
+                yield f"{qualname}({p.name})", p, k, calls.get(callee, ())
+
+
+def _sets(p, k, call) -> bool:
+    n, keywords = call
+    by_position = p.kind is not p.KEYWORD_ONLY
+    return None in keywords or p.name in keywords or (by_position and k < n)
+
+
+def test_every_default_is_set_by_a_caller():
+    # a default that no caller ever changes is a constant in disguise
+    unset = [name for name, p, k, calls in _defaults()
+             if not any(_sets(p, k, call) for call in calls)]
     assert unset == [], unset
+
+
+def test_every_default_is_used_by_a_caller():
+    # a default that every caller overrides is a required parameter in
+    # disguise: some call must leave it out
+    always_set = [name for name, p, k, calls in _defaults()
+                  if all(_sets(p, k, call) for call in calls)]
+    assert always_set == [], always_set
 
 
 def _used_names(path) -> set:

@@ -311,7 +311,7 @@ def test_svg_output():
     assert 'fill="white"' in svg
     assert ">0.5<" in svg  # half-integer tick label
     with pytest.raises(ValueError, match="2-D"):
-        write_walk_svg(Walk([(0.0,), (1.0,)], [1]), io.StringIO())
+        write_walk_svg(Walk([(0.0,), (1.0,)], [1]), io.StringIO(), marks=None)
 
 
 @pytest.mark.parametrize("text", [
