@@ -134,8 +134,8 @@ def cmd_rearrange(args) -> int:
         raise UsageError("stages must be >= 1")
     if args.terms < 1:
         raise UsageError("terms must be >= 1")
-    if not args.target:
-        raise UsageError("rearrange needs --target")
+    if args.out == "-":
+        raise UsageError("rearrange writes files under a base name: --out - is not one")
     target = _read(args.target, "sample", traceio.read_sample_csv)
     dim = len(target.points[0])
     series = rearrange.full_range_series(dim, args.terms)

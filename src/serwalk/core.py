@@ -15,15 +15,15 @@ One norm per space: a dense tuple is a point of R^m and is measured in the
 Euclidean norm (every norm on R^m is equivalent, so one serves all of the
 paper's R^m statements); a SparseVec is a point of c0 and is measured in
 the sup norm, the norm c0 carries.  :func:`norm` reads the space off the
-point, and the matrix kernels read it once off a sample's first point, so
+point, and :func:`float_rows` decides it once for every matrix kernel, so
 no caller chooses a norm.
 
 :func:`float_rows` is the one place where points become float
-coordinates: it lays dense and sparse samples out as float64 matrices over
-shared columns, and the distance kernel and the greedy balancer both work
-on those matrices.  Float64 is exact for dyadic coordinates of moderate
-size, which covers every generator and every trace read from disk, so
-measuring on the matrix gives the same answer as the exact points.
+coordinates: it returns the samples' space and their float64 matrices
+over shared columns, and every matrix kernel works on those.  Float64 is
+exact for dyadic coordinates of moderate size, which covers every
+generator and every trace read from disk, so measuring on the matrix
+gives the same answer as the exact points.
 
 Every all-pairs question is a reduction over one kernel,
 :func:`distance_blocks`, which yields the distance matrix between two
@@ -36,12 +36,13 @@ of each block's first row: the Cauchy diagnostic takes the maximum of that
 upper triangle of a walk's tail.  Every distance-threshold question -- gap
 components, epsilon-chains, the merge step of a limit estimate, chain
 building, the rearranger's stage tours -- is answered by that one gap
-graph: :func:`gap_path` is its breadth-first search, :func:`gap_tour`
-strings such paths through a list of stops, and :func:`chain_gap` is the
-smallest gap at which the graph is connected.  Chains are built by index:
-a walk builder or the rearranger knows the sample index of every point it
-joins and asks for the indices between them, never looking a point up by
-its coordinates.
+graph and one breadth-first search of it: :func:`gap_path` and
+:func:`gap_components` run that search, :func:`gap_tour` strings paths
+through a list of stops, and :func:`chain_gap` is the smallest gap at
+which the graph is connected.  Chains are built by index: a walk builder
+or the rearranger knows the sample index of every point it joins and asks
+for the indices between them, never looking a point up by its
+coordinates.
 """
 
 from __future__ import annotations
@@ -123,22 +124,24 @@ class PointSample:
         return iter(self.points)
 
 
-def _as_sample(a) -> PointSample:
-    return a if isinstance(a, PointSample) else PointSample(tuple(a))
+def _points(a) -> tuple:
+    points = tuple(a)  # a PointSample or a sequence of points
+    if not points:
+        raise ValueError("empty sample")
+    return points
 
 
-def _first_point(samples):
-    return next((s[0] for s in samples if len(s)), ())
-
-
-def float_rows(*samples) -> list[np.ndarray]:
-    """Each sample as a float64 matrix, one row per point, all over the
-    same columns: a dense point's coordinates, or for SparseVecs the sorted
-    union of every sample's supports (zero-support vectors alone give no
-    columns)."""
-    first = _first_point(samples)
+def float_rows(*samples) -> tuple[bool, list[np.ndarray]]:
+    """``(sup, matrices)``: whether the samples lie in c0, measured in the
+    sup norm (samples never mix spaces), and each sample as a float64
+    matrix, one row per point, all over the same columns: a dense point's
+    coordinates, or for SparseVecs the sorted union of every sample's
+    supports (zero-support vectors alone give no columns).  Empty samples
+    alone are dense, 0x0."""
+    first = next((s[0] for s in samples if len(s)), ())
     if not hasattr(first, "entries"):
-        return [np.array(s, dtype=float).reshape(len(s), len(first)) for s in samples]
+        return False, [np.array(s, dtype=float).reshape(len(s), len(first))
+                       for s in samples]
     support = sorted({i for s in samples for p in s for i in p.entries})
     column = {i: k for k, i in enumerate(support)}
     out = []
@@ -148,7 +151,7 @@ def float_rows(*samples) -> list[np.ndarray]:
             for i, v in p.entries.items():
                 rows[r, column[i]] = float(v)
         out.append(rows)
-    return out
+    return True, out
 
 
 def fold_coordinate(acc: np.ndarray, d: np.ndarray, sup: bool) -> None:
@@ -167,8 +170,7 @@ def distance_blocks(a, b):
     entries, or one row when a row alone is longer.  Distances accumulate
     one coordinate at a time, in the norm of the samples' space, so they
     equal :func:`distance` on dyadic points."""
-    rows_a, rows_b = float_rows(a, b)
-    sup = hasattr(_first_point((a, b)), "entries")  # samples never mix spaces
+    sup, (rows_a, rows_b) = float_rows(a, b)
     step = max(1, BLOCK_ENTRIES // max(1, len(rows_b)))
     for lo in range(0, len(rows_a), step):
         yield lo, _block(rows_a[lo:lo + step], rows_b, sup)
@@ -182,8 +184,7 @@ def upper_distance_blocks(a):
     mirrored and zeros (i == j), so a block's maximum is that of its pairs.
     Each block starts at its first row's right neighbour and holds at most
     BLOCK_ENTRIES entries, or one row when a row alone is longer."""
-    rows = float_rows(a)[0]
-    sup = hasattr(_first_point((a,)), "entries")
+    sup, (rows,) = float_rows(a)
     lo = 0
     while lo < len(rows) - 1:
         step = max(1, BLOCK_ENTRIES // (len(rows) - lo - 1))
@@ -204,11 +205,9 @@ def _block(rows_a: np.ndarray, rows_b: np.ndarray, sup: bool) -> np.ndarray:
 
 def hausdorff_distance(a, b) -> float:
     """Symmetric Hausdorff distance between two finite samples."""
-    a, b = _as_sample(a), _as_sample(b)
-    if not a.points or not b.points:
-        raise ValueError("empty sample")
+    a, b = _points(a), _points(b)
     row_max, col_min = 0.0, np.full(len(b), np.inf)
-    for _, block in distance_blocks(a.points, b.points):
+    for _, block in distance_blocks(a, b):
         row_max = max(row_max, block.min(axis=1).max())
         np.minimum(col_min, block.min(axis=0), out=col_min)
     return float(max(row_max, col_min.max()))
@@ -217,11 +216,9 @@ def hausdorff_distance(a, b) -> float:
 def gap_graph(a, gap: float) -> list[list[int]]:
     """Neighbour lists of the gap graph (edges: distance <= gap): ``nbrs[i]``
     holds, in index order, every other index within ``gap`` of point i."""
-    a = _as_sample(a)
-    if not a.points:
-        raise ValueError("empty sample")
+    a = _points(a)
     nbrs = []
-    for lo, block in distance_blocks(a.points, a.points):
+    for lo, block in distance_blocks(a, a):
         adj = block <= gap
         rows = np.arange(len(adj))
         adj[rows, lo + rows] = False  # no self-edges
@@ -229,21 +226,25 @@ def gap_graph(a, gap: float) -> list[list[int]]:
     return nbrs
 
 
-def gap_path(nbrs: list[list[int]], i: int, j: int) -> Optional[list[int]]:
-    """Fewest-hop path of indices from i to j in a gap graph, or None.
-
-    Breadth-first with neighbours in index order, so equal graphs give
-    equal paths.
-    """
+def _reach(nbrs: list[list[int]], i: int, stop: Optional[int]) -> dict[int, int]:
+    """``{reached index: parent}`` of a breadth-first search from i (its
+    own parent), neighbours in index order, ending once ``stop`` (None:
+    never) is reached; equal graphs give equal answers."""
     prev = {i: i}
     queue = [i]
     for u in queue:  # the queue grows while it is read
-        if j in prev:
+        if stop in prev:
             break
         for v in nbrs[u]:
             if v not in prev:
                 prev[v] = u
                 queue.append(v)
+    return prev
+
+
+def gap_path(nbrs: list[list[int]], i: int, j: int) -> Optional[list[int]]:
+    """Fewest-hop path of indices from i to j in a gap graph, or None."""
+    prev = _reach(nbrs, i, j)
     if j not in prev:
         return None
     path = [j]
@@ -274,11 +275,7 @@ def chain_gap(a) -> float:
     distances per point joined, so memory stays linear in the sample and
     every distance equals the one :func:`gap_graph` thresholds.
     """
-    a = _as_sample(a)
-    if not a.points:
-        raise ValueError("empty sample")
-    rows = float_rows(a.points)[0]
-    sup = hasattr(a.points[0], "entries")
+    sup, (rows,) = float_rows(_points(a))
     rest = np.arange(1, len(rows))  # points not yet in the tree
     near = _block(rows[:1], rows[rest], sup)[0]  # their distance to the tree
     gap = 0.0
@@ -300,16 +297,9 @@ def gap_components(a, gap: float) -> list[list[int]]:
     nbrs = gap_graph(a, gap)
     blocks, seen = [], set()
     for i in range(len(nbrs)):
-        if i in seen:
-            continue
-        seen.add(i)
-        block = [i]
-        for u in block:  # the block grows while it is read
-            for v in nbrs[u]:
-                if v not in seen:
-                    seen.add(v)
-                    block.append(v)
-        blocks.append(sorted(block))
+        if i not in seen:
+            blocks.append(sorted(_reach(nbrs, i, None)))
+            seen.update(blocks[-1])
     return blocks
 
 
@@ -322,10 +312,10 @@ def gap_chainable(a, gap: float, start, end):
     and the rearranger join indices with :func:`gap_path`.  It stays only while the benchmark
     traces it by name, and goes with that benchmark change (ROADMAP item 1).
     """
-    a = _as_sample(a)
+    points = tuple(a)
     try:
-        si, ei = a.points.index(start), a.points.index(end)
+        si, ei = points.index(start), points.index(end)
     except ValueError:
         raise ValueError("endpoint not in sample") from None
-    path = gap_path(gap_graph(a, gap), si, ei)
-    return None if path is None else [a.points[i] for i in path]
+    path = gap_path(gap_graph(points, gap), si, ei)
+    return None if path is None else [points[i] for i in path]

@@ -10,8 +10,9 @@ stage hand-off also gather every index skipped so far; (2) select tail
 indices whose sum steers the running total to within the next stage's
 slack of b, parking scanned-but-unused indices in a reservoir; (3) order
 the batch with ``find_balanced_permutation`` so that no prefix leaves the
-eps_j-ball around a.  The step checks its postconditions and raises
-ValueError when one fails.
+eps_j-ball around a.  A step that lands off b raises ValueError, and so
+does a stage whose report breaks an invariant of ``_stage_fault``, which
+``check_stage_invariants`` runs too: a run that returns passes it.
 
 A stage step costs Python work per move and per index it picks, and numpy
 work per stage: ``push`` only records indices and keeps the running total
@@ -32,8 +33,8 @@ without a scan.
 N(eps) is a bisection over the term norms, which ``RPConstants`` computes
 once, in one pass over the series' float64 rows, and checks to be finite
 and nonincreasing; "norm <= eps/4" is then monotone in the index.  The
-stage loop asks for it twice a stage: once for the stage's moves, which
-all use N(eps_j/2), and once for the hand-off.
+stage loop asks for it three times a stage: for the moves, which all use
+N(eps_j/2), for the hand-off and in the stage check.
 
 Balancing orders the batch by one deterministic greedy pass over the
 terms' float64 rows (``core.float_rows``), the same code for dense tuples
@@ -152,12 +153,9 @@ def find_balanced_permutation(terms: Sequence, bound: float) -> Optional[list[in
     that score is not below the bound): ``[1]`` when the norm is below the
     bound, else None.  Most of the rearranger's batches have one term.
     """
-    if not terms:
-        return []
     if len(terms) == 1:
         return [1] if norm(terms[0]) < bound else None
-    rows = float_rows(terms)[0]
-    sup = hasattr(terms[0], "entries")
+    sup, (rows,) = float_rows(terms)
     n = len(rows)
     cur = np.zeros(rows.shape[1])
     used = np.zeros(n, dtype=bool)
@@ -208,11 +206,10 @@ class RPConstants:
     """
 
     def __init__(self, series: Sequence):
-        self.rows = rows = float_rows(series)[0]
-        sup = bool(len(series)) and hasattr(series[0], "entries")
-        norms = np.zeros(len(rows))
-        for col in range(rows.shape[1]):
-            fold_coordinate(norms, rows[:, col], sup)
+        sup, (self.rows,) = float_rows(series)
+        norms = np.zeros(len(self.rows))
+        for col in range(self.rows.shape[1]):
+            fold_coordinate(norms, self.rows[:, col], sup)
         if not sup:
             np.sqrt(norms, out=norms)
         bad = np.flatnonzero(~np.isfinite(norms))
@@ -318,6 +315,24 @@ def _landing_tol(eps_next: float) -> float:
     uses eps_next: eps_next/12."""
     return eps_next / 12
 
+def _stage_fault(report: dict, constants: RPConstants) -> Optional[str]:
+    """The message of the first invariant a stage report breaks, or None:
+    (1) eps_j = 2^-j and eta_j = eps_j/48; (2) every sum lies within eps_j
+    of its move's start anchor; (3) the hand-off covered the indices
+    through N(eps_{j+1}/2); (4) the stage ended within 4 eta_{j+1} of its
+    last anchor.  A NaN measure breaks (2) or (4)."""
+    j, eps = report["stage"], report["eps"]
+    if eps != 2.0 ** -j or report["eta"] != _eta(eps):
+        return "stage tolerances off the eps_j = 2^-j schedule"
+    # from here eps = 2^-j exactly, so eps / 2 is eps_{j+1}
+    if not report["prefix_max_excursion"] <= eps:
+        return "prefix escaped its eps-ball"
+    if report["covered_through"] < constants.n_threshold(eps / 4):
+        return "stage handoff left an early index uncovered"
+    if not report["stage_end_error"] < 4 * _eta(eps / 2):
+        return "stage ended off its anchor"
+    return None
+
 def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
                            stages: int, rng: Optional[random.Random] = None):
     """Run the staged induction so the partial sums cluster on the target.
@@ -349,13 +364,14 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     The walk's sums are float64 partial sums, tuples of Python floats, as
     every caller's series is float: each is the left-to-right fold of the
     float64 terms, ``core.add`` bit for bit on a float series.  A target
-    point with a NaN or infinite coordinate raises ValueError naming it.
+    point with a NaN or infinite coordinate, or a dimension other than the
+    series' terms (an empty series has dimension 0), raises ValueError.
 
     Every sum is checked against the eps_j-ball around its move's start
-    anchor, but once per stage, after the stage's last move: within one
-    stage another failure ("balancing failed", "terminal sum off target",
-    an exhausted prefix) may now be reported before an escape ("prefix
-    escaped its eps-ball") of an earlier move.
+    anchor, but once per stage, by ``_stage_fault`` after the stage's last
+    move: within one stage another failure ("balancing failed", "terminal
+    sum off target", an exhausted prefix) may be reported before an escape
+    ("prefix escaped its eps-ball") of an earlier move.
 
     Returns (tau, walk, stage_reports).
     """
@@ -364,14 +380,16 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     target = target if isinstance(target, PointSample) else PointSample(tuple(target))
     if not target.points:
         raise ValueError("empty target")
+    terms = series_prefix
+    constants = RPConstants(terms)
+    dim = constants.rows.shape[1]
     for i, p in enumerate(target.points):
+        if len(p) != dim:
+            raise ValueError(f"target point {i} has dimension {len(p)}, "
+                             f"the series has dimension {dim}")
         if not all(math.isfinite(float(c)) for c in p):
             raise ValueError(f"target point {i} is not finite: {p}")
     tour = _chain_tour(target.points)
-    terms = series_prefix
-    constants = RPConstants(terms)
-    rows = constants.rows
-    dim = len(terms[0])
 
     images: list[int] = []
     sums = [tuple([0.0] * dim)]
@@ -398,7 +416,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         # the partial sums of images[start:], appended to sums and returned
         # as a matrix: np.cumsum adds in order, so each is the left-to-right
         # fold from the last sum, and the final one equals cur
-        picked = rows[np.array(images[start:], dtype=np.intp) - 1]
+        picked = constants.rows[np.array(images[start:], dtype=np.intp) - 1]
         block = np.cumsum(np.vstack([sums[-1], picked]), axis=0)[1:]
         sums.extend(map(tuple, block.tolist()))
         return block
@@ -489,7 +507,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         batch.extend(select(err, tol))
         if batch:
             bterms = [terms[i - 1] for i in batch]
-            order = find_balanced_permutation(bterms, eps / 2)
+            order = find_balanced_permutation(bterms, constants.delta(eps))
             if order is None:
                 raise ValueError("RP bound violated at stage: balancing failed")
             push(batch[p - 1] for p in order)
@@ -513,26 +531,23 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         # initial segment, landing within the next stage's tolerance
         n_next = constants.n_threshold(eps_next / 2)
         move(prev_anchor, prev_anchor, max(k0, n_next), eps, eps_next, sweep=True)
-        excursion = max_excursion(flush(start))
-        if excursion > eps + 1e-9:
-            raise ValueError("prefix escaped its eps-ball")
         pending = [idx for q in reservoir.values() for _, idx in q]
-        covered_through = min(pending) - 1 if pending else frontier
-        if covered_through < n_next:
-            raise ValueError("stage handoff left an early index uncovered")
-        phase_lengths.append(len(images) - start)
-        reports.append({
+        report = {
             "stage": j,
             "k_i": len(images),
             "eps": eps,
             "eta": eta,
             "anchor": prev_anchor,
             "stage_end_error": distance(cur, prev_anchor),
-            "prefix_max_excursion": excursion,
+            "prefix_max_excursion": max_excursion(flush(start)),
             "moves": len(loop),
-            "uncovered": sum(len(q) for q in reservoir.values()),
-            "covered_through": covered_through,
-        })
+            "uncovered": len(pending),
+            "covered_through": min(pending) - 1 if pending else frontier,
+        }
+        if fault := _stage_fault(report, constants):
+            raise ValueError(fault)
+        phase_lengths.append(len(images) - start)
+        reports.append(report)
 
     tau = PartialPermutation(images)
     walk = Walk(sums, phase_lengths)
@@ -541,32 +556,17 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
 def check_stage_invariants(reports: Sequence[dict], tau: PartialPermutation,
                            constants: RPConstants) -> bool:
     """Re-verify the staged induction's invariants from its artifacts:
-
-    (i) the tolerances halve: eps_j = 2^-j and eta_j = eps_j/48, which
-    equals min(eps/48, delta(eps/2)/12) bit for bit at every eps = 2^-j,
-    j = 1..59 (see :func:`rearrange_to_limit_set`); (ii) the permutation
-    only ever grew, and ends at the last stage's k_i; (iii) each stage
-    handoff left an initial segment through N(eps_{j+1}/2) covered, and
-    the whole permutation covers N(eps/2) of the stage after the last;
-    (iv) every stage parked within 4 eta_{j+1} of its final anchor, with
-    prefix excursions inside the eps_j ball.  Nothing here checks that
-    each anchor along a stage was hit; (iv) sees only the stage's end.
+    (i) every report passes :func:`_stage_fault`, as in the rearranger, so
+    a run that returns passes here; (ii) the k_i grow; (iii) ``len(tau)``
+    is the last k_i; (iv) tau covers the indices through N(eps/2) of the
+    stage after the last.  The rearranger's per-move landing check is the
+    only check of the intermediate anchors; no artifact records them.
     """
     prev_k = 0
     for rep in reports:
-        j, eps, eta = rep["stage"], rep["eps"], rep["eta"]
-        if eps != 2.0 ** -j or eta != _eta(eps):
-            return False
-        if rep["k_i"] <= prev_k:
+        if _stage_fault(rep, constants) or rep["k_i"] <= prev_k:
             return False
         prev_k = rep["k_i"]
-        if rep["covered_through"] < constants.n_threshold(2.0 ** -(j + 1) / 2):
-            return False
-        eta_next = _eta(2.0 ** -(j + 1))
-        if rep["stage_end_error"] >= 4 * eta_next:
-            return False
-        if rep["prefix_max_excursion"] > eps:
-            return False
     if len(tau) != prev_k:
         return False
     return tau.covers_initial_segment(

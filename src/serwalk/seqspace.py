@@ -101,8 +101,6 @@ def gen_c0_two_point(phases: int) -> Walk:
     e_{p+1}, slides to e_{p+1}+e_1, descends to e_1, then retraces to theta.
     theta and e_1 recur every phase; every other coordinate dies out.
     """
-    if phases < 1:
-        raise ValueError("phases must be >= 1")
     schedule = []
     bounds = []
     for p in range(1, phases + 1):
@@ -122,8 +120,6 @@ def gen_c0_singleton_divergent(phases: int) -> Walk:
     ends back at theta at index 2^(k+1) - 2: sup-norm gaps of 1 recur and
     the partial sums are not Cauchy.
     """
-    if phases < 1:
-        raise ValueError("phases must be >= 1")
     schedule = []
     bounds = []
     for k in range(1, phases + 1):
@@ -177,12 +173,9 @@ def sign_patterns(k: int) -> list[tuple[int, ...]]:
 
 
 def _vector_family(k: int) -> VectorFamily:
-    patterns = sign_patterns(k)
-    dim = math.comb(2 * k, k)
-    if len(patterns) != dim:
-        raise RuntimeError(f"{len(patterns)} sign patterns for k={k}, expected {dim}")
+    patterns = sign_patterns(k)  # C(2k, k) of them, one per coordinate
     vectors = list(zip(*patterns))  # x_i(j) = t_j(i)
-    return VectorFamily(k=k, dim=dim, vectors=vectors)
+    return VectorFamily(k=k, dim=len(patterns), vectors=vectors)
 
 
 def gen_vector_family(k: int) -> VectorFamily:

@@ -262,13 +262,13 @@ def _term_kind(t, n: int) -> str:
 
 
 def read_terms_json(fp: TextIO):
-    """Series terms from JSON {"terms": [...]}: all dense lists of one
-    length, read as float tuples, or all sparse {index: value} objects,
-    read as SparseVecs.  Every value must be a JSON int or a finite float.
-    A term (numbered from 1) that breaks a rule raises ValueError naming
-    it."""
+    """Series terms from JSON {"terms": [...]}, never a bare list: all
+    dense lists of one length, read as float tuples, or all sparse
+    {index: value} objects, read as SparseVecs.  Every value must be a
+    JSON int or a finite float.  A term (numbered from 1) that breaks a
+    rule raises ValueError naming it."""
     doc = json.load(fp)
-    terms = doc.get("terms") if isinstance(doc, dict) else doc
+    terms = doc.get("terms") if isinstance(doc, dict) else None
     if not isinstance(terms, list) or not terms:
         raise ValueError("no terms")
     kind = _term_kind(terms[0], 1)

@@ -125,10 +125,11 @@ def build_xwalk(schedule: Sequence[Sequence], step_bounds=None) -> Walk:
 
     Each chain must start at the walk's anchor (the first point of the first
     chain).  A phase traverses its chain forward and then backward through
-    the same points, ending at the anchor again.
+    the same points, ending at the anchor again.  An empty schedule has no
+    phases, so it raises the generators' "phases must be >= 1".
     """
     if not schedule:
-        raise ValueError("empty schedule")
+        raise ValueError("phases must be >= 1")
     anchor = schedule[0][0]
     sums = [anchor]
     phase_lengths = []
@@ -211,7 +212,7 @@ def gen_two_lines(phases: int) -> Walk:
     k+1 climbs x=0 to height k, crosses to x=1 and descends, all in steps of
     2^-(k+1), then retraces.  Its limit set is {0,1} x [0, inf).
     """
-    if phases < 1:
+    if phases < 1:  # phase 1 is built before the loop, unseen by build_xwalk
         raise ValueError("phases must be >= 1")
     F = Fraction
     schedule = []
@@ -237,8 +238,6 @@ def gen_halflines(abscissae: Sequence, phases: int) -> Walk:
     """
     if len(set(abscissae)) != len(abscissae):
         raise ValueError("duplicate abscissae")
-    if phases < 1:
-        raise ValueError("phases must be >= 1")
     if len(abscissae) < phases + 1:
         raise ValueError("need at least phases+1 abscissae")
     exact_mode = all(isinstance(a, (int, Fraction)) for a in abscissae)
@@ -267,8 +266,6 @@ def build_chainable_walk(dense: Sequence, phases: int) -> Walk:
     threads through every dense point (one :func:`core.gap_tour` through
     them in sample order) rather than stopping at d_{i+1}.
     """
-    if phases < 1:
-        raise ValueError("phases must be >= 1")
     pts = tuple(dict.fromkeys(dense))  # dedupe, keep order
     stops = range(len(pts)) if len(pts) > 1 else (0, 0)  # a point stays put
     bounds = []
@@ -323,8 +320,6 @@ def build_unbounded_components_walk(components: Sequence[PointSample],
     """
     components = [PointSample(tuple(tuple(float(x) for x in p) for p in c),
                               getattr(c, "label", "")) for c in components]
-    if phases < 1:
-        raise ValueError("phases must be >= 1")
     if not components:
         raise ValueError("empty sample")
     for c in components:

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CLI = [sys.executable, "-m", "serwalk.cli"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*args, **kw):
@@ -97,6 +100,20 @@ def test_rearrange_usage_errors(tmp_path):
     assert r.returncode == 2
     r = run("rearrange", "--target", "x", "--stages", "0")
     assert r.returncode == 2
+
+
+def test_rearrange_refuses_out_dash(tmp_path):
+    # rearrange writes three files and a manifest under a base name; "-"
+    # once left -.csv, -.perm.json and -.report.json and no manifest
+    target = tmp_path / "target.csv"
+    target.write_text("coord_0,coord_1\n0.25,-0.5\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    r = run("rearrange", "--target", str(target), "--stages", "3", "--terms", "30000",
+            "--out", "-", cwd=tmp_path, env=env)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "rearrange writes files under a base name: --out - is not one\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target.csv"]
 
 
 def test_verify_dichotomy_two_lines(tmp_path):
@@ -299,6 +316,7 @@ def _sample(cell):
     (RP_INSTANCE, "t.json", '{"terms": [5]}'),
     (RP_INSTANCE, "t.json", '{"terms": 5}'),
     (RP_INSTANCE, "t.json", '{"term": [[1.0]]}'),
+    (RP_INSTANCE, "t.json", '[[1.0, 0.0], [-1.0, 0.0]]'),
     # sparse keys: integers as str(int) writes them
     (CAUCHY, "w.jsonl", _record('{"1_0": 1}')),
     (CAUCHY, "w.jsonl", _record('{" 1": 1}')),
@@ -317,7 +335,7 @@ def _sample(cell):
         "float-phase", "missing-phase", "bool-index", "not-an-object",
         "dense-nan", "sparse-then-dense", "dense-then-sparse", "ragged-past-prefix",
         "dense-string", "sparse-string", "number-term", "terms-not-a-list",
-        "no-terms-key", "key-underscore", "key-space", "key-plus",
+        "no-terms-key", "bare-list", "key-underscore", "key-space", "key-plus",
         "cell-fraction", "cell-underscore", "cell-space", "cell-exponent",
         "cell-tiny-exponent", "cell-huge", "csv-index-plus",
         "sample-fraction", "sample-exponent"])

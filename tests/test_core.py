@@ -245,7 +245,10 @@ def test_sparse_and_dense_layouts_agree(rows, gap):
     dense = [as_dense(r) for r in rows]
     sparse = [as_sparse(r) for r in rows]
     used = sorted({i for r in rows[0] + rows[1] for i, k in enumerate(r) if k})
-    for d, s in zip(float_rows(*dense), float_rows(*sparse)):
+    dense_sup, dense_rows = float_rows(*dense)
+    sparse_sup, sparse_rows = float_rows(*sparse)
+    assert not dense_sup and sparse_sup
+    for d, s in zip(dense_rows, sparse_rows):
         assert d[:, used].tolist() == s.tolist()
         assert not np.delete(d, used, axis=1).any()
     # on those matrices each layout is measured in its own space's norm,
@@ -284,12 +287,12 @@ def test_chain_gap_examples():
 
 
 def test_zero_support_points_have_no_columns():
-    a, b = float_rows([THETA, THETA], [THETA])
-    assert a.shape == (2, 0) and b.shape == (1, 0)
+    sup, (a, b) = float_rows([THETA, THETA], [THETA])
+    assert sup and a.shape == (2, 0) and b.shape == (1, 0)
     assert _matrix([THETA, THETA], [THETA]) == [[0.0], [0.0]]
     one = SparseVec({3: Fraction(1, 2)})
-    a, b = float_rows([THETA], [one, THETA])
-    assert a.tolist() == [[0.0]] and b.tolist() == [[0.5], [0.0]]
+    sup, (a, b) = float_rows([THETA], [one, THETA])
+    assert sup and a.tolist() == [[0.0]] and b.tolist() == [[0.5], [0.0]]
     assert _matrix([THETA], [one, THETA]) == [[0.5, 0.0]]
     assert hausdorff_distance([THETA], [THETA]) == 0.0
     assert gap_components([THETA, one, THETA], 0.25) == [[0, 2], [1]]

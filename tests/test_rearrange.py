@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -11,11 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 from serwalk.analysis import estimate_limit_set
 from serwalk.core import PointSample, chain_gap, distance, hausdorff_distance, norm
 from serwalk.rearrange import (HOP_FACTOR, RPConstants, _chain_tour, _eta,
-                               _refined_tour, alternating_harmonic,
+                               _refined_tour, _stage_fault, alternating_harmonic,
                                certify_rp_family, check_stage_invariants,
                                find_balanced_permutation, full_range_series,
                                rearrange_to_limit_set)
 from serwalk.seqspace import THETA, SparseVec, block_vectors
+from serwalk.walks import PartialPermutation
 
 
 def _prefix_norms(terms, order):
@@ -423,6 +425,67 @@ def test_rearrange_rejects_a_non_finite_target_point(target, name):
     series = full_range_series(2, 1000)
     with pytest.raises(ValueError, match=name):
         rearrange_to_limit_set(series, PointSample(target), 1)
+
+
+@pytest.mark.parametrize("dim, count, target, point", [
+    (2, 1000, ((0.0, 0.0, 0.0),), 0),
+    (2, 1000, ((0.25,),), 0),
+    (3, 1000, ((0.0, 0.0, 0.0), (0.5, 0.0)), 1),
+    (2, 0, ((0.0, 0.0),), 0),
+], ids=["3d-target", "1d-target", "short-second-point", "empty-series"])
+def test_rearrange_rejects_a_target_of_another_dimension(dim, count, target, point):
+    # a 3-D target once raised "zip() argument 2 is longer than argument 1",
+    # a 1-D target and an empty series IndexError; an empty series has
+    # dimension 0
+    series = full_range_series(dim, count)
+    message = (f"target point {point} has dimension {len(target[point])}, "
+               f"the series has dimension {dim if count else 0}$")
+    with pytest.raises(ValueError, match=message):
+        rearrange_to_limit_set(series, PointSample(target), 1)
+
+
+@pytest.fixture(scope="module")
+def two_stage_run():
+    series = full_range_series(2, 60000)
+    target = PointSample(tuple((0.1 * i, 0.0) for i in range(6)))
+    tau, _, reports = rearrange_to_limit_set(series, target, stages=2)
+    constants = RPConstants(series)
+    assert check_stage_invariants(reports, tau, constants)
+    return series, target, tau, reports, constants
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("eps", lambda c: 2.0 ** -3, "stage tolerances off the eps_j = 2^-j schedule"),
+    ("prefix_max_excursion", lambda c: math.nextafter(2.0 ** -2, math.inf),
+     "prefix escaped its eps-ball"),
+    ("covered_through", lambda c: c.n_threshold(2.0 ** -3 / 2) - 1,
+     "stage handoff left an early index uncovered"),
+    ("stage_end_error", lambda c: 4 * _eta(2.0 ** -3), "stage ended off its anchor"),
+], ids=["eps-off-schedule", "excursion-above-eps", "covered-one-short", "end-at-4-eta"])
+def test_a_stage_fault_is_raised_and_rejected(two_stage_run, monkeypatch, field, value,
+                                              message):
+    # the last stage's report with one field just past its invariant: the
+    # verifier rejects it, and the rearranger raises the same message when
+    # its own report reads so
+    series, target, tau, reports, constants = two_stage_run
+    broken = {**reports[-1], field: value(constants)}
+    assert _stage_fault(broken, constants) == message
+    assert not check_stage_invariants([*reports[:-1], broken], tau, constants)
+    checked = _stage_fault
+    monkeypatch.setattr(
+        "serwalk.rearrange._stage_fault",
+        lambda rep, c: checked({**rep, field: value(c)} if rep["stage"] == 2 else rep, c))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rearrange_to_limit_set(series, target, stages=2)
+
+
+@pytest.mark.parametrize("broken", [
+    lambda reports, tau: ([{**reports[0], "k_i": reports[1]["k_i"]}, reports[1]], tau),
+    lambda reports, tau: (reports, PartialPermutation(tau.images[:-1])),
+], ids=["k_i-does-not-grow", "tau-one-image-short"])
+def test_check_stage_invariants_rejects_a_broken_run(two_stage_run, broken):
+    _, _, tau, reports, constants = two_stage_run
+    assert not check_stage_invariants(*broken(reports, tau), constants)
 
 
 def test_rearrange_reports_failed_balancing(monkeypatch):

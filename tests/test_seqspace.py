@@ -81,8 +81,9 @@ def test_c0_singleton_divergent_block_landmarks():
 
 def test_c0_generators_reject_zero_phases():
     for gen in (gen_c0_two_point, gen_c0_singleton_divergent):
-        with pytest.raises(ValueError, match="phases must be >= 1"):
-            gen(0)
+        for phases in (0, -1):
+            with pytest.raises(ValueError, match="phases must be >= 1"):
+                gen(phases)
 
 
 def test_sign_patterns_shape():

@@ -139,6 +139,8 @@ def test_terms_json_dense_and_sparse():
 
     with pytest.raises(ValueError, match="no terms"):
         read_terms_json(io.StringIO('{"terms": []}'))
+    with pytest.raises(ValueError, match="no terms"):  # no writer writes a bare list
+        read_terms_json(io.StringIO('[[1.0, 0.0], [-1.0, 0.0]]'))
 
 
 @pytest.mark.parametrize("text, message", [

@@ -29,7 +29,7 @@ def test_partial_permutation_rejects_repeats():
 
 
 def test_build_xwalk_requires_anchored_phases():
-    with pytest.raises(ValueError, match="empty schedule"):
+    with pytest.raises(ValueError, match="phases must be >= 1"):
         build_xwalk([])
     with pytest.raises(ValueError, match="phase not anchored"):
         build_xwalk([[(F(0), F(0)), (F(1), F(0))], [(F(1), F(0)), (F(0), F(0))]])
@@ -60,6 +60,22 @@ def test_two_lines_phase_structure():
 def test_two_lines_rejects_zero_phases():
     with pytest.raises(ValueError, match="phases must be >= 1"):
         gen_two_lines(0)
+
+
+@pytest.mark.parametrize("phases", [0, -1])
+@pytest.mark.parametrize("gen", [
+    gen_two_lines,
+    lambda phases: gen_halflines([0, 1], phases),
+    lambda phases: build_chainable_walk([(0.0, 0.0), (0.5, 0.0)], phases),
+    lambda phases: build_unbounded_components_walk(
+        [PointSample(((0.0, 0.0), (0.0, 1.0))), PointSample(((1.0, 0.0), (1.0, 1.0)))],
+        [0.5], phases),
+], ids=["two-lines", "halflines", "chainable", "unbounded"])
+def test_generators_need_a_phase(gen, phases):
+    # build_xwalk states the rule once; two-lines builds phase 1 before its
+    # loop and keeps its own check
+    with pytest.raises(ValueError, match="phases must be >= 1"):
+        gen(phases)
 
 
 def test_two_lines_steps_shrink():
