@@ -92,11 +92,12 @@ def _window_bounds(w: Walk, window_fraction: float) -> tuple[int, list[tuple[int
 
 def estimate_limit_set(w: Walk, resolution: float,
                        window_fraction: float = 0.3) -> LimitEstimate:
-    """Grid-based recurrence estimate of LIM from the walk's late window."""
-    if window_fraction <= 0 or window_fraction > 1:
+    """Grid-based recurrence estimate of LIM from the walk's late window;
+    the comparisons refuse a NaN resolution or window fraction."""
+    if not 0 < window_fraction <= 1:
         raise ValueError("window_fraction must be in (0, 1]")
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < math.inf:
+        raise ValueError("resolution must be finite and positive")
     start, blocks = _window_bounds(w, window_fraction)
     if len(w.sums) - start < 2:
         raise ValueError("window shorter than 2 points")
@@ -144,8 +145,13 @@ def verify_dichotomy(est: LimitEstimate, gap: float, bound: float) -> dict:
     """Empirical dichotomy check on a limit estimate.
 
     A component "escapes" when it reaches within ``gap`` of the radius
-    ``bound`` shell (the finite stand-in for unboundedness).
+    ``bound`` shell (the finite stand-in for unboundedness).  ``gap`` must
+    be finite and >= 0 and ``bound`` finite, else ValueError.
     """
+    if not 0 <= gap < math.inf:
+        raise ValueError(f"gap must be finite and >= 0, not {gap}")
+    if not math.isfinite(bound):
+        raise ValueError(f"bound must be finite, not {bound}")
     if not est.points.points:
         raise ValueError("empty estimate")
     comps = gap_components(est.points, gap)
@@ -164,8 +170,11 @@ def verify_dichotomy(est: LimitEstimate, gap: float, bound: float) -> dict:
 def singleton_convergence_check(w: Walk, tol: float) -> dict:
     """Distinguish convergence from a divergent walk with singleton limit set.
 
-    The limit estimate uses the default window at resolution 0.2.
+    The limit estimate uses the default window at resolution 0.2.  ``tol``
+    must be finite and > 0, else ValueError.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, not {tol}")
     if len(w.sums) - 1 < 100:
         raise ValueError("walk too short (need >= 100 sums)")
     est = estimate_limit_set(w, resolution=0.2)

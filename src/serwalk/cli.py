@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -22,10 +23,6 @@ from .core import PointSample, norm
 log = logging.getLogger("serwalk")
 
 PASS, FAIL, USAGE = 0, 1, 2
-
-
-class UsageError(Exception):
-    pass
 
 
 def _setup_logging():
@@ -49,12 +46,35 @@ def _write_json(path, obj, **kw):
         fp.write("\n")
 
 
-def _write_manifest(path, args):
-    if path in (None, "-"):
+def _outputs(args) -> list:
+    """Every file the command writes: rearrange's four under its base name;
+    else --out when it names a file, and generate's manifest of it.  A
+    manifest comes last."""
+    if args.command == "rearrange":
+        base = args.out or "rearranged"
+        return [base + ext for ext in (".csv", ".perm.json", ".report.json",
+                                       ".manifest.json")]
+    if args.out in (None, "-"):
+        return []
+    return [args.out] + ([args.out + ".manifest.json"] if args.command == "generate" else [])
+
+
+def _write_manifest(args):
+    outputs = _outputs(args)
+    if not outputs:
         return
     manifest = {k: v for k, v in sorted(vars(args).items())
                 if k != "func" and v is not None}
-    _write_json(path + ".manifest.json", manifest, indent=1, sort_keys=True)
+    _write_json(outputs[-1], manifest, indent=1, sort_keys=True)
+
+
+def _refuse_overwriting_inputs(args):
+    inputs = {os.path.realpath(path): path
+              for path in (getattr(args, k, None) for k in ("input", "target", "marks"))
+              if path}
+    for path in _outputs(args):
+        if source := inputs.get(os.path.realpath(path)):
+            raise ValueError(f"output {path} would overwrite input {source}")
 
 
 def _read(path, what, reader):
@@ -64,7 +84,7 @@ def _read(path, what, reader):
         with open(path) as fp:
             return reader(fp)
     except (OSError, ValueError) as err:
-        raise UsageError(f"cannot read {what} {path}: {err}") from err
+        raise ValueError(f"cannot read {what} {path}: {err}") from err
 
 
 def _read_trace(fp):
@@ -93,7 +113,7 @@ def cmd_generate(args) -> int:
         walk = walks.gen_halflines(abscissae, args.phases)
     elif name == "chainable":
         if not args.target:
-            raise UsageError("chainable needs --target")
+            raise ValueError("chainable needs --target")
         target = _read(args.target, "sample", traceio.read_sample_csv)
         walk = walks.build_chainable_walk(list(target), args.phases)
     elif name == "unbounded":
@@ -115,7 +135,7 @@ def cmd_generate(args) -> int:
             traceio.write_walk_jsonl(walk, fp)
         else:
             traceio.write_walk_csv(walk, fp)
-    _write_manifest(args.out, args)
+    _write_manifest(args)
     log.info("generated %s (%d sums)", name, 0 if walk is None else len(walk))
     return PASS
 
@@ -131,11 +151,11 @@ def _demo_components(top):
 
 def cmd_rearrange(args) -> int:
     if args.stages < 1:
-        raise UsageError("stages must be >= 1")
+        raise ValueError("stages must be >= 1")
     if args.terms < 1:
-        raise UsageError("terms must be >= 1")
+        raise ValueError("terms must be >= 1")
     if args.out == "-":
-        raise UsageError("rearrange writes files under a base name: --out - is not one")
+        raise ValueError("rearrange writes files under a base name: --out - is not one")
     target = _read(args.target, "sample", traceio.read_sample_csv)
     dim = len(target.points[0])
     series = rearrange.full_range_series(dim, args.terms)
@@ -145,16 +165,16 @@ def cmd_rearrange(args) -> int:
     except ValueError as err:
         print(f"rearrangement failed: {err}", file=sys.stderr)
         return FAIL
-    base = args.out or "rearranged"
-    with open(base + ".csv", "w") as fp:
+    trace, perm, report_path, _ = _outputs(args)
+    with open(trace, "w") as fp:
         traceio.write_walk_csv(walk, fp)
-    _write_json(base + ".perm.json", {"images": tau.images})
+    _write_json(perm, {"images": tau.images})
     report = {"stages": reports}
     if len(target.points) == 1:
         check = analysis.singleton_convergence_check(walk, 2.0 ** -args.stages)
         report["convergence"] = check["verdict"]
-    _write_json(base + ".report.json", report, indent=1)
-    _write_manifest(base, args)
+    _write_json(report_path, report, indent=1)
+    _write_manifest(args)
     return PASS
 
 
@@ -170,10 +190,12 @@ def cmd_verify(args) -> int:
         print("pass" if ok else "fail")
         return PASS if ok else FAIL
     if not args.input:
-        raise UsageError(f"verify {what} needs --input")
+        raise ValueError(f"verify {what} needs --input")
     if what == "rp-instance":
         if args.prefix < 1:
-            raise UsageError("prefix must be >= 1")
+            raise ValueError("prefix must be >= 1")
+        if not 0 < args.epsilon < math.inf:
+            raise ValueError(f"epsilon must be a finite positive number, not {args.epsilon}")
         terms = _read(args.input, "terms", traceio.read_terms_json)
         order = rearrange.find_balanced_permutation(terms[:args.prefix], args.epsilon)
         if order is None:
@@ -212,7 +234,7 @@ def cmd_verify(args) -> int:
 def cmd_plot(args) -> int:
     walk = _read(args.input, "trace", _read_trace)
     if hasattr(walk.sums[0], "entries") or len(walk.sums[0]) != 2:
-        raise UsageError("plotting needs a 2-D dense trace")
+        raise ValueError("plotting needs a 2-D dense trace")
     marks = (list(_read(args.marks, "sample", traceio.read_sample_csv))
              if args.marks else None)
     with _out_stream(args.out) as fp:
@@ -274,6 +296,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _refuse_overwriting_inputs(args)
         rc = args.func(args)
         sys.stdout.flush()
         return rc
@@ -282,7 +305,7 @@ def main(argv=None) -> int:
         # so the flush at exit cannot fail again, as the Python docs advise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return FAIL
-    except (UsageError, ValueError) as err:
+    except ValueError as err:
         print(str(err), file=sys.stderr)
         return USAGE
 

@@ -7,11 +7,13 @@ closed tour over the target's gap graph every stage, and each hop from
 anchor a to anchor b is one stage step (the ``move`` closure):
 (1) append the untouched indices through N(eps_j/2) in order, and at the
 stage hand-off also gather every index skipped so far; (2) select tail
-indices whose sum steers the running total to within the next stage's
-slack of b, parking scanned-but-unused indices in a reservoir; (3) order
-the batch with ``find_balanced_permutation`` so that no prefix leaves the
-eps_j-ball around a.  A step that lands off b raises ValueError, and so
-does a stage whose report breaks an invariant of ``_stage_fault``, which
+indices until each of the m coordinates of the error to b is within
+``_landing_tol`` (eps_{j+1}/12) over 2 max(1, sqrt(m/3)), which leaves a
+Euclidean error of at most sqrt(m) times that, sqrt(3)/2 of the tolerance,
+parking scanned-but-unused indices in a reservoir; (3) order the batch
+with ``find_balanced_permutation`` so that no prefix leaves the eps_j-ball
+around a.  A step that lands off b raises ValueError, and so does a stage
+whose report breaks an invariant of ``_stage_fault``, which
 ``check_stage_invariants`` runs too: a run that returns passes it.
 
 A stage step costs Python work per move and per index it picks, and numpy
@@ -65,9 +67,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (PointSample, add, chain_gap, distance, float_rows,
+from .core import (PointSample, _points, add, chain_gap, distance, float_rows,
                    fold_coordinate, gap_graph, gap_tour, norm)
-from .walks import PartialPermutation, Walk
+from .walks import PartialPermutation, Walk, segment
 
 # ---------------------------------------------------------------------------
 # test series with full sum range
@@ -240,7 +242,8 @@ def certify_rp_family(series_prefix: Sequence, epsilons: Sequence[float],
 
     For each eps, samples ``instance_budget`` random small-sum batches of
     terms past N(eps) and demands a balanced permutation below eps for each;
-    raises ValueError otherwise, or when the witnesses are not monotone.
+    raises ValueError otherwise.  The witnesses are monotone by construction
+    (delta(eps) = eps/2; N(eps) bisects nonincreasing norms), as c12 checks.
     """
     constants = RPConstants(series_prefix)
     out = []
@@ -267,10 +270,6 @@ def certify_rp_family(series_prefix: Sequence, epsilons: Sequence[float],
             checked += 1
         out.append(RPWitness(epsilon, n_thr, delta,
                              {"instances": checked, "max_prefix_norm": worst}))
-    for w1, w2 in zip(out, out[1:]):
-        if w1.delta < w2.delta or w1.n_threshold > w2.n_threshold:
-            raise ValueError(
-                f"witnesses not monotone between eps={w1.epsilon} and eps={w2.epsilon}")
     return out
 
 # ---------------------------------------------------------------------------
@@ -296,9 +295,7 @@ def _refined_tour(points: Sequence, tour: Sequence[int], hop: float) -> list:
     out = [points[tour[0]]]
     for a, b in zip(tour, tour[1:]):
         a, b = points[a], points[b]
-        n = max(1, math.ceil(distance(a, b) / hop))
-        for i in range(1, n + 1):
-            out.append(tuple(ca + (cb - ca) * i / n for ca, cb in zip(a, b)))
+        out.extend(segment(a, b, max(1, math.ceil(distance(a, b) / hop))))
     return out
 
 #: anchor hops of a stage's tour are at most HOP_FACTOR * eta_j; a factor
@@ -311,16 +308,15 @@ def _eta(eps: float) -> float:
     return eps / 48
 
 def _landing_tol(eps_next: float) -> float:
-    """How far from its anchor a stage step may end when the next stage
-    uses eps_next: eps_next/12."""
+    """The landing rule: a step ends strictly within eps_next/12 of its anchor."""
     return eps_next / 12
 
 def _stage_fault(report: dict, constants: RPConstants) -> Optional[str]:
     """The message of the first invariant a stage report breaks, or None:
     (1) eps_j = 2^-j and eta_j = eps_j/48; (2) every sum lies within eps_j
     of its move's start anchor; (3) the hand-off covered the indices
-    through N(eps_{j+1}/2); (4) the stage ended within 4 eta_{j+1} of its
-    last anchor.  A NaN measure breaks (2) or (4)."""
+    through N(eps_{j+1}/2); (4) the stage ended within _landing_tol(eps_{j+1})
+    of its last anchor.  A NaN measure breaks (2) or (4)."""
     j, eps = report["stage"], report["eps"]
     if eps != 2.0 ** -j or report["eta"] != _eta(eps):
         return "stage tolerances off the eps_j = 2^-j schedule"
@@ -329,7 +325,7 @@ def _stage_fault(report: dict, constants: RPConstants) -> Optional[str]:
         return "prefix escaped its eps-ball"
     if report["covered_through"] < constants.n_threshold(eps / 4):
         return "stage handoff left an early index uncovered"
-    if not report["stage_end_error"] < 4 * _eta(eps / 2):
+    if not report["stage_end_error"] < _landing_tol(eps / 2):
         return "stage ended off its anchor"
     return None
 
@@ -363,9 +359,10 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
 
     The walk's sums are float64 partial sums, tuples of Python floats, as
     every caller's series is float: each is the left-to-right fold of the
-    float64 terms, ``core.add`` bit for bit on a float series.  A target
-    point with a NaN or infinite coordinate, or a dimension other than the
-    series' terms (an empty series has dimension 0), raises ValueError.
+    float64 terms, ``core.add`` bit for bit on a float series.  An empty
+    target ("empty sample"), or a target point with a NaN or infinite
+    coordinate or a dimension other than the series' terms (an empty series
+    has dimension 0), raises ValueError.
 
     Every sum is checked against the eps_j-ball around its move's start
     anchor, but once per stage, by ``_stage_fault`` after the stage's last
@@ -377,24 +374,23 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     """
     if stages < 1:
         raise ValueError("stages must be >= 1")
-    target = target if isinstance(target, PointSample) else PointSample(tuple(target))
-    if not target.points:
-        raise ValueError("empty target")
+    points = _points(target)
     terms = series_prefix
     constants = RPConstants(terms)
     dim = constants.rows.shape[1]
-    for i, p in enumerate(target.points):
+    for i, p in enumerate(points):
         if len(p) != dim:
             raise ValueError(f"target point {i} has dimension {len(p)}, "
                              f"the series has dimension {dim}")
         if not all(math.isfinite(float(c)) for c in p):
             raise ValueError(f"target point {i} is not finite: {p}")
-    tour = _chain_tour(target.points)
+    tour = _chain_tour(points)
 
     images: list[int] = []
     sums = [tuple([0.0] * dim)]
     frontier = 0
     cur = [0.0] * dim  # the running total: flush's last sum, bit for bit
+    per_axis = 2 * max(1.0, math.sqrt(dim / 3))  # select's divisor, 2 for dim <= 3
     # scanned-but-unused indices wait here until the walk swings back their
     # way; sweeping them at every extension instead would feed each move's
     # displacement back into the next one and exhaust the prefix
@@ -443,10 +439,12 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         del mags[key][bisect.bisect_left(mags[key], got[0])]
         return got
 
-    def select(err, tol):
-        # greedy Riemann selection: drain the reservoir first, scan past
-        # the frontier when it runs dry; mutates err in place
+    def select(err, land):
+        # greedy Riemann selection until each axis is within land/per_axis,
+        # which leaves sqrt(dim)/per_axis <= sqrt(3)/2 of land: drain the
+        # reservoir first, scan past the frontier when it runs dry; mutates err
         nonlocal frontier
+        tol = land / per_axis
         selected: list[int] = []
         while True:
             axis = next((a for a in range(dim) if abs(err[a]) > tol), None)
@@ -475,14 +473,12 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     n1 = constants.n_threshold(0.25)
     push(range(1, n1 + 1))
     frontier = n1
-    d1 = tuple(float(c) for c in target.points[0])
-    base_err = [float(a) - float(b) for a, b in zip(d1, cur)]
-    push(select(base_err, _landing_tol(0.5) / 2))
+    d1 = tuple(float(c) for c in points[0])
+    push(select([a - b for a, b in zip(d1, cur)], _landing_tol(0.5)))
     flush(0)
 
     def move(a, b, k0, eps, eps_next, sweep=False):
-        # k0 is max(N(eps/2), N(eps_next/2)), the same for every move of a
-        # stage but its hand-off
+        # k0 is N(eps_next/2), which is N(eps/2) for all moves but the hand-off
         nonlocal frontier
         marks.append((len(images), a))
         if k0 > frontier:
@@ -503,15 +499,15 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
                 q.clear()
             mags.clear()
         err = [float(bc) - float(cc) - zc for bc, cc, zc in zip(b, cur, z)]
-        tol = _landing_tol(eps_next) / 2
-        batch.extend(select(err, tol))
+        land = _landing_tol(eps_next)
+        batch.extend(select(err, land))
         if batch:
             bterms = [terms[i - 1] for i in batch]
             order = find_balanced_permutation(bterms, constants.delta(eps))
             if order is None:
                 raise ValueError("RP bound violated at stage: balancing failed")
             push(batch[p - 1] for p in order)
-        if distance(cur, b) > _landing_tol(eps_next) + 1e-9:
+        if not distance(cur, b) < land:
             raise ValueError("terminal sum off target")
 
     phase_lengths = [len(images)]
@@ -520,7 +516,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     for j in range(1, stages + 1):
         eps, eps_next = 2.0 ** -j, 2.0 ** -(j + 1)
         eta = _eta(eps)
-        loop = _refined_tour(target.points, tour, HOP_FACTOR * eta)
+        loop = _refined_tour(points, tour, HOP_FACTOR * eta)
         start = len(images)
         marks.clear()
         k0 = constants.n_threshold(eps / 2)
@@ -530,7 +526,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         # stage handoff: sweep the reservoir so the permutation covers an
         # initial segment, landing within the next stage's tolerance
         n_next = constants.n_threshold(eps_next / 2)
-        move(prev_anchor, prev_anchor, max(k0, n_next), eps, eps_next, sweep=True)
+        move(prev_anchor, prev_anchor, n_next, eps, eps_next, sweep=True)
         pending = [idx for q in reservoir.values() for _, idx in q]
         report = {
             "stage": j,

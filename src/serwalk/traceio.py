@@ -115,7 +115,7 @@ def _phase_lengths(rows) -> list[int]:
 
 
 def write_walk_csv(w: Walk, fp: TextIO) -> None:
-    if not w.sums or hasattr(w.sums[0], "entries"):
+    if hasattr(w.sums[0], "entries"):
         raise ValueError("CSV traces are for dense walks")
     dim = len(w.sums[0])
     writer = csv.writer(fp, lineterminator="\n")
@@ -205,7 +205,7 @@ def _decode_entries(entries, where: str, keys: dict, values: dict) -> SparseVec:
 
 
 def write_walk_jsonl(w: Walk, fp: TextIO) -> None:
-    if not w.sums or not hasattr(w.sums[0], "entries"):
+    if not hasattr(w.sums[0], "entries"):
         raise ValueError("JSON-line traces are for sequence-space walks")
     for phase, (lo, hi) in enumerate(w.phase_blocks(), start=1):
         for n in range(lo, hi):
@@ -327,7 +327,7 @@ def write_walk_svg(w: Walk, fp: TextIO, marks: Optional[Sequence]) -> None:
     """SVG polyline of a 2-D walk, one color per phase, optional marked
     sample points, with axis tick labels at the integer and half-integer
     levels the trace reaches, on a 480-pixel square."""
-    if not w.sums or hasattr(w.sums[0], "entries") or len(w.sums[0]) != 2:
+    if hasattr(w.sums[0], "entries") or len(w.sums[0]) != 2:
         raise ValueError("plotting needs a 2-D dense trace")
     size = 480
     xs = [float(p[0]) for p in w.sums]

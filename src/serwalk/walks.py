@@ -180,15 +180,13 @@ def series_to_walk(series: SignedSeries, sigma: PartialPermutation, start) -> li
     return sums
 
 
-def _segment(a, b, n_steps: int) -> list:
-    """n_steps equal steps from a to b, excluding a (exact when inputs are)."""
-    out = []
-    for i in range(1, n_steps + 1):
-        # a float times Fraction(i, n_steps) is the float product with
-        # i / n_steps, so one expression serves both modes
-        t = Fraction(i, n_steps)
-        out.append(tuple(ca + (cb - ca) * t for ca, cb in zip(a, b)))
-    return out
+def segment(a, b, n: int) -> list:
+    """The n points a + d*i/n, i = 1..n, with d = b - a: the one segment
+    formula of the walk builders and the rearranger's tours.  It is exact
+    on Fractions; on floats ``_polyline_chain``'s n is a power of two, so
+    (d*i)/n equals d*(i/n), the product with the exact fraction i/n."""
+    d = [cb - ca for ca, cb in zip(a, b)]
+    return [tuple(ca + dc * i / n for ca, dc in zip(a, d)) for i in range(1, n + 1)]
 
 
 def _polyline_chain(points: Sequence, bound) -> list:
@@ -201,28 +199,23 @@ def _polyline_chain(points: Sequence, bound) -> list:
         n = 1
         while length / n > float(bound) + 1e-12:
             n *= 2
-        chain.extend(_segment(a, b, n))
+        chain.extend(segment(a, b, n))
     return chain
 
 
 def gen_two_lines(phases: int) -> Walk:
     """The two-vertical-lines counterexample walk, in exact mode.
 
-    Phase 1 goes from the origin to (1,0) in steps of 1/2 and back.  Phase
-    k+1 climbs x=0 to height k, crosses to x=1 and descends, all in steps of
-    2^-(k+1), then retraces.  Its limit set is {0,1} x [0, inf).
+    Phase k+1 climbs x=0 to height k, crosses to x=1 and descends, all in
+    steps of 2^-(k+1), then retraces; phase 1 only crosses, in steps of 1/2.
+    Its limit set is {0,1} x [0, inf).
     """
-    if phases < 1:  # phase 1 is built before the loop, unseen by build_xwalk
-        raise ValueError("phases must be >= 1")
     F = Fraction
     schedule = []
     bounds = []
-    origin = (F(0), F(0))
-    schedule.append(_polyline_chain([origin, (F(1), F(0))], F(1, 2)))
-    bounds.append(0.5)
-    for k in range(1, phases):
+    for k in range(phases):
         step = F(1, 2 ** (k + 1))
-        corners = [origin, (F(0), F(k)), (F(1), F(k)), (F(1), F(0))]
+        corners = [(F(0), F(0)), (F(0), F(k)), (F(1), F(k)), (F(1), F(0))]
         schedule.append(_polyline_chain(corners, step))
         bounds.append(float(step))
     return build_xwalk(schedule, step_bounds=bounds)

@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -42,6 +44,18 @@ def test_estimate_validation():
         estimate_limit_set(w, resolution=0.1, window_fraction=0.0)
     with pytest.raises(ValueError, match="resolution"):
         estimate_limit_set(w, resolution=-1.0)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"resolution": math.nan}, "resolution must be finite and positive"),
+    ({"resolution": math.inf}, "resolution must be finite and positive"),
+    ({"resolution": 0.1, "window_fraction": math.nan}, r"window_fraction must be in \(0, 1\]"),
+], ids=["resolution-nan", "resolution-inf", "window-nan"])
+def test_estimate_refuses_nan_parameters(kw, message):
+    # a NaN once passed the range checks and failed later in math.ceil or
+    # math.floor with "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=message):
+        estimate_limit_set(gen_c0_two_point(3), **kw)
 
 
 def test_estimate_two_point_walk_exact():
@@ -125,6 +139,27 @@ def test_verify_dichotomy_compact_and_violation():
     empty = LimitEstimate(PointSample(()), 0, 0.1, [])
     with pytest.raises(ValueError, match="empty estimate"):
         verify_dichotomy(empty, 1.0, 5.0)
+
+
+@pytest.mark.parametrize("gap, bound, message", [
+    (math.nan, 5.0, "gap must be finite and >= 0, not nan"),
+    (-1.0, 5.0, "gap must be finite and >= 0, not -1.0"),
+    (math.inf, 5.0, "gap must be finite and >= 0, not inf"),
+    (1.0, math.nan, "bound must be finite, not nan"),
+    (1.0, math.inf, "bound must be finite, not inf"),
+], ids=["gap-nan", "gap-negative", "gap-inf", "bound-nan", "bound-inf"])
+def test_verify_dichotomy_refuses_bad_parameters(gap, bound, message):
+    # each once read as a "violation" of a compact estimate
+    est = LimitEstimate(PointSample(((0.0, 0.0), (0.5, 0.0))), 0, 0.1, [2, 2])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_dichotomy(est, gap, bound)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_singleton_check_refuses_bad_tol(tol):
+    # NaN and -1 once read the divergent c0 walk as "diverges-with-singleton"
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        singleton_convergence_check(gen_c0_singleton_divergent(8), tol)
 
 
 def test_singleton_check_convergent():

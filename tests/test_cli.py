@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from serwalk import cli
+
 CLI = [sys.executable, "-m", "serwalk.cli"]
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -114,6 +116,70 @@ def test_rearrange_refuses_out_dash(tmp_path):
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr == "rearrange writes files under a base name: --out - is not one\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["target.csv"]
+
+
+@pytest.mark.parametrize("argv, inp, message", [
+    (["rearrange", "--target", "pt.csv", "--stages", "2", "--out", "pt"], "pt.csv",
+     "output pt.csv would overwrite input pt.csv"),
+    (["generate", "chainable", "--target", "s.csv", "--out", "s.csv"], "s.csv",
+     "output s.csv would overwrite input s.csv"),
+    # the derived manifest counts as an output
+    (["generate", "chainable", "--target", "s.manifest.json", "--out", "s"],
+     "s.manifest.json", "output s.manifest.json would overwrite input s.manifest.json"),
+    (["verify", "estimate", "--input", "t.csv", "--out", "./t.csv"], "t.csv",
+     "output ./t.csv would overwrite input t.csv"),
+    (["plot", "--input", "t.csv", "--out", "t.csv"], "t.csv",
+     "output t.csv would overwrite input t.csv"),
+], ids=["rearrange", "generate", "generate-manifest", "verify", "plot"])
+def test_outputs_never_overwrite_inputs(tmp_path, monkeypatch, capsys, argv, inp, message):
+    # each once exited 0 with its input destroyed
+    monkeypatch.chdir(tmp_path)
+    text = {"pt.csv": "coord_0,coord_1\n0.25,-0.5\n",
+            "t.csv": "index,phase,coord_0\n1,1,0.5\n2,1,0\n"}.get(
+                inp, "coord_0,coord_1\n0,0\n0.25,0\n")
+    (tmp_path / inp).write_text(text)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == message + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == [inp]
+    assert (tmp_path / inp).read_text() == text
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "dichotomy", "--input", "tl.csv", "--gap", "nan"],
+     "gap must be finite and >= 0, not nan"),
+    (["verify", "dichotomy", "--input", "tl.csv", "--gap", "-1"],
+     "gap must be finite and >= 0, not -1.0"),
+    (["verify", "dichotomy", "--input", "tl.csv", "--bound", "nan"],
+     "bound must be finite, not nan"),
+    (["verify", "singleton", "--input", "c0.jsonl", "--tol", "nan"],
+     "tol must be finite and positive, not nan"),
+    (["verify", "singleton", "--input", "c0.jsonl", "--tol", "-1"],
+     "tol must be finite and positive, not -1.0"),
+    (["verify", "estimate", "--input", "tl.csv", "--resolution", "nan"],
+     "resolution must be finite and positive"),
+    (["verify", "estimate", "--input", "tl.csv", "--window", "nan"],
+     "window_fraction must be in (0, 1]"),
+    (["verify", "rp-instance", "--input", "terms.json", "--epsilon", "nan"],
+     "epsilon must be a finite positive number, not nan"),
+    (["verify", "rp-instance", "--input", "terms.json", "--epsilon", "inf"],
+     "epsilon must be a finite positive number, not inf"),
+    (["verify", "rp-instance", "--input", "terms.json", "--epsilon", "0"],
+     "epsilon must be a finite positive number, not 0.0"),
+], ids=["gap-nan", "gap-negative", "bound-nan", "tol-nan", "tol-negative",
+        "resolution-nan", "window-nan", "epsilon-nan", "epsilon-inf", "epsilon-zero"])
+def test_out_of_range_parameters_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                                  argv, message):
+    # each once printed a verdict (exit 0 or 1) or a message naming no
+    # parameter ("cannot convert float NaN to integer")
+    monkeypatch.chdir(tmp_path)
+    for generator in (["two-lines", "--phases", "4", "--out", "tl.csv"],
+                      ["c0-singleton", "--phases", "8", "--out", "c0.jsonl"],
+                      ["no-rp", "--kmax", "1", "--out", "terms.json"]):
+        assert cli.main(["generate", *generator]) == 0
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == message + "\n"
 
 
 def test_verify_dichotomy_two_lines(tmp_path):

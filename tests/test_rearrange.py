@@ -398,7 +398,7 @@ def test_rearrange_validation():
     series = full_range_series(2, 1000)
     with pytest.raises(ValueError, match="stages"):
         rearrange_to_limit_set(series, PointSample(((0.0, 0.0),)), 0)
-    with pytest.raises(ValueError, match="empty target"):
+    with pytest.raises(ValueError, match="empty sample"):
         rearrange_to_limit_set(series, PointSample(()), 1)
 
 
@@ -494,6 +494,38 @@ def test_rearrange_reports_failed_balancing(monkeypatch):
     with pytest.raises(ValueError, match="balancing failed"):
         rearrange_to_limit_set(full_range_series(2, 80000),
                                PointSample(((-0.4, -0.1),)), 5)
+
+
+def test_rearrange_reports_a_step_that_lands_off_its_anchor(monkeypatch):
+    # a balancing that drops each batch's last term leaves the step short
+    def drop_last(terms, bound):
+        return find_balanced_permutation(terms, bound)[:-1]
+
+    monkeypatch.setattr("serwalk.rearrange.find_balanced_permutation", drop_last)
+    with pytest.raises(ValueError, match="terminal sum off target"):
+        rearrange_to_limit_set(full_range_series(2, 80000),
+                               PointSample(((-0.4, -0.1),)), 5)
+
+
+def test_rearrange_reports_an_exhausted_prefix():
+    # no prefix of 3000 terms reaches (100, 100): its positive x terms sum to 57.6
+    with pytest.raises(ValueError, match="series prefix exhausted before target reached"):
+        rearrange_to_limit_set(full_range_series(2, 3000), PointSample(((100.0, 100.0),)), 1)
+
+
+@pytest.mark.parametrize("target, stages", [
+    (((0.1, 0.2, 0.3, 0.4, 0.5), (-0.1, -0.2, 0.0, 0.1, 0.2)), 4),
+    (((0.3, 0.25, -0.7, -0.25, -0.5, 0.25),), 3),
+], ids=["5d-two-points", "6d-point"])
+def test_rearrange_lands_in_higher_dimensions(target, stages):
+    # selection stops each axis within land / (2 max(1, sqrt(dim/3))), so the
+    # Euclidean error left is at most sqrt(3)/2 of the landing tolerance; a
+    # stop of land/2 per axis left up to sqrt(dim)/2 of it, and these runs
+    # ended with "terminal sum off target"
+    series = full_range_series(len(target[0]), 80000)
+    tau, walk, reports = rearrange_to_limit_set(series, PointSample(target), stages)
+    assert check_stage_invariants(reports, tau, RPConstants(series))
+    assert distance(walk.sums[-1], target[0]) < 2.0 ** -(stages + 1) / 12
 
 
 def test_rearrange_checks_every_sum_against_its_eps_ball(monkeypatch):

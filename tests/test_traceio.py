@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import math
 import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -190,6 +192,35 @@ def test_dense_cli_outputs_are_byte_identical_to_their_pins(tmp_path, monkeypatc
         assert cli.main(["generate", "two-lines", "--phases", "7", "--out", "tl7.csv"]) == 0
     assert cli.main(argv + [name]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+C10_CIRCLE = [(math.cos(2 * math.pi * i / 126), math.sin(2 * math.pi * i / 126))
+              for i in range(126)]  # acceptance c10's 0.05-pitch circle
+
+
+@pytest.mark.parametrize("points, digests", [
+    (C10_CIRCLE, {
+        "csv": "990aec92a34bcf5243480cbb3632155f60a94d7fe5e5ebaf49d249df93f7557d",
+        "perm.json": "f7d31238f8e34cbd31daa3bdc0c62a1a492c92a91b7b31506ef2a94e4bbb49bd",
+        "report.json": "ab1466a78842bd0753f3b4601ed70373d60ce2c859d7e070d5f64ee6779fb560",
+        "manifest.json": "d8e14f4e15883986bb9ee3b5ce3663d13bb545321942cee916f2414b98e94ccd"}),
+    ([(0.25, -0.5)], {
+        "csv": "64875304639201734e57ff014950a2121eb22b88836cb53bcfaf7552cc0a9125",
+        "perm.json": "932173fa9b70c8cdf2d84d14c7b3fcb7a8e6997f92feb8e32b6142186cef6dc4",
+        "report.json": "3a780d10ac6705d7449b74dc2c2c46e50ce5c9d7b1a96704c26c463487b937ce",
+        "manifest.json": "d8e14f4e15883986bb9ee3b5ce3663d13bb545321942cee916f2414b98e94ccd"}),
+], ids=["circle", "point"])
+def test_rearrange_cli_outputs_are_byte_identical_to_their_pins(tmp_path, monkeypatch,
+                                                               points, digests):
+    # the four files of `serwalk rearrange` at its default stages and terms,
+    # pinned by sha256; the sample CSV holds each float's exact decimal
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "target.csv").write_text("coord_0,coord_1\n" + "".join(
+        f"{Decimal(x):f},{Decimal(y):f}\n" for x, y in points))
+    assert cli.main(["rearrange", "--target", "target.csv", "--out", "run"]) == 0
+    got = {ext: hashlib.sha256((tmp_path / f"run.{ext}").read_bytes()).hexdigest()
+           for ext in digests}
+    assert got == digests
 
 
 @pytest.mark.parametrize("terms, enc", [
