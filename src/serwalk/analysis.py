@@ -21,6 +21,9 @@ MIN_HITS = 2
 #: the Cauchy diagnostic's tail: this fraction of the walk's sums
 TAIL_FRACTION = 0.3
 
+#: the limit-set estimate's default late window: this fraction of the sums
+WINDOW_FRACTION = 0.3
+
 
 def _snap_key(p, resolution: float):
     if hasattr(p, "entries"):
@@ -91,7 +94,7 @@ def _window_bounds(w: Walk, window_fraction: float) -> tuple[int, list[tuple[int
 
 
 def estimate_limit_set(w: Walk, resolution: float,
-                       window_fraction: float = 0.3) -> LimitEstimate:
+                       window_fraction: float = WINDOW_FRACTION) -> LimitEstimate:
     """Grid-based recurrence estimate of LIM from the walk's late window;
     the comparisons refuse a NaN resolution or window fraction."""
     if not 0 < window_fraction <= 1:

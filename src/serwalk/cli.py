@@ -10,6 +10,7 @@ leak into any artifact.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import math
@@ -54,9 +55,10 @@ def _outputs(args) -> list:
         base = args.out or "rearranged"
         return [base + ext for ext in (".csv", ".perm.json", ".report.json",
                                        ".manifest.json")]
-    if args.out in (None, "-"):
+    out = getattr(args, "out", None)  # not every check takes --out
+    if out in (None, "-"):
         return []
-    return [args.out] + ([args.out + ".manifest.json"] if args.command == "generate" else [])
+    return [out] + ([out + ".manifest.json"] if args.command == "generate" else [])
 
 
 def _write_manifest(args):
@@ -94,56 +96,46 @@ def _read_trace(fp):
     return (traceio.read_walk_jsonl if head == "{" else traceio.read_walk_csv)(fp)
 
 
-def _parse_floats(text):
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
 # ---------------------------------------------------------------------------
 # generate
 
-def cmd_generate(args) -> int:
-    name = args.generator
-    walk = None
-    terms = None
-    if name == "two-lines":
-        walk = walks.gen_two_lines(args.phases)
-    elif name == "halflines":
-        abscissae = (_parse_floats(args.abscissae) if args.abscissae
-                     else list(range(args.phases + 1)))
-        walk = walks.gen_halflines(abscissae, args.phases)
-    elif name == "chainable":
-        if not args.target:
-            raise ValueError("chainable needs --target")
-        target = _read(args.target, "sample", traceio.read_sample_csv)
-        walk = walks.build_chainable_walk(list(target), args.phases)
-    elif name == "unbounded":
-        radii = _parse_floats(args.radii) if args.radii else [2.0, 3.0, 4.0]
-        comps = _demo_components(max(radii))
-        walk = walks.build_unbounded_components_walk(comps, radii, args.phases)
-    elif name == "c0-two-point":
-        walk = seqspace.gen_c0_two_point(args.phases)
-    elif name == "c0-singleton":
-        walk = seqspace.gen_c0_singleton_divergent(args.phases)
-    else:  # no-rp; argparse admits no other name
-        series, _ = seqspace.gen_no_rp_series(args.kmax)
-        terms = series.terms
+def _rails():
+    """The unbounded generator's two components: the vertical segments at
+    x = -1 and x = 1 up to height 4, its largest radius, at pitch 0.1."""
+    return [PointSample(tuple((x, 0.1 * i) for i in range(41)), label)
+            for x, label in ((-1.0, "left"), (1.0, "right"))]
 
+
+#: each generator's flags (besides --out) and the call that builds its walk
+#: (for no-rp, its series terms)
+GENERATORS = {
+    "two-lines": (["phases"], lambda a: walks.gen_two_lines(a.phases)),
+    "halflines": (["phases"],
+                  lambda a: walks.gen_halflines(range(a.phases + 1), a.phases)),
+    "chainable": (["phases", "target"], lambda a: walks.build_chainable_walk(
+        list(_read(a.target, "sample", traceio.read_sample_csv)), a.phases)),
+    "unbounded": (["phases"], lambda a: walks.build_unbounded_components_walk(
+        _rails(), [2, 3, 4], a.phases)),
+    "c0-two-point": (["phases"], lambda a: seqspace.gen_c0_two_point(a.phases)),
+    "c0-singleton": (["phases"],
+                     lambda a: seqspace.gen_c0_singleton_divergent(a.phases)),
+    "no-rp": (["kmax"], lambda a: seqspace.gen_no_rp_series(a.kmax)[0].terms),
+}
+
+
+def cmd_generate(args) -> int:
+    made = GENERATORS[args.generator][1](args)
+    walk = made if isinstance(made, walks.Walk) else None
     with _out_stream(args.out) as fp:
-        if terms is not None:
-            traceio.write_terms_json(terms, fp)
-        elif hasattr(walk.sums[0], "entries"):
+        if walk is None:
+            traceio.write_terms_json(made, fp)
+        elif hasattr(walk.anchor, "entries"):
             traceio.write_walk_jsonl(walk, fp)
         else:
             traceio.write_walk_csv(walk, fp)
     _write_manifest(args)
-    log.info("generated %s (%d sums)", name, 0 if walk is None else len(walk))
+    log.info("generated %s (%d sums)", args.generator, 0 if walk is None else len(walk))
     return PASS
-
-
-def _demo_components(top):
-    seg = [(-1.0, 0.1 * i) for i in range(int(top * 10) + 1)]
-    seg2 = [(1.0, 0.1 * i) for i in range(int(top * 10) + 1)]
-    return [PointSample(tuple(seg), "left"), PointSample(tuple(seg2), "right")]
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +181,6 @@ def cmd_verify(args) -> int:
               and fam.check_prefix_lower_bound())
         print("pass" if ok else "fail")
         return PASS if ok else FAIL
-    if not args.input:
-        raise ValueError(f"verify {what} needs --input")
     if what == "rp-instance":
         if args.prefix < 1:
             raise ValueError("prefix must be >= 1")
@@ -233,61 +223,72 @@ def cmd_verify(args) -> int:
 
 def cmd_plot(args) -> int:
     walk = _read(args.input, "trace", _read_trace)
-    if hasattr(walk.sums[0], "entries") or len(walk.sums[0]) != 2:
-        raise ValueError("plotting needs a 2-D dense trace")
     marks = (list(_read(args.marks, "sample", traceio.read_sample_csv))
              if args.marks else None)
+    svg = io.StringIO()  # a refused plot leaves no half-written file
+    traceio.write_walk_svg(walk, svg, marks=marks)
     with _out_stream(args.out) as fp:
-        traceio.write_walk_svg(walk, fp, marks=marks)
+        fp.write(svg.getvalue())
     return PASS
 
 
 # ---------------------------------------------------------------------------
+
+#: every flag's argparse spec; each command takes only the flags it reads
+FLAGS = {
+    "phases": dict(type=int, default=3),
+    "kmax": dict(type=int, default=1),
+    "target": dict(required=True),
+    "input": dict(required=True),
+    "marks": {},
+    "stages": dict(type=int, default=5),
+    "terms": dict(type=int, default=80000),
+    "epsilon": dict(type=float, default=1.0),
+    "resolution": dict(type=float, default=0.1),
+    "window": dict(type=float, default=analysis.WINDOW_FRACTION),
+    "gap": dict(type=float, default=0.9),
+    "bound": dict(type=float),
+    "tol": dict(type=float, default=0.1),
+    "k": dict(type=int, default=2),
+    "prefix": dict(type=int, default=10),
+    "out": {},
+}
+
+#: each check's flags
+CHECKS = {
+    "estimate": ["input", "resolution", "window", "out"],
+    "dichotomy": ["input", "resolution", "window", "gap", "bound", "out"],
+    "singleton": ["input", "tol"],
+    "cauchy": ["input"],
+    "vector-family": ["k"],
+    "rp-instance": ["input", "epsilon", "prefix"],
+}
+
+
+def _add_command(sub, name, flags, func, **kw):
+    p = sub.add_parser(name, **kw)
+    for flag in flags:
+        p.add_argument(f"--{flag}", **FLAGS[flag])
+    p.set_defaults(func=func)
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="serwalk",
                                  description="rearranged-series walk toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="emit a canonical walk trace")
-    g.add_argument("generator", choices=["two-lines", "halflines", "chainable",
-                                         "unbounded", "c0-two-point",
-                                         "c0-singleton", "no-rp"])
-    g.add_argument("--phases", type=int, default=3)
-    g.add_argument("--kmax", type=int, default=1)
-    g.add_argument("--abscissae")
-    g.add_argument("--radii")
-    g.add_argument("--target")
-    g.add_argument("--out")
-    g.set_defaults(func=cmd_generate)
-
-    r = sub.add_parser("rearrange", help="steer a full-sum-range series onto a target")
-    r.add_argument("--target", required=True)
-    r.add_argument("--stages", type=int, default=5)
-    r.add_argument("--terms", type=int, default=80000)
-    r.add_argument("--out")
-    r.set_defaults(func=cmd_rearrange)
-
-    v = sub.add_parser("verify", help="run a property verifier")
-    v.add_argument("check", choices=["estimate", "dichotomy", "singleton",
-                                     "cauchy", "vector-family", "rp-instance"])
-    v.add_argument("--input")
-    v.add_argument("--epsilon", type=float, default=1.0)
-    v.add_argument("--resolution", type=float, default=0.1)
-    v.add_argument("--window", type=float, default=0.3)
-    v.add_argument("--gap", type=float, default=0.9)
-    v.add_argument("--bound", type=float)
-    v.add_argument("--tol", type=float, default=0.1)
-    v.add_argument("--k", type=int, default=2)
-    v.add_argument("--prefix", type=int, default=10)
-    v.add_argument("--out")
-    v.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("plot", help="render a 2-D trace as SVG")
-    p.add_argument("--input", required=True)
-    p.add_argument("--marks")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_plot)
+    gens = sub.add_parser("generate", help="emit a canonical walk trace"
+                          ).add_subparsers(dest="generator", required=True)
+    for name, (flags, _) in GENERATORS.items():
+        _add_command(gens, name, flags + ["out"], cmd_generate)
+    _add_command(sub, "rearrange", ["target", "stages", "terms", "out"], cmd_rearrange,
+                 help="steer a full-sum-range series onto a target")
+    checks = sub.add_parser("verify", help="run a property verifier"
+                            ).add_subparsers(dest="check", required=True)
+    for name, flags in CHECKS.items():
+        _add_command(checks, name, flags, cmd_verify)
+    _add_command(sub, "plot", ["input", "marks", "out"], cmd_plot,
+                 help="render a 2-D trace as SVG")
     return ap
 
 

@@ -1,9 +1,11 @@
 """Trace serialization: walks to/from CSV and JSON lines, plus reports.
 
 Dense walk traces are CSV with header ``index,phase,coord_0,...``; the
-start point (index 0) is implicit and never written.  Dyadic values render
-as exact terminating decimal strings -- never scientific notation -- so
-golden files stay stable.  Sequence-space walks serialize as JSON lines
+start point (index 0) is never written, and every trace starts at the
+origin: a walk anchored elsewhere reads back with its sums unchanged and
+only its first step moved.  Dyadic values render as exact terminating
+decimal strings -- never scientific notation -- so golden files stay
+stable.  Sequence-space walks serialize as JSON lines
 ``{"index": n, "phase": p, "entries": {"i": v, ...}}``.  Both readers
 reject a trace whose index runs other than 1, 2, ..., n or whose phase
 goes down.  Sparse entries and dense series terms must be JSON ints or
@@ -325,10 +327,13 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 
 def write_walk_svg(w: Walk, fp: TextIO, marks: Optional[Sequence]) -> None:
     """SVG polyline of a 2-D walk, one color per phase, optional marked
-    sample points, with axis tick labels at the integer and half-integer
-    levels the trace reaches, on a 480-pixel square."""
+    2-D sample points, with x-axis tick labels at the integer and
+    half-integer abscissae the trace reaches, on a 480-pixel square.
+    Anything else raises ValueError before the first write."""
     if hasattr(w.sums[0], "entries") or len(w.sums[0]) != 2:
         raise ValueError("plotting needs a 2-D dense trace")
+    if any(len(p) != 2 for p in marks or ()):
+        raise ValueError("plot marks must be 2-D points")
     size = 480
     xs = [float(p[0]) for p in w.sums]
     ys = [float(p[1]) for p in w.sums]

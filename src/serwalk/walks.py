@@ -226,22 +226,20 @@ def gen_halflines(abscissae: Sequence, phases: int) -> Walk:
 
     Phase k involves (a_1,0)..(a_{k+1},0), transfers horizontally along
     y = k-1 and uses steps <= 2^(1-k).  Needs len(abscissae) >= phases+1.
-    Exact mode when every abscissa is rational (int/Fraction), float mode
-    otherwise.
+    The walk is exact: every abscissa must be an int or a Fraction.
     """
+    if not all(isinstance(a, (int, Fraction)) for a in abscissae):
+        raise ValueError("abscissae must be ints or Fractions")
     if len(set(abscissae)) != len(abscissae):
         raise ValueError("duplicate abscissae")
     if len(abscissae) < phases + 1:
         raise ValueError("need at least phases+1 abscissae")
-    exact_mode = all(isinstance(a, (int, Fraction)) for a in abscissae)
-    zero = Fraction(0) if exact_mode else 0.0
-    one = (lambda v: Fraction(v)) if exact_mode else float
-    pts = [(one(a) + zero, zero) for a in abscissae]
+    pts = [(Fraction(a), Fraction(0)) for a in abscissae]
     schedule = []
     bounds = []
     for k in range(1, phases + 1):
-        bound = Fraction(1, 2 ** (k - 1)) if exact_mode else 2.0 ** (1 - k)
-        h = one(k - 1)
+        bound = Fraction(1, 2 ** (k - 1))
+        h = Fraction(k - 1)
         corners = [pts[0]]
         for j in range(k):
             a_cur, a_next = pts[j], pts[j + 1]

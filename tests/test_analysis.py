@@ -44,6 +44,8 @@ def test_estimate_validation():
         estimate_limit_set(w, resolution=0.1, window_fraction=0.0)
     with pytest.raises(ValueError, match="resolution"):
         estimate_limit_set(w, resolution=-1.0)
+    with pytest.raises(ValueError, match="window shorter than 2 points"):
+        estimate_limit_set(Walk([(0.0, 0.0), (1.0, 0.0)], [1]), resolution=0.1)
 
 
 @pytest.mark.parametrize("kw, message", [
@@ -193,4 +195,6 @@ def test_cauchy_diagnostic():
     assert conv["max_gap"] < 0.05
     div = cauchy_diagnostic(gen_c0_two_point(6))
     assert div == {"max_gap": 1.0}
+    with pytest.raises(ValueError, match="tail shorter than 2 points"):
+        cauchy_diagnostic(Walk([(0.0, 0.0)], []))
 

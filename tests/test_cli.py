@@ -166,14 +166,19 @@ def test_outputs_never_overwrite_inputs(tmp_path, monkeypatch, capsys, argv, inp
      "epsilon must be a finite positive number, not inf"),
     (["verify", "rp-instance", "--input", "terms.json", "--epsilon", "0"],
      "epsilon must be a finite positive number, not 0.0"),
+    (["verify", "singleton", "--input", "tl2.csv"], "walk too short (need >= 100 sums)"),
+    (["verify", "vector-family", "--k", "0"], "k must be >= 1"),
+    (["verify", "vector-family", "--k", "4"], "family too large for exhaustive check"),
 ], ids=["gap-nan", "gap-negative", "bound-nan", "tol-nan", "tol-negative",
-        "resolution-nan", "window-nan", "epsilon-nan", "epsilon-inf", "epsilon-zero"])
+        "resolution-nan", "window-nan", "epsilon-nan", "epsilon-inf", "epsilon-zero",
+        "singleton-short-walk", "vector-family-k0", "vector-family-k4"])
 def test_out_of_range_parameters_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                   argv, message):
-    # each once printed a verdict (exit 0 or 1) or a message naming no
-    # parameter ("cannot convert float NaN to integer")
+    # each but the last three once printed a verdict (exit 0 or 1) or a
+    # message naming no parameter ("cannot convert float NaN to integer")
     monkeypatch.chdir(tmp_path)
     for generator in (["two-lines", "--phases", "4", "--out", "tl.csv"],
+                      ["two-lines", "--phases", "2", "--out", "tl2.csv"],  # 28 sums
                       ["c0-singleton", "--phases", "8", "--out", "c0.jsonl"],
                       ["no-rp", "--kmax", "1", "--out", "terms.json"]):
         assert cli.main(["generate", *generator]) == 0
@@ -294,7 +299,40 @@ def test_unreadable_input_is_a_usage_error(tmp_path, argv, kind):
 def test_verify_without_input_is_usage_error(check):
     r = run("verify", check)
     assert r.returncode == 2
-    assert r.stderr.strip() == f"verify {check} needs --input"
+    assert "the following arguments are required: --input" in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "two-lines", "--kmax", "2"],
+    ["generate", "two-lines", "--target", "s.csv"],
+    ["generate", "no-rp", "--phases", "3"],
+    ["verify", "cauchy", "--input", "t.csv", "--out", "r.json"],
+    ["verify", "vector-family", "--input", "t.csv"],
+    ["verify", "singleton", "--input", "t.csv", "--resolution", "0.2"],
+    # no flag sets the halflines abscissae or the unbounded radii
+    ["generate", "halflines", "--phases", "2", "--abscissae", "0,nan,1"],
+    ["generate", "unbounded", "--radii", "inf,5"],
+], ids=["two-lines-kmax", "two-lines-target", "no-rp-phases", "cauchy-out",
+        "vector-family-input", "singleton-resolution", "halflines-abscissae",
+        "unbounded-radii"])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                                        argv):
+    # each was once accepted with its flag ignored or misread; now argparse
+    # refuses it before the command opens its inputs or writes anything
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.csv").write_text("coord_0,coord_1\n0,0\n0.25,0\n")
+    (tmp_path / "t.csv").write_text("index,phase,coord_0\n1,1,0.5\n2,1,0\n")
+
+    def refuse(*args, **kw):
+        raise AssertionError(f"opened {args}")
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "t.csv"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -437,6 +475,31 @@ def test_plot_round_trip(tmp_path):
     assert r.returncode == 0
     text = svg.read_text()
     assert text.count("<circle") == 2 and "<polyline" in text
+
+
+@pytest.mark.parametrize("trace, marks, message", [
+    ("tl.csv", "coord_0\n0\n", "plot marks must be 2-D points"),
+    ("tl.csv", "coord_0,coord_1,coord_2\n0,0,0\n", "plot marks must be 2-D points"),
+    ("w3.csv", None, "plotting needs a 2-D dense trace"),
+    ("c0.jsonl", None, "plotting needs a 2-D dense trace"),
+], ids=["marks-1d", "marks-3d", "trace-3d", "trace-c0"])
+def test_plot_refuses_what_is_not_2d(tmp_path, monkeypatch, capsys, trace, marks,
+                                     message):
+    # 1-D marks once raised IndexError and left a half-written SVG, and 3-D
+    # marks were plotted by their first two coordinates
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["generate", "two-lines", "--phases", "2", "--out", "tl.csv"]) == 0
+    assert cli.main(["generate", "c0-two-point", "--phases", "2", "--out", "c0.jsonl"]) == 0
+    (tmp_path / "w3.csv").write_text("index,phase,coord_0,coord_1,coord_2\n1,1,1,0,0\n")
+    argv = ["plot", "--input", trace, "--out", "w.svg"]
+    if marks is not None:
+        (tmp_path / "marks.csv").write_text(marks)
+        argv += ["--marks", "marks.csv"]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == message + "\n"
+    assert not (tmp_path / "w.svg").exists()
 
 
 def test_serwalk_log_env_controls_logging(tmp_path):

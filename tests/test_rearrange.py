@@ -268,6 +268,14 @@ def test_certify_rp_short_prefix_raises():
                           rng=random.Random(20240817))
 
 
+def test_certify_rp_reports_failed_balancing(monkeypatch):
+    monkeypatch.setattr("serwalk.rearrange.find_balanced_permutation",
+                        lambda terms, bound: None)
+    with pytest.raises(ValueError, match="RP certification failed at eps=1.0"):
+        certify_rp_family(alternating_harmonic(2000), [1.0], instance_budget=10,
+                          rng=random.Random(5))
+
+
 def test_rearrange_small_segment_target():
     series = full_range_series(2, 60000)
     target = PointSample(tuple((0.1 * i, 0.0) for i in range(6)))

@@ -16,7 +16,7 @@ from serwalk.traceio import (estimate_report, read_sample_csv,
                              read_terms_json, read_walk_csv, read_walk_jsonl,
                              render_scalar, write_terms_json,
                              write_walk_csv, write_walk_jsonl, write_walk_svg)
-from serwalk.walks import Walk, gen_two_lines
+from serwalk.walks import Walk, build_chainable_walk, gen_two_lines
 
 
 def test_render_scalar_goldens():
@@ -66,6 +66,21 @@ def test_walk_csv_round_trip_float():
     back = read_walk_csv(io.StringIO(buf.getvalue()))
     assert back.mode == "float"
     assert back.sums == w.sums
+
+
+def test_walk_csv_reads_back_at_the_origin():
+    # a trace starts at the origin: a walk anchored elsewhere reads back with
+    # its sums unchanged and only its first step moved
+    circle = [(math.cos(2 * math.pi * i / 20), math.sin(2 * math.pi * i / 20))
+              for i in range(20)]
+    w = build_chainable_walk(circle, 2)
+    buf = io.StringIO()
+    write_walk_csv(w, buf)
+    back = read_walk_csv(io.StringIO(buf.getvalue()))
+    assert w.anchor == (1.0, 0.0) and back.anchor == (0.0, 0.0)
+    assert back.sums[1:] == w.sums[1:]
+    assert back.steps()[1:] == w.steps()[1:]
+    assert back.steps()[0] != w.steps()[0]
 
 
 def test_walk_csv_rejects_sparse_and_bad_header():
@@ -174,28 +189,53 @@ def test_sparse_outputs_are_byte_identical_to_their_pins(make, write, digest):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, name, digest", [
-    (["generate", "two-lines", "--phases", "7", "--out"], "tl7.csv",
-     "82cb6968ae641cdca8917ba7237c5b1a6a59e90f01663f192778f076cab3bb53"),
-    (["verify", "dichotomy", "--input", "tl7.csv", "--gap", "0.9", "--bound", "4",
-      "--out"], "tl7.report.json",
-     "339e7f2b29e9803e31df412e70a49ba4cd7b6f7e9dda46bdcde1b5349b99ee3b"),
-    (["plot", "--input", "tl7.csv", "--out"], "tl7.svg",
-     "3d9ac45ddf50aa83873505b1a91a6f9d5dc502a067986ce88a150389a6a0dbda"),
-], ids=["generate-two-lines-7", "dichotomy-two-lines-7", "plot-two-lines-7"])
-def test_dense_cli_outputs_are_byte_identical_to_their_pins(tmp_path, monkeypatch,
-                                                            argv, name, digest):
-    # the dense trace, its dichotomy report and its plot, pinned by sha256:
-    # they cover the CSV reader and the modal representatives' tie order
-    monkeypatch.chdir(tmp_path)
-    if name != "tl7.csv":
-        assert cli.main(["generate", "two-lines", "--phases", "7", "--out", "tl7.csv"]) == 0
-    assert cli.main(argv + [name]) == 0
-    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
-
-
 C10_CIRCLE = [(math.cos(2 * math.pi * i / 126), math.sin(2 * math.pi * i / 126))
               for i in range(126)]  # acceptance c10's 0.05-pitch circle
+
+
+def _sample_csv(points) -> str:
+    # a sample CSV holding each float's exact decimal
+    return "coord_0,coord_1\n" + "".join(f"{Decimal(x):f},{Decimal(y):f}\n"
+                                         for x, y in points)
+
+
+@pytest.mark.parametrize("argv, name, digest", [
+    ("generate two-lines --phases 7 --out tl7.csv", "tl7.csv",
+     "82cb6968ae641cdca8917ba7237c5b1a6a59e90f01663f192778f076cab3bb53"),
+    ("verify dichotomy --input tl7.csv --gap 0.9 --bound 4 --out tl7.report.json",
+     "tl7.report.json", "339e7f2b29e9803e31df412e70a49ba4cd7b6f7e9dda46bdcde1b5349b99ee3b"),
+    ("plot --input tl7.csv --out tl7.svg", "tl7.svg",
+     "3d9ac45ddf50aa83873505b1a91a6f9d5dc502a067986ce88a150389a6a0dbda"),
+    ("generate two-lines --phases 7 --out tl7.csv", "tl7.csv.manifest.json",
+     "49a7114673fc3eab02cd7c989f86675dc3600eec7bbdde52efc9e7c9d1e554df"),
+    ("verify estimate --input tl7.csv --out tl7.estimate.json", "tl7.estimate.json",
+     "6c4e39ddac244ca3cac82dceb47868314a2bb5403617209ee21184e4278402af"),
+    ("generate halflines --phases 4 --out hl4.csv", "hl4.csv",
+     "2d2a1b300a66046832917c0352b98acfc8c99687b3e7ddd440c67229b4ad303f"),
+    ("generate chainable --phases 4 --target circle.csv --out ch4.csv", "ch4.csv",
+     "3cb3b9afb4e94a9d794c72281c7f2b4f03fd2644b6139cddcdcad63839b0f58f"),
+    ("generate chainable --phases 4 --target circle.csv --out ch4.csv",
+     "ch4.csv.manifest.json",
+     "35dbbf2b6e347b69d85fcbe97f31f68549192efee6b6f7f2b41ca45ffa8f67bb"),
+    ("generate unbounded --phases 3 --out ub3.csv", "ub3.csv",
+     "8ff0d1ba3ca4e9abcb8bda00d912bdf53b4e52d968db2bebaa6de450f24fc5de"),
+    ("generate no-rp --kmax 3 --out norp3.json", "norp3.json.manifest.json",
+     "0f86a57c069225762b408e45e1bb0e05363df469de9ba6bbe510f1ed479bd45d"),
+], ids=["generate-two-lines-7", "dichotomy-two-lines-7", "plot-two-lines-7",
+        "manifest-two-lines-7", "estimate-two-lines-7", "generate-halflines-4",
+        "generate-chainable-4", "manifest-chainable-4", "generate-unbounded-3",
+        "manifest-no-rp-3"])
+def test_dense_cli_outputs_are_byte_identical_to_their_pins(tmp_path, monkeypatch,
+                                                            argv, name, digest):
+    # every generator's dense trace, the estimate and dichotomy reports, the
+    # plot and the generate manifests, pinned by sha256: they cover the CSV
+    # reader and the modal representatives' tie order
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "circle.csv").write_text(_sample_csv(C10_CIRCLE))
+    if "--input" in argv:
+        assert cli.main(["generate", "two-lines", "--phases", "7", "--out", "tl7.csv"]) == 0
+    assert cli.main(argv.split()) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("points, digests", [
@@ -213,10 +253,9 @@ C10_CIRCLE = [(math.cos(2 * math.pi * i / 126), math.sin(2 * math.pi * i / 126))
 def test_rearrange_cli_outputs_are_byte_identical_to_their_pins(tmp_path, monkeypatch,
                                                                points, digests):
     # the four files of `serwalk rearrange` at its default stages and terms,
-    # pinned by sha256; the sample CSV holds each float's exact decimal
+    # pinned by sha256
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "target.csv").write_text("coord_0,coord_1\n" + "".join(
-        f"{Decimal(x):f},{Decimal(y):f}\n" for x, y in points))
+    (tmp_path / "target.csv").write_text(_sample_csv(points))
     assert cli.main(["rearrange", "--target", "target.csv", "--out", "run"]) == 0
     got = {ext: hashlib.sha256((tmp_path / f"run.{ext}").read_bytes()).hexdigest()
            for ext in digests}

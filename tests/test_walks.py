@@ -72,8 +72,7 @@ def test_two_lines_rejects_zero_phases():
         [0.5], phases),
 ], ids=["two-lines", "halflines", "chainable", "unbounded"])
 def test_generators_need_a_phase(gen, phases):
-    # build_xwalk states the rule once; two-lines builds phase 1 before its
-    # loop and keeps its own check
+    # build_xwalk states the rule once, for every generator
     with pytest.raises(ValueError, match="phases must be >= 1"):
         gen(phases)
 
@@ -102,10 +101,12 @@ def test_halflines_validation():
         gen_halflines([0, 1], 2)
 
 
-def test_halflines_float_mode():
-    w = gen_halflines([0.0, 1.5], 1)
-    assert w.mode == "float"
-    assert w.is_palindromic()
+@pytest.mark.parametrize("abscissae", [[0.0, 1.5], [0, math.nan, 1], [0, 1, math.inf]],
+                         ids=["floats", "nan", "inf"])
+def test_halflines_refuses_float_abscissae(abscissae):
+    # the walk is exact; NaN once wrote nan cells and inf raised OverflowError
+    with pytest.raises(ValueError, match="abscissae must be ints or Fractions"):
+        gen_halflines(abscissae, 1)
 
 
 def test_walk_to_series_is_alternating_and_invertible():
@@ -243,7 +244,6 @@ def test_unbounded_components_walk_sparse_component_fails():
 @pytest.mark.parametrize("make, mode", [
     (lambda: gen_two_lines(3), "exact"),
     (lambda: gen_halflines([0, 1, F(7, 2)], 2), "exact"),
-    (lambda: gen_halflines([0.0, 1.5], 1), "float"),
     (lambda: build_chainable_walk([(F(0), F(0)), (F(1, 2), F(0))], 2), "exact"),
     # integer components still give a float walk
     (lambda: build_unbounded_components_walk(
@@ -258,7 +258,7 @@ def test_unbounded_components_walk_sparse_component_fails():
     (lambda: read_walk_jsonl(io.StringIO(
         '{"index": 1, "phase": 1, "entries": {"1": 0.5}}\n')), "exact"),
     (lambda: gen_c0_two_point(2), "exact"),
-], ids=["two-lines", "halflines-rational", "halflines-float", "chainable",
+], ids=["two-lines", "halflines-rational", "chainable",
         "unbounded-int", "rearrange", "csv-nondyadic", "csv-dyadic", "jsonl", "c0"])
 def test_walk_mode_is_read_off_the_points(make, mode):
     # the mode each generator and reader stored before it became a property
