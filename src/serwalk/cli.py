@@ -99,11 +99,16 @@ def _read_trace(fp):
 # ---------------------------------------------------------------------------
 # generate
 
-def _rails():
-    """The unbounded generator's two components: the vertical segments at
-    x = -1 and x = 1 up to height 4, its largest radius, at pitch 0.1."""
-    return [PointSample(tuple((x, 0.1 * i) for i in range(41)), label)
-            for x, label in ((-1.0, "left"), (1.0, "right"))]
+def _unbounded(args):
+    """The unbounded generator's walk, one phase per radius 2, 3 and 4, on
+    two components: the vertical segments at x = -1 and x = 1 up to height
+    4, the largest radius, at pitch 0.1."""
+    radii = [2, 3, 4]
+    if args.phases > len(radii):
+        raise ValueError(f"generate unbounded takes at most {len(radii)} phases")
+    rails = [PointSample(tuple((x, 0.1 * i) for i in range(41)), label)
+             for x, label in ((-1.0, "left"), (1.0, "right"))]
+    return walks.build_unbounded_components_walk(rails, radii, args.phases)
 
 
 #: each generator's flags (besides --out) and the call that builds its walk
@@ -114,8 +119,7 @@ GENERATORS = {
                   lambda a: walks.gen_halflines(range(a.phases + 1), a.phases)),
     "chainable": (["phases", "target"], lambda a: walks.build_chainable_walk(
         list(_read(a.target, "sample", traceio.read_sample_csv)), a.phases)),
-    "unbounded": (["phases"], lambda a: walks.build_unbounded_components_walk(
-        _rails(), [2, 3, 4], a.phases)),
+    "unbounded": (["phases"], _unbounded),
     "c0-two-point": (["phases"], lambda a: seqspace.gen_c0_two_point(a.phases)),
     "c0-singleton": (["phases"],
                      lambda a: seqspace.gen_c0_singleton_divergent(a.phases)),

@@ -16,13 +16,11 @@ around a.  A step that lands off b raises ValueError, and so does a stage
 whose report breaks an invariant of ``_stage_fault``, which
 ``check_stage_invariants`` runs too: a run that returns passes it.
 
-A stage step costs Python work per move and per index it picks, and numpy
-work per stage: ``push`` only records indices and keeps the running total
-in Python floats, and at the end of a stage one ``np.cumsum`` over the
-series' float64 rows (``RPConstants.rows``) gives the stage's partial
-sums, in the order and to the bit of that running total.  The eps-ball
-check then measures every sum of the stage against its move's start anchor
-in one pass.
+A stage step costs Python work per move and per index it picks: ``push``
+records each index with its partial sum, the last sum plus the term, and
+that one running total steers selection and the landing checks.  The
+eps-ball check runs once per stage, in numpy: it measures every sum of the
+stage against its move's start anchor in one pass.
 
 The reservoir keeps one queue per axis and sign.  A pick takes the first
 queued index whose magnitude is below twice the error left on that axis,
@@ -202,16 +200,13 @@ class RPConstants:
     The norms accumulate one coordinate at a time over ``core.float_rows``,
     in the order :func:`core.norm` sums, so each equals ``norm(term)`` bit
     for bit.  A SparseVec series is laid out over the union of its supports.
-    That float64 matrix stays as ``rows``, one row per term, so that the
-    rearranger converts its series once: it adds the stage's partial sums
-    from these rows.
     """
 
     def __init__(self, series: Sequence):
-        sup, (self.rows,) = float_rows(series)
-        norms = np.zeros(len(self.rows))
-        for col in range(self.rows.shape[1]):
-            fold_coordinate(norms, self.rows[:, col], sup)
+        sup, (rows,) = float_rows(series)
+        norms = np.zeros(len(rows))
+        for col in range(rows.shape[1]):
+            fold_coordinate(norms, rows[:, col], sup)
         if not sup:
             np.sqrt(norms, out=norms)
         bad = np.flatnonzero(~np.isfinite(norms))
@@ -357,12 +352,14 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     The rearrangement is deterministic: ``rng`` is accepted for callers
     that pass one and is unused.
 
-    The walk's sums are float64 partial sums, tuples of Python floats, as
-    every caller's series is float: each is the left-to-right fold of the
-    float64 terms, ``core.add`` bit for bit on a float series.  An empty
-    target ("empty sample"), or a target point with a NaN or infinite
-    coordinate or a dimension other than the series' terms (an empty series
-    has dimension 0), raises ValueError.
+    The walk's sums are the running total from the float origin, so they
+    are tuples of Python floats for any numeric series: each is the
+    left-to-right fold of the terms onto 0.0, and a float plus an int or a
+    Fraction adds that number's float, so an exact series and its float
+    copy give the same sums to the bit.  An empty target ("empty sample"),
+    or a target point with a NaN or infinite coordinate or a dimension
+    other than the series' terms (an empty series has dimension 0), raises
+    ValueError.
 
     Every sum is checked against the eps_j-ball around its move's start
     anchor, but once per stage, by ``_stage_fault`` after the stage's last
@@ -377,7 +374,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     points = _points(target)
     terms = series_prefix
     constants = RPConstants(terms)
-    dim = constants.rows.shape[1]
+    dim = len(terms[0]) if terms else 0
     for i, p in enumerate(points):
         if len(p) != dim:
             raise ValueError(f"target point {i} has dimension {len(p)}, "
@@ -389,7 +386,6 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     images: list[int] = []
     sums = [tuple([0.0] * dim)]
     frontier = 0
-    cur = [0.0] * dim  # the running total: flush's last sum, bit for bit
     per_axis = 2 * max(1.0, math.sqrt(dim / 3))  # select's divisor, 2 for dim <= 3
     # scanned-but-unused indices wait here until the walk swings back their
     # way; sweeping them at every extension instead would feed each move's
@@ -404,18 +400,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     def push(order):
         for i in order:
             images.append(i)
-            t = terms[i - 1]
-            for ax in range(dim):
-                cur[ax] += t[ax]
-
-    def flush(start):
-        # the partial sums of images[start:], appended to sums and returned
-        # as a matrix: np.cumsum adds in order, so each is the left-to-right
-        # fold from the last sum, and the final one equals cur
-        picked = constants.rows[np.array(images[start:], dtype=np.intp) - 1]
-        block = np.cumsum(np.vstack([sums[-1], picked]), axis=0)[1:]
-        sums.extend(map(tuple, block.tolist()))
-        return block
+            sums.append(tuple(map(operator.add, sums[-1], terms[i - 1])))
 
     def max_excursion(block):
         # the largest distance from a sum of the stage's block to its move's
@@ -474,8 +459,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     push(range(1, n1 + 1))
     frontier = n1
     d1 = tuple(float(c) for c in points[0])
-    push(select([a - b for a, b in zip(d1, cur)], _landing_tol(0.5)))
-    flush(0)
+    push(select([a - b for a, b in zip(d1, sums[-1])], _landing_tol(0.5)))
 
     def move(a, b, k0, eps, eps_next, sweep=False):
         # k0 is N(eps_next/2), which is N(eps/2) for all moves but the hand-off
@@ -498,7 +482,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
                         z[ax] += float(t[ax])
                 q.clear()
             mags.clear()
-        err = [float(bc) - float(cc) - zc for bc, cc, zc in zip(b, cur, z)]
+        err = [float(bc) - cc - zc for bc, cc, zc in zip(b, sums[-1], z)]
         land = _landing_tol(eps_next)
         batch.extend(select(err, land))
         if batch:
@@ -507,7 +491,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             if order is None:
                 raise ValueError("RP bound violated at stage: balancing failed")
             push(batch[p - 1] for p in order)
-        if not distance(cur, b) < land:
+        if not distance(sums[-1], b) < land:
             raise ValueError("terminal sum off target")
 
     phase_lengths = [len(images)]
@@ -534,8 +518,8 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             "eps": eps,
             "eta": eta,
             "anchor": prev_anchor,
-            "stage_end_error": distance(cur, prev_anchor),
-            "prefix_max_excursion": max_excursion(flush(start)),
+            "stage_end_error": distance(sums[-1], prev_anchor),
+            "prefix_max_excursion": max_excursion(np.array(sums[start:])[1:]),
             "moves": len(loop),
             "uncovered": len(pending),
             "covered_through": min(pending) - 1 if pending else frontier,

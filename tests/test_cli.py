@@ -168,10 +168,10 @@ def test_outputs_never_overwrite_inputs(tmp_path, monkeypatch, capsys, argv, inp
      "epsilon must be a finite positive number, not 0.0"),
     (["verify", "singleton", "--input", "tl2.csv"], "walk too short (need >= 100 sums)"),
     (["verify", "vector-family", "--k", "0"], "k must be >= 1"),
-    (["verify", "vector-family", "--k", "4"], "family too large for exhaustive check"),
+    (["verify", "vector-family", "--k", "6"], "dimension budget exceeded"),
 ], ids=["gap-nan", "gap-negative", "bound-nan", "tol-nan", "tol-negative",
         "resolution-nan", "window-nan", "epsilon-nan", "epsilon-inf", "epsilon-zero",
-        "singleton-short-walk", "vector-family-k0", "vector-family-k4"])
+        "singleton-short-walk", "vector-family-k0", "vector-family-k6"])
 def test_out_of_range_parameters_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                   argv, message):
     # each but the last three once printed a verdict (exit 0 or 1) or a
@@ -185,6 +185,29 @@ def test_out_of_range_parameters_are_usage_errors(tmp_path, monkeypatch, capsys,
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == message + "\n"
+
+
+def test_generate_unbounded_names_its_phase_limit(tmp_path, monkeypatch, capsys):
+    # its radii are 2, 3 and 4, and no flag sets them; a fourth phase once
+    # exited 2 asking for "radii ..., one per phase"
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["generate", "unbounded", "--phases", "4", "--out", "ub.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "generate unbounded takes at most 3 phases\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rearrange_reports_a_failed_construction(tmp_path, monkeypatch, capsys):
+    # 100 terms hold no term below eps/4, so the construction fails; that is
+    # a property failure, and it writes none of the four files
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pt.csv").write_text("coord_0,coord_1\n0.25,-0.5\n")
+    assert cli.main(["rearrange", "--target", "pt.csv", "--terms", "100",
+                     "--out", "run"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "rearrangement failed: series prefix too short: no term below eps/4\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["pt.csv"]
 
 
 def test_verify_dichotomy_two_lines(tmp_path):
@@ -220,6 +243,13 @@ def test_verify_vector_family():
     r = run("verify", "vector-family", "--k", "2")
     assert r.returncode == 0
     assert r.stdout.strip() == "pass"
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_verify_vector_family_up_to_the_dimension_budget(capsys, k):
+    # k = 4 once exited 2 with "family too large for exhaustive check"
+    assert cli.main(["verify", "vector-family", "--k", str(k)]) == 0
+    assert capsys.readouterr().out == "pass\n"
 
 
 @pytest.mark.parametrize("generator, stdout", [

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from serwalk import rearrange
 from serwalk.analysis import estimate_limit_set
 from serwalk.core import PointSample, chain_gap, distance, hausdorff_distance, norm
-from serwalk.rearrange import (HOP_FACTOR, RPConstants, _chain_tour, _eta,
-                               _refined_tour, _stage_fault, alternating_harmonic,
+from serwalk.rearrange import (HOP_FACTOR, RPConstants, _chain_tour, _dfs_balance,
+                               _eta, _refined_tour, _stage_fault, alternating_harmonic,
                                certify_rp_family, check_stage_invariants,
                                find_balanced_permutation, full_range_series,
                                rearrange_to_limit_set)
@@ -80,6 +81,25 @@ def test_find_balanced_permutation_edge_cases():
     # past the complete search's size limit an impossible bound is a
     # failed greedy pass, not an error
     assert find_balanced_permutation([(1.0,)] * 11, 1.0) is None
+
+
+@pytest.mark.parametrize("terms, bound, expected", [
+    # greedy takes 0, -1, 2 and then has only 3 or -4 to add to 1
+    ([(-1,), (3,), (0,), (-4,), (2,)], 2.5, [1, 2, 3, 4, 5]),
+    # greedy takes (2, 1) first, and either term after it reaches norm 5 or more
+    ([(4, -3), (-2, 4), (2, 1)], 4.5, [2, 1, 3]),
+], ids=["1-d", "2-d"])
+def test_complete_search_finds_what_greedy_misses(monkeypatch, terms, bound, expected):
+    searched = []
+
+    def search(terms, bound):
+        searched.append(len(terms))
+        return _dfs_balance(terms, bound)
+
+    monkeypatch.setattr(rearrange, "_dfs_balance", search)
+    assert find_balanced_permutation(terms, bound) == expected
+    assert searched == [len(terms)]
+    assert max(_prefix_norms(terms, expected)) < bound
 
 
 @pytest.mark.parametrize("terms", [
@@ -288,6 +308,21 @@ def test_rearrange_small_segment_target():
     for n, img in enumerate(tau.images[:50], start=1):
         acc = tuple(x + y for x, y in zip(acc, series[img - 1]))
         assert walk.sums[n] == acc
+
+
+def test_an_exact_series_gives_the_float_series_sums():
+    # the sums start from the float origin, and a float plus a Fraction adds
+    # the Fraction's float, so the exact copy is steered and summed to the
+    # bit as the float series is, and every sum coordinate is a float
+    series = full_range_series(2, 20000)
+    exact = [tuple(Fraction(c) if c else 0 for c in t) for t in series]
+    target = PointSample(tuple((0.1 * i, 0.0) for i in range(6)))
+    tau, walk, reports = rearrange_to_limit_set(series, target, stages=3)
+    tau_x, walk_x, reports_x = rearrange_to_limit_set(exact, target, stages=3)
+    assert tau_x.images == tau.images
+    assert walk_x.sums == walk.sums
+    assert reports_x == reports
+    assert all(type(c) is float for s in walk_x.sums for c in s)
 
 
 def test_extension_step_conclusions():

@@ -5,8 +5,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from serwalk.seqspace import (THETA, SparseVec, _vector_family, block_vectors,
-                              coordinate_offsets, e,
+from serwalk.seqspace import (THETA, SparseVec, VectorFamily, _vector_family,
+                              block_vectors, coordinate_offsets, e,
                               gen_c0_singleton_divergent, gen_c0_two_point,
                               gen_no_rp_series, gen_vector_family,
                               per_coordinate_profile, sign_patterns)
@@ -94,7 +94,7 @@ def test_sign_patterns_shape():
     assert all(sum(p) == 0 for p in pats)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_vector_family_properties(k):
     fam = gen_vector_family(k)
     assert fam.dim == math.comb(2 * k, k)
@@ -112,6 +112,18 @@ def test_vector_family_prefix_bound_brute_force_oracle():
         s = [fam.vectors[sigma[0]][j] + fam.vectors[sigma[1]][j]
              for j in range(fam.dim)]
         assert max(abs(c) for c in s) >= 2
+
+
+def test_prefix_lower_bound_check_matches_every_order():
+    # the subset check against the orders themselves, on the families and
+    # on one that fails: 1 + (-1) is a two-term prefix of sup norm 0 < 2
+    bad = VectorFamily(2, 1, [(1,), (1,), (-1,), (-1,)])
+    for fam in [gen_vector_family(k) for k in (1, 2, 3)] + [bad]:
+        every_order = all(
+            max(abs(sum(col)) for col in zip(*(fam.vectors[i] for i in sigma[:fam.k])))
+            >= fam.k for sigma in permutations(range(2 * fam.k)))
+        assert fam.check_prefix_lower_bound() == every_order
+    assert not bad.check_prefix_lower_bound()
 
 
 def test_vector_family_budget():
