@@ -77,11 +77,16 @@ def point_mode(p) -> str:
 def norm(v) -> float:
     """Euclidean norm of a dense point, sup norm of a SparseVec, as a float.
 
-    The sup norm of an empty-support SparseVec is 0.
+    The sup norm of an empty-support SparseVec is 0.  An exact coordinate
+    beyond the float range, as the sum of two terms near the largest float
+    can be, gives inf, the float it rounds to.
     """
-    if hasattr(v, "entries"):
-        return max((abs(float(c)) for c in v.entries.values()), default=0.0)
-    return math.sqrt(sum(float(c) * float(c) for c in v))
+    try:
+        if hasattr(v, "entries"):
+            return max((abs(float(c)) for c in v.entries.values()), default=0.0)
+        return math.sqrt(sum(float(c) * float(c) for c in v))
+    except OverflowError:
+        return math.inf
 
 
 def sub(u, v):
@@ -154,13 +159,19 @@ def float_rows(*samples) -> tuple[bool, list[np.ndarray]]:
     return True, out
 
 
+def coordinate_ufuncs(sup: bool) -> tuple[np.ufunc, np.ufunc]:
+    """``(power, fold)``, the two ufuncs by which a norm folds coordinates:
+    abs and maximum for the sup norm, square and add (the squared
+    Euclidean norm) otherwise."""
+    return (np.abs, np.maximum) if sup else (np.square, np.add)
+
+
 def fold_coordinate(acc: np.ndarray, d: np.ndarray, sup: bool) -> None:
-    """Fold one coordinate's values d into acc in place: the running max of
+    """Fold one coordinate's values d into acc in place,
+    ``fold(acc, power(d))`` by :func:`coordinate_ufuncs`: the running max of
     |d| for the sup norm, else the running sum of d*d (the squared norm)."""
-    if sup:
-        np.maximum(acc, np.abs(d), out=acc)
-    else:
-        acc += d * d
+    power, fold = coordinate_ufuncs(sup)
+    fold(acc, power(d), out=acc)
 
 
 def distance_blocks(a, b):

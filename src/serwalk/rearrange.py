@@ -38,13 +38,19 @@ N(eps_j/2), for the hand-off and in the stage check.
 
 Balancing orders the batch by one deterministic greedy pass over the
 terms' float64 rows (``core.float_rows``), the same code for dense tuples
-and SparseVecs, and falls back to a complete search for batches of at most
-10 terms; a one-term batch is decided by its norm alone.  No randomized
-pass breaks ties, so a batch of more than 10 terms with exactly tied
-scores, where only a tie-broken greedy order stays inside the bound, fails
-with "balancing failed".  No workload, test or demo has such a batch; a
-Steinitz-lemma construction with a proven bound is the planned answer for
-it.
+and SparseVecs.  It falls back to a complete search for batches of at most
+10 terms, and a one-term batch is decided by its norm alone.  The pass lays
+the rows out once as contiguous columns, one per coordinate, and a step is
+a fixed handful of in-place ufunc calls per coordinate over buffers
+allocated once per call.  Every score equals ``core.fold_coordinate``'s
+bit for bit.  Used rows are masked by an inf penalty, and once at least
+half of 64 or more live rows are used they are compacted away; the rest
+keep their index order, so a tie still goes to the first index.  No
+randomized pass breaks ties, so a batch of more than 10 terms with exactly
+tied scores, where only a tie-broken greedy order stays inside the bound,
+fails with "balancing failed".  No workload, test or demo has such a
+batch; a Steinitz-lemma construction with a proven bound is the planned
+answer for it.
 
 Balancing constants are certified empirically, not proven: for a series
 with nonincreasing term norms we take N(eps) = first index whose term norm
@@ -65,8 +71,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (PointSample, _points, add, chain_gap, distance, float_rows,
-                   fold_coordinate, gap_graph, gap_tour, norm)
+from .core import (PointSample, _points, add, chain_gap, coordinate_ufuncs, distance,
+                   float_rows, fold_coordinate, gap_graph, gap_tour, norm)
 from .walks import PartialPermutation, Walk, segment
 
 # ---------------------------------------------------------------------------
@@ -148,6 +154,33 @@ def find_balanced_permutation(terms: Sequence, bound: float) -> Optional[list[in
     generator's, and every trace read from disk); the complete search sums
     the terms in their own arithmetic.
 
+    Layout: the rows are copied once into one contiguous column per
+    coordinate (a batch with no coordinates gets one zero column, which
+    scores every prefix 0, as the empty fold does), and the prefix ``cur``
+    is a list of Python floats, one per column, the same float64 sums that
+    adding the accepted rows gives.  One ``score`` buffer, one scratch
+    buffer and one penalty vector serve the whole call.  Each step writes
+    ``power(col + cur[0])`` into ``score`` and folds every further
+    coordinate in, left to right, as ``fold(score, power(col + cur[c]))``
+    through the scratch buffer (``core.coordinate_ufuncs``).  That is
+    ``core.fold_coordinate``'s fold onto zeros, bit for bit: its first step
+    is ``0.0 + d*d`` or ``max(0.0, |d|)``, which equals ``d*d`` or ``|d|``,
+    since neither is ever -0.0.
+
+    Used rows are masked by adding the penalty, which is inf at them and
+    0 elsewhere.  A used row never scores NaN: ``cur`` is the sum of
+    accepted prefixes, each scored finite and below the bound, so it stays
+    finite, and so is each used row, since a finite prefix plus a row that
+    is not finite is not finite.  The sum of two finite floats may overflow
+    but is never NaN, so a used row scores in [0, inf] and, with the
+    penalty, exactly inf, since inf + inf is inf.  It can tie an unused row
+    only at inf, and a step whose minimum is inf fails whichever it picks.
+    When at least half of the live rows are used and there are at least 64
+    of them, one boolean ``keep`` compacts the columns, the penalty and the
+    ``live`` array of row indices.  ``live`` stays increasing, so the first
+    minimum in position order, which ``argmin`` returns (NaN counting as a
+    minimum), is still the first in index order.
+
     A batch of one term is decided by ``core.norm``, which is the greedy
     pass's first score bit for bit (and the complete search's answer when
     that score is not below the bound): ``[1]`` when the norm is below the
@@ -157,21 +190,35 @@ def find_balanced_permutation(terms: Sequence, bound: float) -> Optional[list[in
         return [1] if norm(terms[0]) < bound else None
     sup, (rows,) = float_rows(terms)
     n = len(rows)
-    cur = np.zeros(rows.shape[1])
-    used = np.zeros(n, dtype=bool)
+    cols = list(rows.T.copy()) or [np.zeros(n)]
+    cur = [0.0] * len(cols)
+    power, fold = coordinate_ufuncs(sup)
+    live, pen = np.arange(n), np.zeros(n)
+    score, tmp = np.empty(n), np.empty(n)
+    dead = 0  # used rows still among the live ones
     order = []
     for _ in range(n):
-        score = np.zeros(n)
-        for col in range(rows.shape[1]):
-            fold_coordinate(score, cur[col] + rows[:, col], sup)
-        score[used] = np.inf
-        i = int(np.argmin(score))
-        value = score[i] if sup else math.sqrt(score[i])
+        np.add(cols[0], cur[0], out=score)
+        power(score, out=score)
+        for col, x in zip(cols[1:], cur[1:]):
+            np.add(col, x, out=tmp)
+            power(tmp, out=tmp)
+            fold(score, tmp, out=score)
+        score += pen
+        p = score.argmin()
+        value = score.item(p) if sup else math.sqrt(score.item(p))
         if not value < bound:  # a NaN prefix is never inside the bound
             return _dfs_balance(terms, bound) if n <= 10 else None
-        order.append(i + 1)
-        used[i] = True
-        cur += rows[i]
+        order.append(live.item(p) + 1)
+        cur = [x + col.item(p) for x, col in zip(cur, cols)]
+        pen[p] = np.inf
+        dead += 1
+        if 2 * dead >= len(live) >= 64:
+            keep = pen == 0
+            cols = [col[keep] for col in cols]
+            live, pen = live[keep], pen[keep]
+            score, tmp = score[:len(live)], tmp[:len(live)]
+            dead = 0
     return order
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,9 @@ def test_norms_against_numpy():
         sparse = SparseVec({i: c for i, c in enumerate(v, start=1)})
         assert norm(sparse) == np.abs(v).max()
     assert norm(THETA) == 0.0
+    # an exact coordinate past the largest float rounds to inf
+    assert norm(SparseVec({1: Fraction(10 ** 400)})) == math.inf
+    assert norm((Fraction(10 ** 400), 0)) == math.inf
 
 
 def test_distance_exact_is_exact():
