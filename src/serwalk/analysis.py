@@ -5,6 +5,23 @@ recurrence inside a late window.  All canonical walk generators revisit
 their limit sets every phase, so a grid cell is kept when the walk returns
 to it in at least ``MIN_HITS`` distinct phases of the window (falling back
 to raw hit counts when the window does not span two phases).
+
+The estimate works on the window's float rows (``core.float_rows``), one
+path for float, exact and c0 walks.  A sum's cell key is
+``floor(x / resolution + 0.5)`` per coordinate, in float64.  SparseVec rows
+lie over the union of the window's supports, where a coordinate outside a
+sum's support keys to 0, so two sums share a cell exactly when their
+nonzero keys agree.  Cells are numbered in first-seen order.  A kept cell's
+representative is its modal point (:func:`_modal_point`) for an exact walk,
+which walks revisit bit for bit, and the mean of its sums for a float walk.
+Kept cells whose representatives lie strictly closer than resolution/2
+merge, and a merged group's representative is taken by the same rule over
+its cells' sums: the cells in index order, each cell's sums in order of
+appearance.  A mean adds each coordinate from 0.0 in that order, then
+divides by the count.  That is the order in which the builtin ``sum`` adds
+floats on Python 3.11, and the estimate keeps those bits on every supported
+Python; Python 3.12's ``sum`` compensates its rounding (Neumaier), so a
+``sum``-based mean would give other bits there.
 """
 
 from __future__ import annotations
@@ -12,7 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import PointSample, distance, gap_components, norm, upper_distance_blocks
+import numpy as np
+
+from .core import (PointSample, distance_blocks, float_rows, gap_components, norm,
+                   upper_distance_blocks)
 from .walks import Walk
 
 #: a grid cell is kept when the walk returns to it in this many phases
@@ -23,17 +43,6 @@ TAIL_FRACTION = 0.3
 
 #: the limit-set estimate's default late window: this fraction of the sums
 WINDOW_FRACTION = 0.3
-
-
-def _snap_key(p, resolution: float):
-    if hasattr(p, "entries"):
-        key = []
-        for i, v in p.entries.items():
-            q = math.floor(float(v) / resolution + 0.5)
-            if q != 0:
-                key.append((i, q))
-        return frozenset(key)
-    return tuple(math.floor(float(c) / resolution + 0.5) for c in p)
 
 
 def _modal_point(tagged):
@@ -49,12 +58,6 @@ def _modal_point(tagged):
         rec[1] += 1
     best = max(records.items(), key=lambda item: (len(item[1][0]), item[1][1]))
     return best[0]
-
-
-def _mean_point(points):
-    # float walks are dense: SparseVecs hold Fractions, so their walks are exact
-    n = len(points)
-    return tuple(sum(float(p[j]) for p in points) / n for j in range(len(points[0])))
 
 
 @dataclass
@@ -93,49 +96,90 @@ def _window_bounds(w: Walk, window_fraction: float) -> tuple[int, list[tuple[int
     return chosen[0][0], chosen
 
 
+def _cells(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each key row's cell, the cells numbered in first-seen order, and the
+    number of cells: rows with equal keys share a cell.  A stable
+    lexicographic sort puts equal rows side by side, the first seen first."""
+    order = np.lexsort(keys.T) if keys.shape[1] else np.arange(len(keys))
+    ordered = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    firsts = order[head]  # each cell's first row, cells in sort order
+    rank = np.empty(len(firsts), dtype=np.intp)
+    rank[np.argsort(firsts)] = np.arange(len(firsts))
+    cell = np.empty(len(keys), dtype=np.intp)
+    cell[order] = rank[np.cumsum(head) - 1]
+    return cell, len(firsts)
+
+
+def _means(ids: np.ndarray, rows: np.ndarray, size: int) -> list[tuple]:
+    """The mean row of each id's rows: their coordinates added from 0.0 in
+    the given order (``np.bincount``), then divided by their count."""
+    totals = np.column_stack([np.bincount(ids, weights=col, minlength=size)
+                              for col in rows.T])
+    return [tuple(p) for p in (totals / np.bincount(ids, minlength=size)[:, None]).tolist()]
+
+
 def estimate_limit_set(w: Walk, resolution: float,
                        window_fraction: float = WINDOW_FRACTION) -> LimitEstimate:
     """Grid-based recurrence estimate of LIM from the walk's late window;
-    the comparisons refuse a NaN resolution or window fraction."""
+    the comparisons refuse a NaN resolution or window fraction, and a sum
+    with no finite grid cell (a NaN or infinite coordinate, or one whose
+    key overflows) raises ValueError naming its index in ``w.sums``."""
     if not 0 < window_fraction <= 1:
         raise ValueError("window_fraction must be in (0, 1]")
     if not 0 < resolution < math.inf:
         raise ValueError("resolution must be finite and positive")
     start, blocks = _window_bounds(w, window_fraction)
-    if len(w.sums) - start < 2:
+    window = w.sums[start:]
+    if len(window) < 2:
         raise ValueError("window shorter than 2 points")
-    cells: dict[object, list] = {}
-    for phase_idx, (lo, hi) in enumerate(blocks):
-        for p in w.sums[lo:hi]:
-            cells.setdefault(_snap_key(p, resolution), []).append((p, phase_idx))
-    multi_phase = len(blocks) >= 2
-    exact = w.mode == "exact"
-
-    def rep_of(tagged):
-        if exact:
-            return _modal_point(tagged)
-        return _mean_point([p for p, _ in tagged])
-
-    kept = []
-    for tagged in cells.values():
-        score = len({phase for _, phase in tagged}) if multi_phase else len(tagged)
-        if score >= MIN_HITS:
-            kept.append((rep_of(tagged), tagged))
-    if not kept:
+    _, (rows,) = float_rows(window)
+    with np.errstate(over="ignore"):  # a key past the float range is inf
+        keys = np.floor(rows / resolution + 0.5)
+    bad = np.flatnonzero(~np.isfinite(keys).all(axis=1))
+    if bad.size:
+        raise ValueError(f"sum {start + bad[0]} has no finite grid cell "
+                         f"at resolution {resolution}")
+    cell, n_cells = _cells(keys)
+    phase = np.repeat(np.arange(len(blocks)), [hi - lo for lo, hi in blocks])
+    # the window's rows by cell, each cell's rows in order of appearance
+    by_cell = np.argsort(cell, kind="stable")
+    cells, phases = cell[by_cell], phase[by_cell]
+    hits = np.bincount(cell, minlength=n_cells)
+    score = hits
+    if len(blocks) >= 2:
+        # phases grow along the window: a cell meets each phase in one run
+        runs = np.ones(len(cells), dtype=bool)
+        runs[1:] = (cells[1:] != cells[:-1]) | (phases[1:] != phases[:-1])
+        score = np.bincount(cells[runs], minlength=n_cells)
+    is_kept = score >= MIN_HITS
+    if not is_kept.any():
         return LimitEstimate(PointSample(()), start, resolution, [])
+    kept = np.flatnonzero(is_kept)
+    in_kept = is_kept[cells]
+    rank = np.cumsum(is_kept) - 1  # a kept cell's index in kept
+    kept_of, kept_rows = rank[cells[in_kept]], by_cell[in_kept]
+    exact = w.mode == "exact"
+    if exact:
+        tags = phase.tolist()
+        tagged = [[(window[i], tags[i]) for i in part.tolist()]
+                  for part in np.split(kept_rows, np.cumsum(hits[kept])[:-1])]
+        reps = [_modal_point(t) for t in tagged]
+    else:
+        reps = _means(kept_of, rows[kept_rows], len(kept))
     # merge representatives that landed strictly closer than resolution/2;
     # a group of one cell keeps that cell's representative
-    groups = gap_components([rep for rep, _ in kept],
-                            math.nextafter(resolution / 2, 0))
-    reps, counts = [], []
-    for idx in groups:
-        if len(idx) == 1:
-            rep, merged = kept[idx[0]]
-        else:
-            merged = [t for i in idx for t in kept[i][1]]
-            rep = rep_of(merged)
-        reps.append(rep)
-        counts.append(len(merged))
+    groups = gap_components(reps, math.nextafter(resolution / 2, 0))
+    counts = [int(hits[kept[idx]].sum()) for idx in groups]
+    if exact:
+        reps = [reps[idx[0]] if len(idx) == 1 else
+                _modal_point([t for i in idx for t in tagged[i]]) for idx in groups]
+    else:
+        group = np.empty(len(kept), dtype=np.intp)
+        for g, idx in enumerate(groups):
+            group[idx] = g
+        reps = _means(group[kept_of], rows[kept_rows], len(groups))
     return LimitEstimate(PointSample(tuple(reps)), start, resolution, counts)
 
 
@@ -185,7 +229,7 @@ def singleton_convergence_check(w: Walk, tol: float) -> dict:
         return {"verdict": "not-singleton", "estimate": est}
     p = est.points.points[0]
     quarter = w.sums[len(w.sums) - (len(w.sums) - 1) // 4:]
-    if all(distance(s, p) <= tol for s in quarter):
+    if all(block.max() <= tol for _, block in distance_blocks(quarter, [p])):
         return {"verdict": "converges-to", "point": p, "estimate": est}
     return {"verdict": "diverges-with-singleton", "point": p, "estimate": est}
 

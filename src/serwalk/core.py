@@ -20,10 +20,20 @@ no caller chooses a norm.
 
 :func:`float_rows` is the one place where points become float
 coordinates: it returns the samples' space and their float64 matrices
-over shared columns, and every matrix kernel works on those.  Float64 is
-exact for dyadic coordinates of moderate size, which covers every
-generator and every trace read from disk, so measuring on the matrix
-gives the same answer as the exact points.
+over shared columns, and every matrix kernel works on those.  A dense
+sample is one flat ``np.fromiter`` over its coordinates, reshaped, after
+one check that every point has the first point's length; SparseVecs are
+written into zeros over the union of their supports.  Each coordinate
+goes through Python's float conversion, as ``np.array(..., dtype=float)``
+would convert it.  Its callers: the kernels below
+(:func:`distance_blocks`, :func:`upper_distance_blocks`,
+:func:`chain_gap`), the rearranger's balancing pass, term norms
+(``RPConstants``) and per-stage eps-ball check, and the limit-set
+estimate's grid keys and means.  Float64 is exact for dyadic coordinates
+of moderate size, which covers every generator and every trace read from
+disk, so measuring on the matrix gives the same answer as the exact
+points.  A square or difference past the float range is inf, without a
+numpy warning.
 
 Every all-pairs question is a reduction over one kernel,
 :func:`distance_blocks`, which yields the distance matrix between two
@@ -47,6 +57,7 @@ coordinates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,10 +153,15 @@ def float_rows(*samples) -> tuple[bool, list[np.ndarray]]:
     matrix, one row per point, all over the same columns: a dense point's
     coordinates, or for SparseVecs the sorted union of every sample's
     supports (zero-support vectors alone give no columns).  Empty samples
-    alone are dense, 0x0."""
+    alone are dense, 0x0.  Dense points of different lengths, in one sample
+    or across samples, raise ValueError."""
     first = next((s[0] for s in samples if len(s)), ())
     if not hasattr(first, "entries"):
-        return False, [np.array(s, dtype=float).reshape(len(s), len(first))
+        dim = len(first)
+        if not set(map(len, itertools.chain.from_iterable(samples))) <= {dim}:
+            raise ValueError("points of different dimensions")
+        return False, [np.fromiter(itertools.chain.from_iterable(s), float,
+                                   count=len(s) * dim).reshape(len(s), dim)
                        for s in samples]
     support = sorted({i for s in samples for p in s for i in p.entries})
     column = {i: k for k, i in enumerate(support)}
@@ -171,7 +187,8 @@ def fold_coordinate(acc: np.ndarray, d: np.ndarray, sup: bool) -> None:
     ``fold(acc, power(d))`` by :func:`coordinate_ufuncs`: the running max of
     |d| for the sup norm, else the running sum of d*d (the squared norm)."""
     power, fold = coordinate_ufuncs(sup)
-    fold(acc, power(d), out=acc)
+    with np.errstate(over="ignore"):  # a square past the float range is inf
+        fold(acc, power(d), out=acc)
 
 
 def distance_blocks(a, b):
@@ -207,8 +224,9 @@ def _block(rows_a: np.ndarray, rows_b: np.ndarray, sup: bool) -> np.ndarray:
     """The distance matrix between two float row matrices, the kernel of
     :func:`distance_blocks` and :func:`upper_distance_blocks`."""
     block = np.zeros((len(rows_a), len(rows_b)))
-    for col in range(rows_a.shape[1]):
-        fold_coordinate(block, rows_a[:, col, None] - rows_b[None, :, col], sup)
+    with np.errstate(over="ignore"):  # a difference past the float range is inf
+        for col in range(rows_a.shape[1]):
+            fold_coordinate(block, rows_a[:, col, None] - rows_b[None, :, col], sup)
     if not sup:
         np.sqrt(block, out=block)
     return block

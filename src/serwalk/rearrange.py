@@ -19,8 +19,9 @@ whose report breaks an invariant of ``_stage_fault``, which
 A stage step costs Python work per move and per index it picks: ``push``
 records each index with its partial sum, the last sum plus the term, and
 that one running total steers selection and the landing checks.  The
-eps-ball check runs once per stage, in numpy: it measures every sum of the
-stage against its move's start anchor in one pass.
+eps-ball check runs once per stage, in numpy: ``core.float_rows`` converts
+the stage's sums, as it converts every point, and one pass measures each
+against its move's start anchor.
 
 The reservoir keeps one queue per axis and sign.  A pick takes the first
 queued index whose magnitude is below twice the error left on that axis,
@@ -197,28 +198,30 @@ def find_balanced_permutation(terms: Sequence, bound: float) -> Optional[list[in
     score, tmp = np.empty(n), np.empty(n)
     dead = 0  # used rows still among the live ones
     order = []
-    for _ in range(n):
-        np.add(cols[0], cur[0], out=score)
-        power(score, out=score)
-        for col, x in zip(cols[1:], cur[1:]):
-            np.add(col, x, out=tmp)
-            power(tmp, out=tmp)
-            fold(score, tmp, out=score)
-        score += pen
-        p = score.argmin()
-        value = score.item(p) if sup else math.sqrt(score.item(p))
-        if not value < bound:  # a NaN prefix is never inside the bound
-            return _dfs_balance(terms, bound) if n <= 10 else None
-        order.append(live.item(p) + 1)
-        cur = [x + col.item(p) for x, col in zip(cur, cols)]
-        pen[p] = np.inf
-        dead += 1
-        if 2 * dead >= len(live) >= 64:
-            keep = pen == 0
-            cols = [col[keep] for col in cols]
-            live, pen = live[keep], pen[keep]
-            score, tmp = score[:len(live)], tmp[:len(live)]
-            dead = 0
+    # a score past the float range is inf, and inf or NaN fails the step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            np.add(cols[0], cur[0], out=score)
+            power(score, out=score)
+            for col, x in zip(cols[1:], cur[1:]):
+                np.add(col, x, out=tmp)
+                power(tmp, out=tmp)
+                fold(score, tmp, out=score)
+            score += pen
+            p = score.argmin()
+            value = score.item(p) if sup else math.sqrt(score.item(p))
+            if not value < bound:  # a NaN prefix is never inside the bound
+                return _dfs_balance(terms, bound) if n <= 10 else None
+            order.append(live.item(p) + 1)
+            cur = [x + col.item(p) for x, col in zip(cur, cols)]
+            pen[p] = np.inf
+            dead += 1
+            if 2 * dead >= len(live) >= 64:
+                keep = pen == 0
+                cols = [col[keep] for col in cols]
+                live, pen = live[keep], pen[keep]
+                score, tmp = score[:len(live)], tmp[:len(live)]
+                dead = 0
     return order
 
 # ---------------------------------------------------------------------------
@@ -456,7 +459,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         anchors = np.repeat(np.array([a for _, a in marks], dtype=float),
                             np.diff(firsts), axis=0)
         score = np.zeros(len(block))
-        for col in range(dim):
+        for col in range(block.shape[1]):  # 0x0 for a stage with no sums
             fold_coordinate(score, block[:, col] - anchors[:, col], False)
         return float(np.sqrt(score).max(initial=0.0))
 
@@ -566,7 +569,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             "eta": eta,
             "anchor": prev_anchor,
             "stage_end_error": distance(sums[-1], prev_anchor),
-            "prefix_max_excursion": max_excursion(np.array(sums[start:])[1:]),
+            "prefix_max_excursion": max_excursion(float_rows(sums[start + 1:])[1][0]),
             "moves": len(loop),
             "uncovered": len(pending),
             "covered_through": min(pending) - 1 if pending else frontier,

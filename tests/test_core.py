@@ -301,6 +301,47 @@ def test_zero_support_points_have_no_columns():
     assert gap_components([THETA, one, THETA], 0.25) == [[0, 2], [1]]
 
 
+#: coordinates whose float conversion rounds, keeps a sign or is not finite
+AWKWARD = (0.1, -0.0, 0.0, 2 ** 53 + 1, -(2 ** 60) - 3, Fraction(1, 3), Fraction(-7, 2 ** 70),
+           math.nan, math.inf, -math.inf, 1e308)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda d: st.lists(st.lists(
+    st.lists(st.sampled_from(AWKWARD), min_size=d, max_size=d).map(tuple),
+    max_size=5), min_size=1, max_size=3)))
+def test_dense_float_rows_are_numpys_conversion(samples):
+    sup, rows = float_rows(*samples)
+    assert not sup and len(rows) == len(samples)
+    dim = next((len(s[0]) for s in samples if s), 0)
+    for s, m in zip(samples, rows):
+        want = np.array(s, dtype=float).reshape(len(s), dim)
+        assert m.dtype == want.dtype and m.shape == want.shape
+        assert m.tobytes() == want.tobytes()  # -0.0 and NaN included
+
+
+@pytest.mark.parametrize("samples", [
+    ([(1.0, 2.0), (3.0,)],),           # numpy: "inhomogeneous shape"
+    ([(1.0, 2.0), (3.0, 4.0, 5.0)],),
+    ([(1.0, 2.0)], [(3.0,)]),         # numpy: "cannot reshape"
+    ([(1.0,), (2.0,)], [(3.0, 4.0)]),
+    ([(1.0, 2.0)], [], [(3.0, 4.0), ()]),
+])
+def test_dense_points_of_different_lengths_are_refused(samples):
+    with pytest.raises(ValueError, match="^points of different dimensions$"):
+        float_rows(*samples)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_distance_past_the_float_range_is_inf_without_a_warning():
+    # numpy once printed "overflow encountered in subtract" and "in square"
+    acc = np.zeros(2)
+    core.fold_coordinate(acc, np.array([1e200, 2.0]), False)
+    assert acc.tolist() == [math.inf, 4.0]
+    assert hausdorff_distance([(1e308,)], [(-1e308,)]) == math.inf
+    assert hausdorff_distance([(1e200, 0.0)], [(0.0, 0.0)]) == math.inf
+
+
 def _cauchy_oracle(sums):
     # the rule itself, over core.distance: the largest gap in the last 30%
     # of the sums

@@ -111,7 +111,7 @@ def test_nan_prefix_is_never_inside_the_bound(terms):
     assert find_balanced_permutation(terms, 2.5) is None
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_exact_prefix_past_the_float_range_is_not_inside_the_bound():
     # the greedy pass scores the float sum, inf; the complete search sums
     # the SparseVecs exactly, to 2e308, whose norm is inf as well
@@ -181,12 +181,13 @@ def _balance_reference(terms, bound):
     order = []
     for _ in range(n):
         score = np.zeros(n)
-        for col in range(rows.shape[1]):
-            d = cur[col] + rows[:, col]
-            if sup:
-                np.maximum(score, np.abs(d), out=score)
-            else:
-                score += d * d
+        with np.errstate(over="ignore", invalid="ignore"):
+            for col in range(rows.shape[1]):
+                d = cur[col] + rows[:, col]
+                if sup:
+                    np.maximum(score, np.abs(d), out=score)
+                else:
+                    score += d * d
         score[used] = np.inf
         i = int(np.argmin(score))
         value = score[i] if sup else math.sqrt(score[i])
@@ -203,7 +204,7 @@ def _balance_reference(terms, bound):
 SPECIALS = (-0.0, 1e200, -1e200, 1e308, -1e308, math.nan, math.inf, -math.inf)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(st.booleans(), st.integers(1, 8), st.one_of(st.integers(1, 8), st.integers(11, 300)),
        st.integers(0, 2 ** 32 - 1), st.booleans(), st.sampled_from([0, 0, 1, 3]),
@@ -282,6 +283,14 @@ def test_rp_constants_reject_non_finite_norms():
                          ([(0.5, 0.5), (0.25, math.nan)], 2)]:
         with pytest.raises(ValueError, match=f"finite: term {term} "):
             RPConstants(series)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_score_past_the_float_range_is_inf_without_a_warning():
+    # numpy once printed "overflow encountered in square" for each of these
+    assert find_balanced_permutation([(1e200, 0.0), (-1e200, 0.0), (0.1, 0.0)], 1.0) is None
+    with pytest.raises(ValueError, match="finite: term 1 "):
+        RPConstants([(1e200, 0.0), (1.0, 0.0)])
 
 
 def _scan_threshold(norms, eps):
