@@ -103,32 +103,37 @@ def _unbounded(args):
     """The unbounded generator's walk, one phase per radius 2, 3 and 4, on
     two components: the vertical segments at x = -1 and x = 1 up to height
     4, the largest radius, at pitch 0.1."""
-    radii = [2, 3, 4]
-    if args.phases > len(radii):
-        raise ValueError(f"generate unbounded takes at most {len(radii)} phases")
     rails = [PointSample(tuple((x, 0.1 * i) for i in range(41)), label)
              for x, label in ((-1.0, "left"), (1.0, "right"))]
-    return walks.build_unbounded_components_walk(rails, radii, args.phases)
+    return walks.build_unbounded_components_walk(rails, [2, 3, 4], args.phases)
 
 
-#: each generator's flags (besides --out) and the call that builds its walk
-#: (for no-rp, its series terms)
+#: each generator's flags (besides --out), the call that builds its walk
+#: (for no-rp, its series terms) and its most phases, or None.  Walks that
+#: grow as 2^phases stop at the most phases with at most 2^20 sums:
+#: c0-singleton has 2^(P+1) - 2 sums and c0-two-point 6 (2^P - 1);
+#: two-lines has 1,047,372 at 13 phases and halflines 474,994 at 10, counted
+#: from their chain-step rule.  unbounded has three radii, and chainable
+#: grows with its target, one tour of it per phase.
 GENERATORS = {
-    "two-lines": (["phases"], lambda a: walks.gen_two_lines(a.phases)),
+    "two-lines": (["phases"], lambda a: walks.gen_two_lines(a.phases), 13),
     "halflines": (["phases"],
-                  lambda a: walks.gen_halflines(range(a.phases + 1), a.phases)),
+                  lambda a: walks.gen_halflines(range(a.phases + 1), a.phases), 10),
     "chainable": (["phases", "target"], lambda a: walks.build_chainable_walk(
-        list(_read(a.target, "sample", traceio.read_sample_csv)), a.phases)),
-    "unbounded": (["phases"], _unbounded),
-    "c0-two-point": (["phases"], lambda a: seqspace.gen_c0_two_point(a.phases)),
+        list(_read(a.target, "sample", traceio.read_sample_csv)), a.phases), None),
+    "unbounded": (["phases"], _unbounded, 3),
+    "c0-two-point": (["phases"], lambda a: seqspace.gen_c0_two_point(a.phases), 17),
     "c0-singleton": (["phases"],
-                     lambda a: seqspace.gen_c0_singleton_divergent(a.phases)),
-    "no-rp": (["kmax"], lambda a: seqspace.gen_no_rp_series(a.kmax)[0].terms),
+                     lambda a: seqspace.gen_c0_singleton_divergent(a.phases), 19),
+    "no-rp": (["kmax"], lambda a: seqspace.gen_no_rp_series(a.kmax)[0].terms, None),
 }
 
 
 def cmd_generate(args) -> int:
-    made = GENERATORS[args.generator][1](args)
+    _, build, most = GENERATORS[args.generator]
+    if most is not None and args.phases > most:
+        raise ValueError(f"generate {args.generator} takes at most {most} phases")
+    made = build(args)
     walk = made if isinstance(made, walks.Walk) else None
     with _out_stream(args.out) as fp:
         if walk is None:
@@ -145,19 +150,36 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 # rearrange
 
+#: the series prefix lengths rearrange tries, in order, each twice the last.
+#: A run reads nothing past its frontier, so every length that holds it
+#: gives the same bytes, and the first length that does is as good as any.
+PREFIX_LENGTHS = [80000 * 2 ** k for k in range(5)]
+
+
+def _rearrange(target, stages):
+    """rearrange_to_limit_set on full_range_series of the target's dimension,
+    at each length of PREFIX_LENGTHS until one is long enough; a failure
+    other than PrefixTooShort, or at the last length, is raised."""
+    dim = len(target.points[0])
+    for count in PREFIX_LENGTHS:
+        log.info("rearrange: trying a %d-term prefix", count)
+        try:
+            return rearrange.rearrange_to_limit_set(
+                rearrange.full_range_series(dim, count), target, stages)
+        except rearrange.PrefixTooShort as err:
+            if count == PREFIX_LENGTHS[-1]:
+                raise
+            log.info("rearrange: %d terms are too short: %s", count, err)
+
+
 def cmd_rearrange(args) -> int:
     if args.stages < 1:
         raise ValueError("stages must be >= 1")
-    if args.terms < 1:
-        raise ValueError("terms must be >= 1")
     if args.out == "-":
         raise ValueError("rearrange writes files under a base name: --out - is not one")
     target = _read(args.target, "sample", traceio.read_sample_csv)
-    dim = len(target.points[0])
-    series = rearrange.full_range_series(dim, args.terms)
     try:
-        tau, walk, reports = rearrange.rearrange_to_limit_set(
-            series, target, args.stages)
+        tau, walk, reports = _rearrange(target, args.stages)
     except ValueError as err:
         print(f"rearrangement failed: {err}", file=sys.stderr)
         return FAIL
@@ -246,7 +268,6 @@ FLAGS = {
     "input": dict(required=True),
     "marks": {},
     "stages": dict(type=int, default=5),
-    "terms": dict(type=int, default=80000),
     "epsilon": dict(type=float, default=1.0),
     "resolution": dict(type=float, default=0.1),
     "window": dict(type=float, default=analysis.WINDOW_FRACTION),
@@ -283,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gens = sub.add_parser("generate", help="emit a canonical walk trace"
                           ).add_subparsers(dest="generator", required=True)
-    for name, (flags, _) in GENERATORS.items():
+    for name, (flags, _, _) in GENERATORS.items():
         _add_command(gens, name, flags + ["out"], cmd_generate)
-    _add_command(sub, "rearrange", ["target", "stages", "terms", "out"], cmd_rearrange,
+    _add_command(sub, "rearrange", ["target", "stages", "out"], cmd_rearrange,
                  help="steer a full-sum-range series onto a target")
     checks = sub.add_parser("verify", help="run a property verifier"
                             ).add_subparsers(dest="check", required=True)

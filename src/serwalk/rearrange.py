@@ -33,9 +33,17 @@ without a scan.
 
 N(eps) is a bisection over the term norms, which ``RPConstants`` computes
 once, in one pass over the series' float64 rows, and checks to be finite
-and nonincreasing; "norm <= eps/4" is then monotone in the index.  The
-stage loop asks for it three times a stage: for the moves, which all use
-N(eps_j/2), for the hand-off and in the stage check.
+and nonincreasing; "norm <= eps/4" is then monotone in the index.  A run
+asks for it once up front, at the smallest eps it will need, and then
+three times a stage: for the moves, which all use N(eps_j/2), for the
+hand-off and in the stage check.
+
+A prefix that is too short for the run raises ``PrefixTooShort``, a
+ValueError: N(eps) past its end, a scan past its last term, or too few
+terms past N(eps) to certify.  A run reads nothing past its frontier, and
+N(eps) is the first qualifying index at any length, so a longer prefix of
+the same series gives the same result, bit for bit, once it holds the
+frontier; ``serwalk rearrange`` relies on this to choose the length.
 
 Balancing orders the batch by one deterministic greedy pass over the
 terms' float64 rows (``core.float_rows``), the same code for dense tuples
@@ -75,6 +83,10 @@ import numpy as np
 from .core import (PointSample, _points, add, chain_gap, coordinate_ufuncs, distance,
                    float_rows, fold_coordinate, gap_graph, gap_tour, norm)
 from .walks import PartialPermutation, Walk, segment
+
+class PrefixTooShort(ValueError):
+    """The series prefix ends before the computation does; a longer prefix
+    of the same series might serve."""
 
 # ---------------------------------------------------------------------------
 # test series with full sum range
@@ -277,7 +289,7 @@ class RPConstants:
         i = bisect.bisect_left(self._norms, -target, key=operator.neg)
         # a NaN eps qualifies no term, as a scan would find
         if i == len(self._norms) or not self._norms[i] <= target:
-            raise ValueError("series prefix too short: no term below eps/4")
+            raise PrefixTooShort("series prefix too short: no term below eps/4")
         return i + 1
 
 def certify_rp_family(series_prefix: Sequence, epsilons: Sequence[float],
@@ -297,7 +309,7 @@ def certify_rp_family(series_prefix: Sequence, epsilons: Sequence[float],
         delta = constants.delta(epsilon)
         pool = list(range(n_thr, len(series_prefix)))
         if len(pool) < 12:
-            raise ValueError("series prefix too short beyond N(eps)")
+            raise PrefixTooShort("series prefix too short beyond N(eps)")
         worst = 0.0
         checked = 0
         for _ in range(instance_budget):
@@ -417,6 +429,12 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     sum off target", an exhausted prefix) may be reported before an escape
     ("prefix escaped its eps-ball") of an earlier move.
 
+    Before the opening prefix the run asks for N(2^-(stages+2)), the
+    smallest threshold it needs (the last hand-off's and stage check's);
+    norms are nonincreasing, so a prefix that holds it holds every earlier
+    one, and a prefix too short for the last stage raises
+    ``PrefixTooShort`` before any stage runs.
+
     Returns (tau, walk, stage_reports).
     """
     if stages < 1:
@@ -431,6 +449,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
                              f"the series has dimension {dim}")
         if not all(math.isfinite(float(c)) for c in p):
             raise ValueError(f"target point {i} is not finite: {p}")
+    constants.n_threshold(2.0 ** -(stages + 2))  # the run's smallest threshold
     tour = _chain_tour(points)
 
     images: list[int] = []
@@ -494,7 +513,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
                 continue
             frontier += 1
             if frontier > len(terms):
-                raise ValueError("series prefix exhausted before target reached")
+                raise PrefixTooShort("series prefix exhausted before target reached")
             ax, value = _axis_of(terms[frontier - 1])
             if ax >= 0 and abs(err[ax]) > tol and (value > 0) == (err[ax] > 0):
                 selected.append(frontier)

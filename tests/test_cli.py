@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -78,7 +80,7 @@ def test_determinism_same_args_same_bytes(tmp_path):
     for tag in ("a", "b"):
         base = tmp_path / f"run_{tag}"
         r = run("rearrange", "--target", str(target), "--stages", "3",
-                "--terms", "60000", "--out", str(base))
+                "--out", str(base))
         assert r.returncode == 0, r.stderr
         outs.append((base.with_suffix(".csv").read_bytes(),
                      (tmp_path / f"run_{tag}.perm.json").read_bytes()))
@@ -90,7 +92,7 @@ def test_rearrange_reports_convergence(tmp_path):
     target.write_text("coord_0,coord_1\n0.25,-0.5\n")
     base = tmp_path / "run"
     r = run("rearrange", "--target", str(target), "--stages", "4",
-            "--terms", "80000", "--out", str(base))
+            "--out", str(base))
     assert r.returncode == 0, r.stderr
     report = json.loads((tmp_path / "run.report.json").read_text())
     assert report["convergence"] == "converges-to"
@@ -111,7 +113,7 @@ def test_rearrange_refuses_out_dash(tmp_path):
     target.write_text("coord_0,coord_1\n0.25,-0.5\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    r = run("rearrange", "--target", str(target), "--stages", "3", "--terms", "30000",
+    r = run("rearrange", "--target", str(target), "--stages", "3",
             "--out", "-", cwd=tmp_path, env=env)
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr == "rearrange writes files under a base name: --out - is not one\n"
@@ -197,17 +199,139 @@ def test_generate_unbounded_names_its_phase_limit(tmp_path, monkeypatch, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
-def test_rearrange_reports_a_failed_construction(tmp_path, monkeypatch, capsys):
-    # 100 terms hold no term below eps/4, so the construction fails; that is
-    # a property failure, and it writes none of the four files
+def _chain_steps(length, bound):
+    # walks._polyline_chain's step count for one leg
+    n = 1
+    while length / n > bound + 1e-12:
+        n *= 2
+    return n if length else 0
+
+
+#: each exponential generator's sums at P phases; every phase is retraced
+SUMS = {
+    "two-lines": lambda P: sum(
+        2 * (2 * _chain_steps(k, 2.0 ** -(k + 1)) + _chain_steps(1, 2.0 ** -(k + 1)))
+        for k in range(P)),
+    "halflines": lambda P: sum(
+        2 * (k * _chain_steps(1, 2.0 ** (1 - k)) + 2 * k * _chain_steps(k - 1, 2.0 ** (1 - k)))
+        for k in range(1, P + 1)),
+    "c0-two-point": lambda P: 6 * (2 ** P - 1),
+    "c0-singleton": lambda P: 2 ** (P + 1) - 2,
+}
+
+
+@pytest.mark.parametrize("name", SUMS)
+def test_generator_ceilings_allow_at_most_2_20_sums(tmp_path, name):
+    # the counts match the generated walks where those are small, and each
+    # ceiling is the most phases with at most 2^20 sums
+    for phases in range(1, 6):
+        out = tmp_path / f"{phases}.trace"
+        assert cli.main(["generate", name, "--phases", str(phases), "--out", str(out)]) == 0
+        rows = [r for r in out.read_text().splitlines() if not r.startswith("index,")]
+        assert len(rows) == SUMS[name](phases)
+    most = cli.GENERATORS[name][2]
+    assert SUMS[name](most) <= 2 ** 20 < SUMS[name](most + 1)
+
+
+@pytest.mark.parametrize("name, most, builder", [
+    ("two-lines", 13, "serwalk.walks.gen_two_lines"),
+    ("halflines", 10, "serwalk.walks.gen_halflines"),
+    ("unbounded", 3, "serwalk.walks.build_unbounded_components_walk"),
+    ("c0-two-point", 17, "serwalk.seqspace.gen_c0_two_point"),
+    ("c0-singleton", 19, "serwalk.seqspace.gen_c0_singleton_divergent"),
+])
+def test_generate_refuses_phases_past_its_ceiling(tmp_path, monkeypatch, capsys, name,
+                                                  most, builder):
+    # c0-singleton --phases 40 once set out to build 2^41 sums; the
+    # refusal comes before the generator runs
     monkeypatch.chdir(tmp_path)
+
+    def refuse(*args):
+        raise AssertionError(f"{builder} called")
+
+    monkeypatch.setattr(builder, refuse)
+    assert cli.main(["generate", name, "--phases", str(most + 1), "--out", "w"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"generate {name} takes at most {most} phases\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _accepted_flags(parser, command=()):
+    # (command, flag) for every flag a command's own parser accepts
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _accepted_flags(sub, (*command, name))
+        elif command and action.dest != "help":
+            yield " ".join(command), action.option_strings[0]
+
+
+def test_the_accepted_flags_are_pinned():
+    # a flag added or dropped shows here
+    pairs = sorted(_accepted_flags(cli.build_parser()))
+    phases_out = ["--phases", "--out"]
+    assert len(pairs) == 38
+    assert pairs == sorted([
+        *((f"generate {g}", f) for g in ("two-lines", "halflines", "unbounded",
+                                         "c0-two-point", "c0-singleton")
+          for f in phases_out),
+        *(("generate chainable", f) for f in [*phases_out, "--target"]),
+        *(("generate no-rp", f) for f in ["--kmax", "--out"]),
+        *(("rearrange", f) for f in ["--target", "--stages", "--out"]),
+        *(("verify estimate", f) for f in ["--input", "--resolution", "--window", "--out"]),
+        *(("verify dichotomy", f) for f in ["--input", "--resolution", "--window",
+                                            "--gap", "--bound", "--out"]),
+        *(("verify singleton", f) for f in ["--input", "--tol"]),
+        ("verify cauchy", "--input"),
+        ("verify vector-family", "--k"),
+        *(("verify rp-instance", f) for f in ["--input", "--epsilon", "--prefix"]),
+        *(("plot", f) for f in ["--input", "--marks", "--out"]),
+    ])
+
+
+def test_rearrange_reports_a_failed_construction(tmp_path, monkeypatch, capsys):
+    # prefixes of 100 and 200 terms hold no term below eps/4, so the
+    # construction fails at the last length; that is a property failure, and
+    # it writes none of the four files
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "PREFIX_LENGTHS", [100, 200])
     (tmp_path / "pt.csv").write_text("coord_0,coord_1\n0.25,-0.5\n")
-    assert cli.main(["rearrange", "--target", "pt.csv", "--terms", "100",
-                     "--out", "run"]) == 1
+    assert cli.main(["rearrange", "--target", "pt.csv", "--out", "run"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "rearrangement failed: series prefix too short: no term below eps/4\n"
     assert [p.name for p in tmp_path.iterdir()] == ["pt.csv"]
+
+
+@pytest.mark.parametrize("dim, digests", [
+    (7, {"csv": "a4bc8311f0222f2336c1bd3ece517956762e81e62fba246152bf8fdf6b5f8166",
+         "perm.json": "1fbd12a3987be6efbf71cecd8510ea8a41237b63cbcb1711e27b6fc21a14c646",
+         "report.json": "eb33a1f0cc620f271851af5ffcbf2bf4e159077eb25dc7694d7b9604d24fc241"}),
+    (8, {"csv": "f445671b3c42bdedd3126131a4b5c7e227636004bd8c71cc75b2b6039a061c6c",
+         "perm.json": "b3261759c97763eb84fdbfb1e8ec26bb628440bb1ce8781546f122d7a7b307d3",
+         "report.json": "b3f0a280479854f0237afdab88c54c3e031559157e513989a6b7f1f0b608ef92"}),
+], ids=["R7", "R8"])
+def test_rearrange_finds_its_prefix_length(tmp_path, dim, digests):
+    # (1, 0, ..., 0) exhausts 80,000 terms in R^7 and R^8 and lands on
+    # 160,000, with the bytes of a run given that length; the lengths tried
+    # are logged at SERWALK_LOG=info
+    target = tmp_path / "target.csv"
+    target.write_text(",".join(f"coord_{i}" for i in range(dim)) + "\n"
+                      + ",".join(["1"] + ["0"] * (dim - 1)) + "\n")
+    base = tmp_path / "run"
+    r = run("rearrange", "--target", str(target), "--out", str(base),
+            env={**os.environ, "SERWALK_LOG": "info"})
+    assert r.returncode == 0 and r.stdout == ""
+    assert r.stderr.splitlines() == [
+        "INFO rearrange: trying a 80000-term prefix",
+        "INFO rearrange: 80000 terms are too short: "
+        "series prefix exhausted before target reached",
+        "INFO rearrange: trying a 160000-term prefix"]
+    got = {ext: hashlib.sha256((tmp_path / f"run.{ext}").read_bytes()).hexdigest()
+           for ext in digests}
+    assert got == digests
+    assert json.loads((tmp_path / "run.manifest.json").read_text()) == {
+        "command": "rearrange", "out": str(base), "stages": 5, "target": str(target)}
 
 
 def test_verify_dichotomy_two_lines(tmp_path):
@@ -342,9 +466,11 @@ def test_verify_without_input_is_usage_error(check):
     # no flag sets the halflines abscissae or the unbounded radii
     ["generate", "halflines", "--phases", "2", "--abscissae", "0,nan,1"],
     ["generate", "unbounded", "--radii", "inf,5"],
+    # rearrange finds its own prefix length
+    ["rearrange", "--target", "s.csv", "--terms", "100"],
 ], ids=["two-lines-kmax", "two-lines-target", "no-rp-phases", "cauchy-out",
         "vector-family-input", "singleton-resolution", "halflines-abscissae",
-        "unbounded-radii"])
+        "unbounded-radii", "rearrange-terms"])
 def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                         argv):
     # each was once accepted with its flag ignored or misread; now argparse
@@ -368,18 +494,13 @@ def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, monkeypatch, c
 @pytest.mark.parametrize("argv, message", [
     (["verify", "rp-instance", "--prefix", "0"], "prefix must be >= 1"),
     (["verify", "rp-instance", "--prefix", "-1"], "prefix must be >= 1"),
-    (["rearrange", "--terms", "0"], "terms must be >= 1"),
-    (["rearrange", "--terms", "-5"], "terms must be >= 1"),
 ])
 def test_out_of_range_counts_are_usage_errors(tmp_path, argv, message):
-    # --prefix -1 once balanced all terms but the last, --prefix 0 printed an
-    # empty order, and --terms 0 raised IndexError
+    # --prefix -1 once balanced all terms but the last, and --prefix 0
+    # printed an empty order
     terms = tmp_path / "terms.json"
     assert run("generate", "no-rp", "--kmax", "1", "--out", str(terms)).returncode == 0
-    target = tmp_path / "target.csv"
-    target.write_text("coord_0,coord_1\n0.25,-0.5\n")
-    source = ["--input", str(terms)] if argv[0] == "verify" else ["--target", str(target)]
-    r = run(*argv, *source)
+    r = run(*argv, "--input", str(terms))
     assert r.returncode == 2
     assert r.stderr.strip() == message
     assert r.stdout == ""
@@ -388,8 +509,7 @@ def test_out_of_range_counts_are_usage_errors(tmp_path, argv, message):
 def test_rearrange_rejects_ragged_target(tmp_path):
     target = tmp_path / "target.csv"
     target.write_text("coord_0,coord_1\n0.25,-0.5\n0.5\n")
-    r = run("rearrange", "--target", str(target), "--terms", "1000",
-            "--out", str(tmp_path / "run"))
+    r = run("rearrange", "--target", str(target), "--out", str(tmp_path / "run"))
     assert r.returncode == 2
     assert "cannot read sample" in r.stderr and "row width mismatch" in r.stderr
     assert not (tmp_path / "run.csv").exists()

@@ -13,7 +13,8 @@ from serwalk import rearrange
 from serwalk.analysis import estimate_limit_set
 from serwalk.core import (PointSample, chain_gap, distance, float_rows, hausdorff_distance,
                           norm)
-from serwalk.rearrange import (HOP_FACTOR, RPConstants, _chain_tour, _dfs_balance,
+from serwalk.rearrange import (HOP_FACTOR, PrefixTooShort, RPConstants, _chain_tour,
+                               _dfs_balance,
                                _eta, _refined_tour, _stage_fault, alternating_harmonic,
                                certify_rp_family, check_stage_invariants,
                                find_balanced_permutation, full_range_series,
@@ -651,6 +652,51 @@ def test_rearrange_reports_an_exhausted_prefix():
     # no prefix of 3000 terms reaches (100, 100): its positive x terms sum to 57.6
     with pytest.raises(ValueError, match="series prefix exhausted before target reached"):
         rearrange_to_limit_set(full_range_series(2, 3000), PointSample(((100.0, 100.0),)), 1)
+
+
+def test_every_short_prefix_failure_is_prefix_too_short():
+    # the failures a longer prefix could mend share one type, a ValueError
+    cases = [
+        (lambda: RPConstants(alternating_harmonic(100)).n_threshold(0.001),
+         "series prefix too short: no term below eps/4"),
+        (lambda: rearrange_to_limit_set(full_range_series(2, 3000),
+                                        PointSample(((100.0, 100.0),)), 1),
+         "series prefix exhausted before target reached"),
+        # 6 terms past N(1.0) = 4, and a batch draws up to 12
+        (lambda: certify_rp_family(alternating_harmonic(10), [1.0], 1, random.Random(0)),
+         "series prefix too short beyond N(eps)"),
+    ]
+    for call, message in cases:
+        with pytest.raises(PrefixTooShort, match=f"^{re.escape(message)}$"):
+            call()
+    assert issubclass(PrefixTooShort, ValueError)
+
+
+def test_a_prefix_short_of_the_last_threshold_fails_before_any_stage(monkeypatch):
+    # 10,000 terms hold N(2^-6) = 8,189, which stage 5's moves use, but not
+    # N(2^-7) = 16,381, which its hand-off needs; the run asks for it up
+    # front, so no stage balances a batch first
+    def refuse(terms, bound):
+        raise AssertionError("balancing called")
+
+    monkeypatch.setattr("serwalk.rearrange.find_balanced_permutation", refuse)
+    series = full_range_series(2, 10000)
+    assert RPConstants(series).n_threshold(2.0 ** -6) == 8189
+    with pytest.raises(PrefixTooShort, match="^series prefix too short: no term below eps/4$"):
+        rearrange_to_limit_set(series, PointSample(((0.25, -0.5),)), 5)
+
+
+def test_a_run_is_the_same_at_any_prefix_length_that_holds_its_frontier():
+    # a run reads nothing past its frontier, and N(eps) is the first index
+    # below eps/4 at any length
+    target = PointSample(((0.25, -0.5), (-0.25, 0.0)))
+    runs = [rearrange_to_limit_set(full_range_series(2, count), target, 3)
+            for count in (20000, 50000)]
+    (tau, walk, reports), (tau_long, walk_long, reports_long) = runs
+    assert max(tau.images) < 20000
+    assert tau.images == tau_long.images
+    assert walk.sums == walk_long.sums and walk.phase_lengths == walk_long.phase_lengths
+    assert reports == reports_long
 
 
 @pytest.mark.parametrize("target, stages", [

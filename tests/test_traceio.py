@@ -243,17 +243,17 @@ def test_dense_cli_outputs_are_byte_identical_to_their_pins(tmp_path, monkeypatc
         "csv": "990aec92a34bcf5243480cbb3632155f60a94d7fe5e5ebaf49d249df93f7557d",
         "perm.json": "f7d31238f8e34cbd31daa3bdc0c62a1a492c92a91b7b31506ef2a94e4bbb49bd",
         "report.json": "ab1466a78842bd0753f3b4601ed70373d60ce2c859d7e070d5f64ee6779fb560",
-        "manifest.json": "d8e14f4e15883986bb9ee3b5ce3663d13bb545321942cee916f2414b98e94ccd"}),
+        "manifest.json": "08d7b1e077cada47aad71436c51058e73446a2929d51de84e01e4a36989a2267"}),
     ([(0.25, -0.5)], {
         "csv": "64875304639201734e57ff014950a2121eb22b88836cb53bcfaf7552cc0a9125",
         "perm.json": "932173fa9b70c8cdf2d84d14c7b3fcb7a8e6997f92feb8e32b6142186cef6dc4",
         "report.json": "3a780d10ac6705d7449b74dc2c2c46e50ce5c9d7b1a96704c26c463487b937ce",
-        "manifest.json": "d8e14f4e15883986bb9ee3b5ce3663d13bb545321942cee916f2414b98e94ccd"}),
+        "manifest.json": "08d7b1e077cada47aad71436c51058e73446a2929d51de84e01e4a36989a2267"}),
 ], ids=["circle", "point"])
 def test_rearrange_cli_outputs_are_byte_identical_to_their_pins(tmp_path, monkeypatch,
                                                                points, digests):
-    # the four files of `serwalk rearrange` at its default stages and terms,
-    # pinned by sha256
+    # the four files of `serwalk rearrange` at its default stages, pinned by
+    # sha256; the manifest records no prefix length
     monkeypatch.chdir(tmp_path)
     (tmp_path / "target.csv").write_text(_sample_csv(points))
     assert cli.main(["rearrange", "--target", "target.csv", "--out", "run"]) == 0
