@@ -213,6 +213,9 @@ def cmd_verify(args) -> int:
         if not 0 < args.epsilon < math.inf:
             raise ValueError(f"epsilon must be a finite positive number, not {args.epsilon}")
         terms = _read(args.input, "terms", traceio.read_terms_json)
+        if args.prefix > len(terms):
+            raise ValueError(f"prefix {args.prefix} is longer than the "
+                             f"{len(terms)} terms of {args.input}")
         order = rearrange.find_balanced_permutation(terms[:args.prefix], args.epsilon)
         if order is None:
             print("no balanced permutation")

@@ -32,8 +32,10 @@ would convert it.  Its callers: the kernels below
 estimate's grid keys and means.  Float64 is exact for dyadic coordinates
 of moderate size, which covers every generator and every trace read from
 disk, so measuring on the matrix gives the same answer as the exact
-points.  A square or difference past the float range is inf, without a
-numpy warning.
+points.  :func:`fold_norms` is the one fold into norms, for ``_block``,
+``RPConstants`` and the rearranger's eps-ball check; the balancing pass
+folds the same ufuncs step by step in its own buffers.  A square or
+difference past the float range is inf, without a numpy warning.
 
 Every all-pairs question is a reduction over one kernel,
 :func:`distance_blocks`, which yields the distance matrix between two
@@ -182,13 +184,16 @@ def coordinate_ufuncs(sup: bool) -> tuple[np.ufunc, np.ufunc]:
     return (np.abs, np.maximum) if sup else (np.square, np.add)
 
 
-def fold_coordinate(acc: np.ndarray, d: np.ndarray, sup: bool) -> None:
-    """Fold one coordinate's values d into acc in place,
-    ``fold(acc, power(d))`` by :func:`coordinate_ufuncs`: the running max of
-    |d| for the sup norm, else the running sum of d*d (the squared norm)."""
+def fold_norms(coords, shape, sup: bool) -> np.ndarray:
+    """Norms of the points whose coordinate arrays ``coords`` yields: zeros
+    of ``shape``, each array folded in by :func:`coordinate_ufuncs`, and a
+    root for the Euclidean norm.  Overflow, in a lazy ``coords`` too, is inf."""
     power, fold = coordinate_ufuncs(sup)
-    with np.errstate(over="ignore"):  # a square past the float range is inf
-        fold(acc, power(d), out=acc)
+    acc = np.zeros(shape)
+    with np.errstate(over="ignore"):
+        for d in coords:
+            fold(acc, power(d), out=acc)
+    return acc if sup else np.sqrt(acc, out=acc)
 
 
 def distance_blocks(a, b):
@@ -223,13 +228,9 @@ def upper_distance_blocks(a):
 def _block(rows_a: np.ndarray, rows_b: np.ndarray, sup: bool) -> np.ndarray:
     """The distance matrix between two float row matrices, the kernel of
     :func:`distance_blocks` and :func:`upper_distance_blocks`."""
-    block = np.zeros((len(rows_a), len(rows_b)))
-    with np.errstate(over="ignore"):  # a difference past the float range is inf
-        for col in range(rows_a.shape[1]):
-            fold_coordinate(block, rows_a[:, col, None] - rows_b[None, :, col], sup)
-    if not sup:
-        np.sqrt(block, out=block)
-    return block
+    return fold_norms((rows_a[:, col, None] - rows_b[None, :, col]
+                       for col in range(rows_a.shape[1])),
+                      (len(rows_a), len(rows_b)), sup)
 
 
 def hausdorff_distance(a, b) -> float:

@@ -5,9 +5,11 @@ rearranging a series so its partial sums cluster exactly on a prescribed
 chainable set.  Stage j walks a refined tour of the target, the same
 closed tour over the target's gap graph every stage, and each hop from
 anchor a to anchor b is one stage step (the ``move`` closure):
-(1) append the untouched indices through N(eps_j/2) in order, and at the
-stage hand-off also gather every index skipped so far; (2) select tail
-indices until each of the m coordinates of the error to b is within
+(1) at the stage hand-off only, append the untouched indices through
+N(eps_{j+1}/2) in order and gather every index skipped so far (stage j's
+other moves need the prefix through N(eps_j/2) = N(2^-(j+1)), which stage
+j-1's hand-off, or for j = 1 the opening prefix, already pushed through);
+(2) select tail indices until each of the m coordinates of the error to b is within
 ``_landing_tol`` (eps_{j+1}/12) over 2 max(1, sqrt(m/3)), which leaves a
 Euclidean error of at most sqrt(m) times that, sqrt(3)/2 of the tolerance,
 parking scanned-but-unused indices in a reservoir; (3) order the batch
@@ -28,15 +30,16 @@ queued index whose magnitude is below twice the error left on that axis,
 and the indices queued before it move, in their order, to the back of the
 queue (one rotate); a queue with no such index is left as it was.  Later
 picks depend on this order.  Each queue's magnitudes are also kept sorted,
-so a queue that cannot serve a pick is known from its smallest magnitude,
-without a scan.
+largest first (negated), so a queue that cannot serve a pick is known from
+its last, smallest magnitude, without a scan; a scan meets ever smaller
+magnitudes, so a park appends, and a pick deletes near the end.
 
 N(eps) is a bisection over the term norms, which ``RPConstants`` computes
 once, in one pass over the series' float64 rows, and checks to be finite
 and nonincreasing; "norm <= eps/4" is then monotone in the index.  A run
-asks for it once up front, at the smallest eps it will need, and then
-three times a stage: for the moves, which all use N(eps_j/2), for the
-hand-off and in the stage check.
+asks for it once up front, at the smallest eps it will need, once for the
+opening prefix, and then twice a stage: at the hand-off and in the stage
+check.
 
 A prefix that is too short for the run raises ``PrefixTooShort``, a
 ValueError: N(eps) past its end, a scan past its last term, or too few
@@ -51,8 +54,8 @@ and SparseVecs.  It falls back to a complete search for batches of at most
 10 terms, and a one-term batch is decided by its norm alone.  The pass lays
 the rows out once as contiguous columns, one per coordinate, and a step is
 a fixed handful of in-place ufunc calls per coordinate over buffers
-allocated once per call.  Every score equals ``core.fold_coordinate``'s
-bit for bit.  Used rows are masked by an inf penalty, and once at least
+allocated once per call.  Every score equals ``core.fold_norms``'s fold,
+unrooted, bit for bit.  Used rows are masked by an inf penalty, and once at least
 half of 64 or more live rows are used they are compacted away; the rest
 keep their index order, so a tie still goes to the first index.  No
 randomized pass breaks ties, so a batch of more than 10 terms with exactly
@@ -81,7 +84,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (PointSample, _points, add, chain_gap, coordinate_ufuncs, distance,
-                   float_rows, fold_coordinate, gap_graph, gap_tour, norm)
+                   float_rows, fold_norms, gap_graph, gap_tour, norm)
 from .walks import PartialPermutation, Walk, segment
 
 class PrefixTooShort(ValueError):
@@ -176,9 +179,9 @@ def find_balanced_permutation(terms: Sequence, bound: float) -> Optional[list[in
     ``power(col + cur[0])`` into ``score`` and folds every further
     coordinate in, left to right, as ``fold(score, power(col + cur[c]))``
     through the scratch buffer (``core.coordinate_ufuncs``).  That is
-    ``core.fold_coordinate``'s fold onto zeros, bit for bit: its first step
-    is ``0.0 + d*d`` or ``max(0.0, |d|)``, which equals ``d*d`` or ``|d|``,
-    since neither is ever -0.0.
+    ``core.fold_norms``'s fold onto zeros before its root, bit for bit: its
+    first step is ``0.0 + d*d`` or ``max(0.0, |d|)``, which equals ``d*d``
+    or ``|d|``, since neither is ever -0.0.
 
     Used rows are masked by adding the penalty, which is inf at them and
     0 elsewhere.  A used row never scores NaN: ``cur`` is the sum of
@@ -259,18 +262,14 @@ class RPConstants:
     the first whose norm exceeds its predecessor's.  Terms are numbered
     from 1, as N(eps) is.
 
-    The norms accumulate one coordinate at a time over ``core.float_rows``,
-    in the order :func:`core.norm` sums, so each equals ``norm(term)`` bit
-    for bit.  A SparseVec series is laid out over the union of its supports.
+    The norms are one ``core.fold_norms`` over the columns of
+    ``core.float_rows`` (for SparseVecs, the union of their supports), in
+    the order :func:`core.norm` sums, so each equals ``norm(term)``.
     """
 
     def __init__(self, series: Sequence):
         sup, (rows,) = float_rows(series)
-        norms = np.zeros(len(rows))
-        for col in range(rows.shape[1]):
-            fold_coordinate(norms, rows[:, col], sup)
-        if not sup:
-            np.sqrt(norms, out=norms)
+        norms = fold_norms(rows.T, len(rows), sup)
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             raise ValueError(f"term norms must be finite: term {bad[0] + 1} "
@@ -460,8 +459,8 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     # way; sweeping them at every extension instead would feed each move's
     # displacement back into the next one and exhaust the prefix
     reservoir: dict[tuple[int, bool], deque] = {}
-    # each queue's magnitudes, sorted: a take that no queued index can serve
-    # reads the smallest and scans nothing
+    # each queue's magnitudes, negated and sorted (largest first): a take
+    # that no queued index can serve reads the last and scans nothing
     mags: dict[tuple[int, bool], list] = {}
     # (first image, start anchor) of each move of the current stage
     marks: list = []
@@ -471,26 +470,22 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             images.append(i)
             sums.append(tuple(map(operator.add, sums[-1], terms[i - 1])))
 
-    def max_excursion(block):
-        # the largest distance from a sum of the stage's block to its move's
-        # start anchor, accumulated as core.distance accumulates it
-        firsts = [m for m, _ in marks] + [len(images)]
-        anchors = np.repeat(np.array([a for _, a in marks], dtype=float),
-                            np.diff(firsts), axis=0)
-        score = np.zeros(len(block))
-        for col in range(block.shape[1]):  # 0x0 for a stage with no sums
-            fold_coordinate(score, block[:, col] - anchors[:, col], False)
-        return float(np.sqrt(score).max(initial=0.0))
+    def max_excursion(stage_sums):
+        # the largest distance from a sum of the stage to its move's start
+        # anchor, accumulated as core.distance accumulates it
+        sup, (block, starts) = float_rows(stage_sums, [a for _, a in marks])
+        anchors = np.repeat(starts, np.diff([m for m, _ in marks] + [len(images)]), axis=0)
+        return float(fold_norms(block.T - anchors.T, len(block), sup).max(initial=0.0))
 
     def take(axis, positive, err_abs):
         key = (axis, positive)
-        if not mags.get(key) or not mags[key][0] < 2 * err_abs:
+        if not mags.get(key) or not -mags[key][-1] < 2 * err_abs:
             return None
         q = reservoir[key]
         k = next(k for k, (mag, _) in enumerate(q) if mag < 2 * err_abs)
         q.rotate(-k)
         got = q.popleft()
-        del mags[key][bisect.bisect_left(mags[key], got[0])]
+        del mags[key][bisect.bisect_left(mags[key], -got[0])]
         return got
 
     def select(err, land):
@@ -521,7 +516,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             elif ax >= 0:
                 key = (ax, value > 0)
                 reservoir.setdefault(key, deque()).append((abs(value), frontier))
-                bisect.insort(mags.setdefault(key, []), abs(value))
+                bisect.insort(mags.setdefault(key, []), -abs(value))
 
     # straight prefix through N(eps_1 / 2), then steer onto the first anchor
     n1 = constants.n_threshold(0.25)
@@ -530,33 +525,30 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     d1 = tuple(float(c) for c in points[0])
     push(select([a - b for a, b in zip(d1, sums[-1])], _landing_tol(0.5)))
 
-    def move(a, b, k0, eps, eps_next, sweep=False):
-        # k0 is N(eps_next/2), which is N(eps/2) for all moves but the hand-off
+    def move(a, b, eps, eps_next):
         nonlocal frontier
         marks.append((len(images), a))
-        if k0 > frontier:
-            # untouched indices up to k0 are consecutive signed pairs; in
-            # ascending order their prefixes cancel pairwise, so they need
-            # no balancing pass
-            push(range(frontier + 1, k0 + 1))
-            frontier = k0
         batch: list[int] = []
         z = [0.0] * dim
-        if sweep:
+        if eps_next < eps:  # the hand-off, the only move that needs step (1)
+            # untouched indices through N(eps_next/2) are consecutive signed
+            # pairs; in ascending order their prefixes cancel pairwise, so
+            # they need no balancing pass
+            n_next = constants.n_threshold(eps_next / 2)
+            push(range(frontier + 1, n_next + 1))
+            frontier = max(frontier, n_next)
             for q in reservoir.values():
                 for _, idx in q:
                     batch.append(idx)
-                    t = terms[idx - 1]
-                    for ax in range(dim):
-                        z[ax] += float(t[ax])
+                    z = [zc + float(c) for zc, c in zip(z, terms[idx - 1])]
                 q.clear()
             mags.clear()
         err = [float(bc) - cc - zc for bc, cc, zc in zip(b, sums[-1], z)]
         land = _landing_tol(eps_next)
         batch.extend(select(err, land))
         if batch:
-            bterms = [terms[i - 1] for i in batch]
-            order = find_balanced_permutation(bterms, constants.delta(eps))
+            order = find_balanced_permutation([terms[i - 1] for i in batch],
+                                              constants.delta(eps))
             if order is None:
                 raise ValueError("RP bound violated at stage: balancing failed")
             push(batch[p - 1] for p in order)
@@ -572,14 +564,13 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         loop = _refined_tour(points, tour, HOP_FACTOR * eta)
         start = len(images)
         marks.clear()
-        k0 = constants.n_threshold(eps / 2)
         for d in loop[1:]:
-            move(prev_anchor, d, k0, eps, eps)
+            move(prev_anchor, d, eps, eps)
             prev_anchor = d
-        # stage handoff: sweep the reservoir so the permutation covers an
-        # initial segment, landing within the next stage's tolerance
-        n_next = constants.n_threshold(eps_next / 2)
-        move(prev_anchor, prev_anchor, n_next, eps, eps_next, sweep=True)
+        # stage handoff: extend the prefix and sweep the reservoir so the
+        # permutation covers an initial segment, landing within the next
+        # stage's tolerance
+        move(prev_anchor, prev_anchor, eps, eps_next)
         pending = [idx for q in reservoir.values() for _, idx in q]
         report = {
             "stage": j,
@@ -588,7 +579,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             "eta": eta,
             "anchor": prev_anchor,
             "stage_end_error": distance(sums[-1], prev_anchor),
-            "prefix_max_excursion": max_excursion(float_rows(sums[start + 1:])[1][0]),
+            "prefix_max_excursion": max_excursion(sums[start + 1:]),
             "moves": len(loop),
             "uncovered": len(pending),
             "covered_through": min(pending) - 1 if pending else frontier,

@@ -10,10 +10,12 @@ stable.  Sequence-space walks serialize as JSON lines
 reject a trace whose index runs other than 1, 2, ..., n or whose phase
 goes down.  Sparse entries and dense series terms must be JSON ints or
 finite floats; JSON-line index and phase must be JSON ints.  The readers
-take only what the writers write: a CSV coordinate is a plain decimal in
-the float range (an optional ``-``, digits, an optional ``.digits``), and
-a CSV index or phase, or a sparse key, is an integer as ``str(int)``
-writes it, and a sparse key is at least 1.
+take only what the writers write: a CSV header names exactly the columns
+``index,phase,coord_0,...,coord_{m-1}`` (a sample's, ``coord_0,...``), a
+CSV coordinate is a plain decimal in the float range (an optional ``-``,
+digits, an optional ``.digits``), and a CSV index or phase, or a sparse
+key, is an integer as ``str(int)`` writes it, and a sparse key is at
+least 1.
 
 Each reader parses every distinct raw spelling once, into a per-file memo:
 CSV cells by their string, sparse keys by their string and sparse values
@@ -129,10 +131,10 @@ def write_walk_csv(w: Walk, fp: TextIO) -> None:
 
 def read_walk_csv(fp: TextIO) -> Walk:
     reader = csv.reader(fp)
-    header = next(reader, None)
-    if not header or header[:2] != ["index", "phase"] or len(header) < 3:
-        raise ValueError("bad trace header")
+    header = next(reader, None) or []
     dim = len(header) - 2
+    if dim < 1 or header != ["index", "phase"] + [f"coord_{i}" for i in range(dim)]:
+        raise ValueError("bad trace header: not index,phase,coord_0,...")
     sums = []
     rows = []
     cells: dict[str, Fraction] = {}  # raw cell -> its value, read once
@@ -241,8 +243,8 @@ def read_walk_jsonl(fp: TextIO) -> Walk:
 def read_sample_csv(fp: TextIO) -> PointSample:
     reader = csv.reader(fp)
     header = next(reader, None)
-    if not header or not header[0].startswith("coord_"):
-        raise ValueError("bad sample header")
+    if not header or header != [f"coord_{i}" for i in range(len(header))]:
+        raise ValueError("bad sample header: not coord_0,coord_1,...")
     pts = []
     for n, row in enumerate(reader, start=1):
         if not row:

@@ -506,6 +506,31 @@ def test_out_of_range_counts_are_usage_errors(tmp_path, argv, message):
     assert r.stdout == ""
 
 
+def test_an_over_long_prefix_is_a_usage_error(tmp_path):
+    # --prefix 50 once balanced the file's 8 terms and exited 0
+    terms = tmp_path / "terms.json"
+    assert run("generate", "no-rp", "--kmax", "1", "--out", str(terms)).returncode == 0
+    r = run("verify", "rp-instance", "--input", str(terms), "--prefix", "50")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.strip() == f"prefix 50 is longer than the 8 terms of {terms}"
+    r = run("verify", "rp-instance", "--input", str(terms), "--epsilon", "0.75",
+            "--prefix", "8")
+    assert r.returncode == 0
+
+
+@pytest.mark.parametrize("command, kind, text", [
+    (("verify", "cauchy", "--input"), "trace", "index,phase,x,banana\n1,1,0,0\n"),
+    (("rearrange", "--target"), "sample", "coord_0,weight\n0.25,1\n"),
+    (("rearrange", "--target"), "sample", "coord_1,coord_0\n0.25,-0.5\n"),
+], ids=["trace-names", "sample-weight", "sample-swapped"])
+def test_malformed_headers_are_usage_errors(tmp_path, command, kind, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    r = run(*command, str(path))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith(f"cannot read {kind} {path}: bad {kind} header")
+
+
 def test_rearrange_rejects_ragged_target(tmp_path):
     target = tmp_path / "target.csv"
     target.write_text("coord_0,coord_1\n0.25,-0.5\n0.5\n")

@@ -73,6 +73,60 @@ def test_no_callable_chooses_a_norm_or_a_mode():
     assert found == []
 
 
+def _own_nodes(fn):
+    # the nodes of a function's body, not those of the functions it defines
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _callee(call) -> str:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _norm_flags(nodes) -> set:
+    # the names a function unpacks from float_rows's first value:
+    # `sup, (rows,) = float_rows(...)`
+    return {target.elts[0].id for node in nodes
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and _callee(node.value) == "float_rows"
+            for target in node.targets
+            if isinstance(target, ast.Tuple) and isinstance(target.elts[0], ast.Name)}
+
+
+def test_every_norm_flag_comes_from_float_rows():
+    # the norm is decided once, by float_rows from the points: a call of a
+    # library function with a `sup` parameter passes a name unpacked from
+    # float_rows in the calling function, or the caller's own `sup`, never
+    # a literal
+    takers = {}  # function name -> position of its sup parameter
+    for qualname, obj in _library_callables():
+        params = list(inspect.signature(obj).parameters)
+        if "sup" in params:
+            takers[qualname.split(".")[-1]] = params.index("sup")
+    found, checked = [], 0
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = list(_own_nodes(fn))
+            flags = _norm_flags(nodes) | ({"sup"} & {a.arg for a in fn.args.args})
+            for call in nodes:
+                if not isinstance(call, ast.Call) or _callee(call) not in takers:
+                    continue
+                at = takers[_callee(call)]
+                flag = {k.arg: k.value for k in call.keywords}.get(
+                    "sup", call.args[at] if at < len(call.args) else None)
+                checked += 1
+                if not (isinstance(flag, ast.Name) and flag.id in flags):
+                    found.append(f"{path.name}:{call.lineno} {ast.unparse(call)[:60]}")
+    assert checked and found == [], found
+
+
 ROOT = Path(__file__).resolve().parents[1]
 #: the code that counts as a caller: the library, the demos, the benchmark
 #: and the fixed acceptance gate (other tests are not callers)
@@ -89,8 +143,7 @@ def _calls_by_name():
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            name = _callee(node)
             starred = any(isinstance(a, ast.Starred) for a in node.args)
             positional = math.inf if starred else len(node.args)
             keywords = {k.arg for k in node.keywords}

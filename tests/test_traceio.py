@@ -386,6 +386,25 @@ def test_svg_output():
         write_walk_svg(Walk([(0.0,), (1.0,)], [1]), io.StringIO(), marks=None)
 
 
+@pytest.mark.parametrize("read, text", [
+    (read_walk_csv, "index,phase,x,banana\n1,1,0,0\n"),
+    (read_walk_csv, "index,phase,coord_1,coord_0\n1,1,0,0\n"),
+    (read_walk_csv, "index,phase,coord_0,coord_0\n1,1,0,0\n"),
+    (read_walk_csv, "phase,index,coord_0\n1,1,0\n"),
+    (read_walk_csv, "index,phase\n1,1\n"),
+    (read_sample_csv, "coord_0,weight\n0,1\n"),
+    (read_sample_csv, "coord_1,coord_0\n0,1\n"),
+    (read_sample_csv, "coord_0,coord_2\n0,1\n"),
+    (read_sample_csv, "\n0,1\n"),
+], ids=["trace-names", "trace-swapped", "trace-repeated", "trace-index-phase",
+        "trace-no-coords", "sample-weight", "sample-swapped", "sample-gap",
+        "sample-empty"])
+def test_readers_take_only_the_headers_the_writers_write(read, text):
+    # coord_1,coord_0 once read silently with its two columns swapped
+    with pytest.raises(ValueError, match="^bad (trace|sample) header"):
+        read(io.StringIO(text))
+
+
 @pytest.mark.parametrize("text", [
     "coord_0,coord_1\n0.5,1\n0.25\n",
     "coord_0,coord_1\n0.5,1\n0.25,1,2\n",
