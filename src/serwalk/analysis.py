@@ -1,7 +1,10 @@
 """Finite-prefix surrogates for limit-set statements.
 
 A true limit point is hit infinitely often; the finite shadow used here is
-recurrence inside a late window.  All canonical walk generators revisit
+recurrence inside a late window.  The window has one fixed rule: the
+smallest suffix of whole phases that spans two phases and holds
+``WINDOW_FRACTION`` of the sums, and at least two; a one-phase walk's
+window is that many last sums.  All canonical walk generators revisit
 their limit sets every phase, so a grid cell is kept when the walk returns
 to it in at least ``MIN_HITS`` distinct phases of the window (falling back
 to raw hit counts when the window does not span two phases).
@@ -41,7 +44,7 @@ MIN_HITS = 2
 #: the Cauchy diagnostic's tail: this fraction of the walk's sums
 TAIL_FRACTION = 0.3
 
-#: the limit-set estimate's default late window: this fraction of the sums
+#: the limit-set estimate's late window: at least this fraction of the sums
 WINDOW_FRACTION = 0.3
 
 
@@ -73,15 +76,11 @@ class LimitEstimate:
         return len(self.points)
 
 
-def _window_bounds(w: Walk, window_fraction: float) -> tuple[int, list[tuple[int, int]]]:
-    """Start index into w.sums plus the phase blocks inside the window.
-
-    The window is the smallest suffix of whole phases covering at least
-    window_fraction of the stored sums, and at least two phases when the
-    walk has them (recurrence across phases is the limit-point surrogate).
-    """
+def _window_bounds(w: Walk) -> tuple[int, list[tuple[int, int]]]:
+    """Start index into w.sums plus the phase blocks inside the window,
+    by the module docstring's one rule."""
     total = len(w.sums) - 1
-    want = max(2, math.ceil(window_fraction * total))
+    want = max(2, math.ceil(WINDOW_FRACTION * total))
     blocks = w.phase_blocks()
     if len(blocks) < 2:
         start = max(1, len(w.sums) - want)
@@ -120,17 +119,14 @@ def _means(ids: np.ndarray, rows: np.ndarray, size: int) -> list[tuple]:
     return [tuple(p) for p in (totals / np.bincount(ids, minlength=size)[:, None]).tolist()]
 
 
-def estimate_limit_set(w: Walk, resolution: float,
-                       window_fraction: float = WINDOW_FRACTION) -> LimitEstimate:
+def estimate_limit_set(w: Walk, resolution: float) -> LimitEstimate:
     """Grid-based recurrence estimate of LIM from the walk's late window;
-    the comparisons refuse a NaN resolution or window fraction, and a sum
-    with no finite grid cell (a NaN or infinite coordinate, or one whose
-    key overflows) raises ValueError naming its index in ``w.sums``."""
-    if not 0 < window_fraction <= 1:
-        raise ValueError("window_fraction must be in (0, 1]")
+    the comparison refuses a NaN resolution, and a sum with no finite grid
+    cell (a NaN or infinite coordinate, or one whose key overflows) raises
+    ValueError naming its index in ``w.sums``."""
     if not 0 < resolution < math.inf:
         raise ValueError("resolution must be finite and positive")
-    start, blocks = _window_bounds(w, window_fraction)
+    start, blocks = _window_bounds(w)
     window = w.sums[start:]
     if len(window) < 2:
         raise ValueError("window shorter than 2 points")
@@ -217,8 +213,8 @@ def verify_dichotomy(est: LimitEstimate, gap: float, bound: float) -> dict:
 def singleton_convergence_check(w: Walk, tol: float) -> dict:
     """Distinguish convergence from a divergent walk with singleton limit set.
 
-    The limit estimate uses the default window at resolution 0.2.  ``tol``
-    must be finite and > 0, else ValueError.
+    The limit estimate is taken at resolution 0.2.  ``tol`` must be finite
+    and > 0, else ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, not {tol}")

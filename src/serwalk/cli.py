@@ -230,8 +230,7 @@ def cmd_verify(args) -> int:
     if what == "cauchy":
         print(json.dumps(analysis.cauchy_diagnostic(walk)))
         return PASS
-    est = analysis.estimate_limit_set(walk, resolution=args.resolution,
-                                      window_fraction=args.window)
+    est = analysis.estimate_limit_set(walk, resolution=args.resolution)
     if what == "estimate":
         _write_json(args.out, traceio.estimate_report(est), indent=1)
         return PASS
@@ -273,7 +272,6 @@ FLAGS = {
     "stages": dict(type=int, default=5),
     "epsilon": dict(type=float, default=1.0),
     "resolution": dict(type=float, default=0.1),
-    "window": dict(type=float, default=analysis.WINDOW_FRACTION),
     "gap": dict(type=float, default=0.9),
     "bound": dict(type=float),
     "tol": dict(type=float, default=0.1),
@@ -284,8 +282,8 @@ FLAGS = {
 
 #: each check's flags
 CHECKS = {
-    "estimate": ["input", "resolution", "window", "out"],
-    "dichotomy": ["input", "resolution", "window", "gap", "bound", "out"],
+    "estimate": ["input", "resolution", "out"],
+    "dichotomy": ["input", "resolution", "gap", "bound", "out"],
     "singleton": ["input", "tol"],
     "cauchy": ["input"],
     "vector-family": ["k"],

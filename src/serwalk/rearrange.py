@@ -29,10 +29,14 @@ The reservoir keeps one queue per axis and sign.  A pick takes the first
 queued index whose magnitude is below twice the error left on that axis,
 and the indices queued before it move, in their order, to the back of the
 queue (one rotate); a queue with no such index is left as it was.  Later
-picks depend on this order.  Each queue's magnitudes are also kept sorted,
-largest first (negated), so a queue that cannot serve a pick is known from
-its last, smallest magnitude, without a scan; a scan meets ever smaller
-magnitudes, so a park appends, and a pick deletes near the end.
+picks depend on this order.  A term scanned at the frontier, when the
+reservoir cannot serve, is picked whenever its axis is still off and the
+error there has its sign, whatever its magnitude: a pick of 2|err| or more
+leaves that axis's error no smaller than it was.  Each queue's magnitudes
+are also kept sorted, largest first (negated), so a queue that cannot serve
+a pick is known from its last, smallest magnitude, without a scan; a scan
+meets ever smaller magnitudes, so a park appends, and a pick deletes near
+the end.
 
 N(eps) is a bisection over the term norms, which ``RPConstants`` computes
 once, in one pass over the series' float64 rows, and checks to be finite

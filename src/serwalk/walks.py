@@ -111,12 +111,10 @@ class Walk:
         if self.step_bounds is None:
             return True
         steps = self.steps()
-        pos = 0
-        for n, bound in zip(self.phase_lengths, self.step_bounds):
-            for st in steps[pos:pos + n]:
+        for (start, end), bound in zip(self.phase_blocks(), self.step_bounds):
+            for st in steps[start - 1:end - 1]:
                 if norm(st) > bound + 1e-12:
                     return False
-            pos += n
         return True
 
 
@@ -157,15 +155,12 @@ def walk_to_series(w: Walk) -> tuple[SignedSeries, PartialPermutation]:
     steps = w.steps()
     terms = []
     images = []
-    pos = 0
-    for n in w.phase_lengths:
-        half = n // 2
-        for r in range(1, half + 1):
-            terms.append(steps[pos + r - 1])
-            images.append(pos + r)
-            terms.append(steps[pos + n - r])
-            images.append(pos + n - r + 1)
-        pos += n
+    for start, end in w.phase_blocks():
+        # the r-th step out of the anchor pairs with the r-th step back
+        for r in range(1, (end - start) // 2 + 1):
+            for p in (start - 1 + r, end - r):
+                terms.append(steps[p - 1])
+                images.append(p)
     return SignedSeries(terms), PartialPermutation(images)
 
 
@@ -276,8 +271,8 @@ def _nearest_to_radius(points: Sequence, radius: float) -> int:
 
 
 def _sphere_arc(a, b, radius: float, pitch: float) -> list:
-    """Points along the circle of given radius from direction a to b (2-D
-    equatorial arc in higher dimensions), at angular pitch <= pitch/radius."""
+    """Points along the circle of given radius from direction a to b, at
+    angular pitch <= pitch/radius."""
     ta = math.atan2(float(a[1]), float(a[0]))
     tb = math.atan2(float(b[1]), float(b[0]))
     dt = tb - ta
@@ -286,11 +281,10 @@ def _sphere_arc(a, b, radius: float, pitch: float) -> list:
     while dt < -math.pi:
         dt += 2 * math.pi
     n = max(1, math.ceil(abs(dt) * radius / pitch))
-    rest = [0.0] * (len(a) - 2)
     out = []
     for i in range(1, n + 1):
         t = ta + dt * i / n
-        out.append((radius * math.cos(t), radius * math.sin(t), *rest))
+        out.append((radius * math.cos(t), radius * math.sin(t)))
     return out
 
 
@@ -300,14 +294,14 @@ def build_unbounded_components_walk(components: Sequence[PointSample],
     """Walk whose limit set is a union of unbounded components.
 
     Phase k joins representatives d_1..d_{k+1}, drawn round-robin from the
-    components, by 2^-k-chains routed via the sphere S(0,R_k): up the source
-    component to its point nearest the sphere, along a discretized
-    equatorial arc, and down the target component; then the whole phase
+    components, by 2^-k-chains routed via the circle S(0,R_k): up the source
+    component to its point nearest the circle, along a discretized arc of
+    it, and down the target component; then the whole phase
     retraces back to d_1.  Each d_i is the first minimum-norm point of its
     component, and the chains join sample indices on one gap graph per
-    component and phase, as :func:`build_chainable_walk` does.  Requires
-    ambient dimension >= 2.  The walk is a float walk: component
-    coordinates are converted to float on entry.
+    component and phase, as :func:`build_chainable_walk` does.  The walk is
+    planar: every point must have dimension 2.  It is a float walk:
+    component coordinates are converted to float on entry.
     """
     components = [PointSample(tuple(tuple(float(x) for x in p) for p in c),
                               getattr(c, "label", "")) for c in components]
@@ -316,9 +310,9 @@ def build_unbounded_components_walk(components: Sequence[PointSample],
     for c in components:
         if not c.points:
             raise ValueError(f"component {c.label!r} is empty")
-    dim = len(components[0].points[0])
-    if dim < 2:
-        raise ValueError("requires dimension >= 2")
+    dim = next((len(p) for c in components for p in c.points if len(p) != 2), 2)
+    if dim != 2:
+        raise ValueError(f"requires planar components: dimension {dim}, not 2")
     if list(radii) != sorted(set(radii)) or len(radii) < phases:
         raise ValueError("radii must be strictly increasing, one per phase")
     for radius in radii[:phases]:

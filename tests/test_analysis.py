@@ -43,11 +43,8 @@ def _noisy_two_point_walk(n_phases=8, reps=20, seed=4):
 
 
 def test_estimate_validation():
-    w = gen_c0_two_point(3)
-    with pytest.raises(ValueError, match="window_fraction"):
-        estimate_limit_set(w, resolution=0.1, window_fraction=0.0)
     with pytest.raises(ValueError, match="resolution"):
-        estimate_limit_set(w, resolution=-1.0)
+        estimate_limit_set(gen_c0_two_point(3), resolution=-1.0)
     with pytest.raises(ValueError, match="window shorter than 2 points"):
         estimate_limit_set(Walk([(0.0, 0.0), (1.0, 0.0)], [1]), resolution=0.1)
 
@@ -55,8 +52,7 @@ def test_estimate_validation():
 @pytest.mark.parametrize("kw, message", [
     ({"resolution": math.nan}, "resolution must be finite and positive"),
     ({"resolution": math.inf}, "resolution must be finite and positive"),
-    ({"resolution": 0.1, "window_fraction": math.nan}, r"window_fraction must be in \(0, 1\]"),
-], ids=["resolution-nan", "resolution-inf", "window-nan"])
+], ids=["resolution-nan", "resolution-inf"])
 def test_estimate_refuses_nan_parameters(kw, message):
     # a NaN once passed the range checks and failed later in math.ceil or
     # math.floor with "cannot convert float NaN to integer"
@@ -73,11 +69,12 @@ def test_estimate_two_point_walk_exact():
 
 def test_estimate_window_spans_whole_phases():
     w = gen_two_lines(6)
-    est = estimate_limit_set(w, window_fraction=0.3, resolution=0.1)
+    est = estimate_limit_set(w, resolution=0.1)
     blocks = w.phase_blocks()
     assert est.window_start in {lo for lo, _ in blocks}
-    # window covers at least the requested fraction
-    assert len(w.sums) - est.window_start >= 0.3 * (len(w.sums) - 1)
+    # window covers at least the fixed fraction, in at least two phases
+    assert len(w.sums) - est.window_start >= analysis.WINDOW_FRACTION * (len(w.sums) - 1)
+    assert sum(lo >= est.window_start for lo, _ in blocks) >= 2
 
 
 def test_estimate_float_walk_means_shake_off_noise():
@@ -235,12 +232,10 @@ def _ref_mean_point(points):
                  for j in range(len(points[0])))
 
 
-def _ref_estimate(w, resolution, window_fraction):
-    if not 0 < window_fraction <= 1:
-        raise ValueError("window_fraction must be in (0, 1]")
+def _ref_estimate(w, resolution):
     if not 0 < resolution < math.inf:
         raise ValueError("resolution must be finite and positive")
-    start, blocks = analysis._window_bounds(w, window_fraction)
+    start, blocks = analysis._window_bounds(w)
     if len(w.sums) - start < 2:
         raise ValueError("window shorter than 2 points")
     cells: dict[object, list] = {}
@@ -277,7 +272,7 @@ def _ref_estimate(w, resolution, window_fraction):
 
 
 def _ref_singleton_verdict(w, tol):
-    est = _ref_estimate(w, 0.2, analysis.WINDOW_FRACTION)
+    est = _ref_estimate(w, 0.2)
     if len(est) != 1:
         return "not-singleton"
     p = est.points.points[0]
@@ -337,25 +332,25 @@ _TWO_CELL_FLOATS = Walk([(0.0,)] + [(0.1,), (0.2,), (0.1,), (0.2,), (0.3,), (0.1
 
 @settings(max_examples=300, deadline=None)
 @given(_grid_walks(), st.sampled_from([0.125, 0.2, 0.25, 0.5, 1.0]),
-       st.sampled_from([0.05, 0.3, 1.0]), st.sampled_from([0.05, 0.0625, 0.3]))
+       st.sampled_from([0.05, 0.0625, 0.3]))
 # two cells that merge: their float mean adds cell by cell, the six 0.1s
 # and then the 0.2s and 0.3s, which rounds to another float than adding the
 # sums in walk order; and an exact and a c0 pair across a boundary
-@example(_TWO_CELL_FLOATS, 0.3, 1.0, 0.3)
-@example(Walk([(F(0),)] + [(F(3, 32),), (F(5, 32),)] * 2, [2, 2]), 0.25, 1.0, 0.3)
-@example(Walk([THETA] + [e(1, F(3, 32)), e(1, F(5, 32))] * 2, [2, 2]), 0.25, 1.0, 0.3)
+@example(_TWO_CELL_FLOATS, 0.3, 0.3)
+@example(Walk([(F(0),)] + [(F(3, 32),), (F(5, 32),)] * 2, [2, 2]), 0.25, 0.3)
+@example(Walk([THETA] + [e(1, F(3, 32)), e(1, F(5, 32))] * 2, [2, 2]), 0.25, 0.3)
 # a singleton whose last quarter lies exactly tol from its point: converges
-@example(Walk([(F(0),)] + [(F(0),), (F(0),), (F(1, 16),)] * 40, [60, 60]), 0.2, 0.3, 0.0625)
+@example(Walk([(F(0),)] + [(F(0),), (F(0),), (F(1, 16),)] * 40, [60, 60]), 0.2, 0.0625)
 # a one-block window with -0.0 coordinates
-@example(Walk([(0.0, 0.0)] + [(-0.0, 0.1), (0.0, -0.0), (-0.0, 0.1)] * 3, [9]), 0.2, 1.0, 0.3)
-def test_estimate_matches_the_per_point_estimate(w, resolution, window_fraction, tol):
+@example(Walk([(0.0, 0.0)] + [(-0.0, 0.1), (0.0, -0.0), (-0.0, 0.1)] * 3, [9]), 0.2, 0.3)
+def test_estimate_matches_the_per_point_estimate(w, resolution, tol):
     try:
-        want = _ref_estimate(w, resolution, window_fraction)
+        want = _ref_estimate(w, resolution)
     except ValueError as err:
         with pytest.raises(ValueError, match=re.escape(str(err))):
-            estimate_limit_set(w, resolution, window_fraction)
+            estimate_limit_set(w, resolution)
         return
-    got = estimate_limit_set(w, resolution, window_fraction)
+    got = estimate_limit_set(w, resolution)
     assert repr(got.points.points) == repr(want.points.points)
     assert got.hit_counts == want.hit_counts
     assert got.window_start == want.window_start
@@ -375,13 +370,13 @@ def test_estimate_names_a_sum_with_no_grid_cell(bad, resolution):
     sums[6] = (0.5, bad)
     with pytest.raises(ValueError, match=re.escape(
             f"sum 6 has no finite grid cell at resolution {resolution}")):
-        estimate_limit_set(Walk(sums, [4, 4]), resolution, 1.0)
+        estimate_limit_set(Walk(sums, [4, 4]), resolution)
 
 
 def test_merged_float_cells_add_cell_by_cell():
     # cell 0 holds the six 0.1s, cell 1 the 0.2s and 0.3s in order of
     # appearance; adding all twelve in walk order gives another float
-    est = estimate_limit_set(_TWO_CELL_FLOATS, 0.3, 1.0)
+    est = estimate_limit_set(_TWO_CELL_FLOATS, 0.3)
     by_cell = 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.2 + 0.2 + 0.3 + 0.2 + 0.2 + 0.3
     by_walk = 0.1 + 0.2 + 0.1 + 0.2 + 0.3 + 0.1 + 0.1 + 0.2 + 0.1 + 0.2 + 0.3 + 0.1
     assert est.hit_counts == [12]

@@ -160,8 +160,6 @@ def test_outputs_never_overwrite_inputs(tmp_path, monkeypatch, capsys, argv, inp
      "tol must be finite and positive, not -1.0"),
     (["verify", "estimate", "--input", "tl.csv", "--resolution", "nan"],
      "resolution must be finite and positive"),
-    (["verify", "estimate", "--input", "tl.csv", "--window", "nan"],
-     "window_fraction must be in (0, 1]"),
     (["verify", "rp-instance", "--input", "terms.json", "--epsilon", "nan"],
      "epsilon must be a finite positive number, not nan"),
     (["verify", "rp-instance", "--input", "terms.json", "--epsilon", "inf"],
@@ -172,7 +170,7 @@ def test_outputs_never_overwrite_inputs(tmp_path, monkeypatch, capsys, argv, inp
     (["verify", "vector-family", "--k", "0"], "k must be >= 1"),
     (["verify", "vector-family", "--k", "6"], "dimension budget exceeded"),
 ], ids=["gap-nan", "gap-negative", "bound-nan", "tol-nan", "tol-negative",
-        "resolution-nan", "window-nan", "epsilon-nan", "epsilon-inf", "epsilon-zero",
+        "resolution-nan", "epsilon-nan", "epsilon-inf", "epsilon-zero",
         "singleton-short-walk", "vector-family-k0", "vector-family-k6"])
 def test_out_of_range_parameters_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                   argv, message):
@@ -270,7 +268,7 @@ def test_the_accepted_flags_are_pinned():
     # a flag added or dropped shows here
     pairs = sorted(_accepted_flags(cli.build_parser()))
     phases_out = ["--phases", "--out"]
-    assert len(pairs) == 38
+    assert len(pairs) == 36
     assert pairs == sorted([
         *((f"generate {g}", f) for g in ("two-lines", "halflines", "unbounded",
                                          "c0-two-point", "c0-singleton")
@@ -278,9 +276,9 @@ def test_the_accepted_flags_are_pinned():
         *(("generate chainable", f) for f in [*phases_out, "--target"]),
         *(("generate no-rp", f) for f in ["--kmax", "--out"]),
         *(("rearrange", f) for f in ["--target", "--stages", "--out"]),
-        *(("verify estimate", f) for f in ["--input", "--resolution", "--window", "--out"]),
-        *(("verify dichotomy", f) for f in ["--input", "--resolution", "--window",
-                                            "--gap", "--bound", "--out"]),
+        *(("verify estimate", f) for f in ["--input", "--resolution", "--out"]),
+        *(("verify dichotomy", f) for f in ["--input", "--resolution", "--gap", "--bound",
+                                            "--out"]),
         *(("verify singleton", f) for f in ["--input", "--tol"]),
         ("verify cauchy", "--input"),
         ("verify vector-family", "--k"),
@@ -468,9 +466,12 @@ def test_verify_without_input_is_usage_error(check):
     ["generate", "unbounded", "--radii", "inf,5"],
     # rearrange finds its own prefix length
     ["rearrange", "--target", "s.csv", "--terms", "100"],
+    # the estimate's late window is a fixed rule
+    ["verify", "estimate", "--input", "t.csv", "--window", "0.5"],
+    ["verify", "dichotomy", "--input", "t.csv", "--window", "0.5"],
 ], ids=["two-lines-kmax", "two-lines-target", "no-rp-phases", "cauchy-out",
         "vector-family-input", "singleton-resolution", "halflines-abscissae",
-        "unbounded-radii", "rearrange-terms"])
+        "unbounded-radii", "rearrange-terms", "estimate-window", "dichotomy-window"])
 def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                         argv):
     # each was once accepted with its flag ignored or misread; now argparse

@@ -73,6 +73,16 @@ def test_no_callable_chooses_a_norm_or_a_mode():
     assert found == []
 
 
+def test_no_callable_takes_a_fraction():
+    # the estimate's late window and the Cauchy tail are fixed fractions of
+    # the walk's sums (WINDOW_FRACTION, TAIL_FRACTION), not call settings
+    found = [f"{name}({param})"
+             for name, obj in _library_callables()
+             for param in inspect.signature(obj).parameters
+             if param.endswith("_fraction")]
+    assert found == []
+
+
 def _own_nodes(fn):
     # the nodes of a function's body, not those of the functions it defines
     stack = list(fn.body)

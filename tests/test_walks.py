@@ -186,7 +186,7 @@ def test_build_chainable_walk_singleton():
 
 def test_unbounded_components_walk_validation():
     seg = PointSample(tuple((0.0, 0.1 * i) for i in range(60)))
-    with pytest.raises(ValueError, match="dimension >= 2"):
+    with pytest.raises(ValueError, match="dimension 1, not 2"):
         build_unbounded_components_walk([PointSample(((1.0,),))], [1.0], 1)
     with pytest.raises(ValueError, match="radii"):
         build_unbounded_components_walk([seg], [3.0, 2.0], 2)
@@ -197,6 +197,16 @@ def test_unbounded_components_walk_validation():
     for components in ([seg, PointSample((), "empty")], [PointSample((), "empty"), seg]):
         with pytest.raises(ValueError, match="component 'empty' is empty"):
             build_unbounded_components_walk(components, [2.0], 1)
+
+
+def test_unbounded_components_walk_refuses_3d_rails():
+    # its arcs lie in the first two coordinates: on rails at z = 0.5 the
+    # hops on and off the sphere once broke the declared step bounds
+    # (0.65 against 0.57 in phase 1) and check_step_bounds() was False
+    rails = [PointSample(tuple((x, 0.1 * i, 0.5) for i in range(42)), label)
+             for x, label in ((-1.0, "left"), (1.0, "right"))]
+    with pytest.raises(ValueError, match="requires planar components: dimension 3, not 2"):
+        build_unbounded_components_walk(rails, [2.0, 3.0, 4.0], 3)
 
 
 def test_unbounded_components_walk_touches_radii():
