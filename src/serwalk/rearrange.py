@@ -32,7 +32,10 @@ queue (one rotate); a queue with no such index is left as it was.  Later
 picks depend on this order.  A term scanned at the frontier, when the
 reservoir cannot serve, is picked whenever its axis is still off and the
 error there has its sign, whatever its magnitude: a pick of 2|err| or more
-leaves that axis's error no smaller than it was.  Each queue's magnitudes
+leaves that axis's error no smaller than it was.  The error cannot change
+until a pick, so once the reservoir cannot serve, the wanted (axis, sign)
+keys are found once and the frontier is scanned on until a term of one of
+them appears, each term before it parked in order.  Each queue's magnitudes
 are also kept sorted, largest first (negated), so a queue that cannot serve
 a pick is known from its last, smallest magnitude, without a scan; a scan
 meets ever smaller magnitudes, so a park appends, and a pick deletes near
@@ -56,17 +59,18 @@ Balancing orders the batch by one deterministic greedy pass over the
 terms' float64 rows (``core.float_rows``), the same code for dense tuples
 and SparseVecs.  It falls back to a complete search for batches of at most
 10 terms, and a one-term batch is decided by its norm alone.  The pass lays
-the rows out once as contiguous columns, one per coordinate, and a step is
-a fixed handful of in-place ufunc calls per coordinate over buffers
-allocated once per call.  Every score equals ``core.fold_norms``'s fold,
-unrooted, bit for bit.  Used rows are masked by an inf penalty, and once at least
-half of 64 or more live rows are used they are compacted away; the rest
-keep their index order, so a tie still goes to the first index.  No
-randomized pass breaks ties, so a batch of more than 10 terms with exactly
-tied scores, where only a tie-broken greedy order stays inside the bound,
-fails with "balancing failed".  No workload, test or demo has such a
-batch; a Steinitz-lemma construction with a proven bound is the planned
-answer for it.
+the rows out once as contiguous columns, one per coordinate, and keeps each
+coordinate's part of the score from step to step: a pick rebuilds only the
+parts of the coordinates it moves, one for the rearranger's axis-aligned
+terms, and a step folds the parts into the score.  Every score equals
+``core.fold_norms``'s fold, unrooted, bit for bit.  A used row is marked
+inf, so it scores inf, and once at least half of 64 or more live rows are
+used they are compacted away; the rest keep their index order, so a tie
+still goes to the first index.  No randomized pass breaks ties, so a batch
+of more than 10 terms with exactly tied scores, where only a tie-broken
+greedy order stays inside the bound, fails with "balancing failed".  No
+workload, test or demo has such a batch; a Steinitz-lemma construction with
+a proven bound is the planned answer for it.
 
 Balancing constants are certified empirically, not proven: for a series
 with nonincreasing term norms we take N(eps) = first index whose term norm
@@ -178,28 +182,38 @@ def find_balanced_permutation(terms: Sequence, bound: float) -> Optional[list[in
     coordinate (a batch with no coordinates gets one zero column, which
     scores every prefix 0, as the empty fold does), and the prefix ``cur``
     is a list of Python floats, one per column, the same float64 sums that
-    adding the accepted rows gives.  One ``score`` buffer, one scratch
-    buffer and one penalty vector serve the whole call.  Each step writes
-    ``power(col + cur[0])`` into ``score`` and folds every further
-    coordinate in, left to right, as ``fold(score, power(col + cur[c]))``
-    through the scratch buffer (``core.coordinate_ufuncs``).  That is
-    ``core.fold_norms``'s fold onto zeros before its root, bit for bit: its
-    first step is ``0.0 + d*d`` or ``max(0.0, |d|)``, which equals ``d*d``
-    or ``|d|``, since neither is ever -0.0.
+    adding the accepted rows gives.  Each coordinate keeps one part,
+    ``power(col + cur[c])`` (``core.coordinate_ufuncs``), across steps,
+    and each step folds the parts into ``score`` left to right, through
+    one buffer: ``fold(part_0, part_1)``, then ``fold(score, part_c)``.
+    That is ``core.fold_norms``'s fold onto zeros before its root, bit for
+    bit: its first step is ``0.0 + d*d`` or ``max(0.0, |d|)``, which
+    equals ``d*d`` or ``|d|``, since neither is ever -0.0.
 
-    Used rows are masked by adding the penalty, which is inf at them and
-    0 elsewhere.  A used row never scores NaN: ``cur`` is the sum of
-    accepted prefixes, each scored finite and below the bound, so it stays
-    finite, and so is each used row, since a finite prefix plus a row that
-    is not finite is not finite.  The sum of two finite floats may overflow
-    but is never NaN, so a used row scores in [0, inf] and, with the
-    penalty, exactly inf, since inf + inf is inf.  It can tie an unused row
-    only at inf, and a step whose minimum is inf fails whichever it picks.
-    When at least half of the live rows are used and there are at least 64
-    of them, one boolean ``keep`` compacts the columns, the penalty and the
-    ``live`` array of row indices.  ``live`` stays increasing, so the first
-    minimum in position order, which ``argmin`` returns (NaN counting as a
-    minimum), is still the first in index order.
+    After a pick, only the coordinates where the picked row's entry is
+    ``!= 0.0`` (a NaN entry is) take the entry into ``cur`` and rebuild
+    their part; the rearranger's terms are axis-aligned, so that is one add
+    and one power a step, not one of each per coordinate.  This is exact:
+    adding +0.0 or -0.0 changes ``cur[c]`` at most in the sign of a zero,
+    which ``square`` and ``abs`` erase.  Nothing is done after the last
+    pick.
+
+    A used row is marked by writing inf into its coordinate-0 column and
+    its coordinate-0 part, so a rebuild of coordinate 0 keeps the mark, and
+    it scores exactly inf.  Accepted rows and ``cur`` are finite: each
+    accepted prefix scored finite and below the bound, and a finite prefix
+    plus a row that is not finite is not finite.  So each other part of a
+    used row is the power of a sum of two finite floats, which may overflow
+    to inf but is never NaN, and inf folded with a part that is not NaN is
+    inf.  A used row can tie an unused row only at inf, and a step whose
+    minimum is inf fails whichever it picks; an unused row that scores NaN
+    is still ``argmin``'s first minimum.  When at least half of the live
+    rows are used and there are at least 64 of them, one boolean mask,
+    built from the positions used since the last compaction, compacts the
+    columns, the parts and the ``live`` array of row indices.  ``live``
+    stays increasing, so the first minimum in position order, which
+    ``argmin`` returns (NaN counting as a minimum), is still the first in
+    index order.
 
     A batch of one term is decided by ``core.norm``, which is the greedy
     pass's first score bit for bit (and the complete search's answer when
@@ -213,34 +227,37 @@ def find_balanced_permutation(terms: Sequence, bound: float) -> Optional[list[in
     cols = list(rows.T.copy()) or [np.zeros(n)]
     cur = [0.0] * len(cols)
     power, fold = coordinate_ufuncs(sup)
-    live, pen = np.arange(n), np.zeros(n)
-    score, tmp = np.empty(n), np.empty(n)
-    dead = 0  # used rows still among the live ones
+    live, buf = np.arange(n), np.empty(n)
+    used = []  # positions used since the last compaction
     order = []
     # a score past the float range is inf, and inf or NaN fails the step
     with np.errstate(over="ignore", invalid="ignore"):
+        parts = [power(col) for col in cols]
         for _ in range(n):
-            np.add(cols[0], cur[0], out=score)
-            power(score, out=score)
-            for col, x in zip(cols[1:], cur[1:]):
-                np.add(col, x, out=tmp)
-                power(tmp, out=tmp)
-                fold(score, tmp, out=score)
-            score += pen
+            score = parts[0]
+            for part in parts[1:]:
+                score = fold(score, part, out=buf)
             p = score.argmin()
             value = score.item(p) if sup else math.sqrt(score.item(p))
             if not value < bound:  # a NaN prefix is never inside the bound
                 return _dfs_balance(terms, bound) if n <= 10 else None
-            order.append(live.item(p) + 1)
-            cur = [x + col.item(p) for x, col in zip(cur, cols)]
-            pen[p] = np.inf
-            dead += 1
-            if 2 * dead >= len(live) >= 64:
-                keep = pen == 0
+            i = live.item(p)
+            order.append(i + 1)
+            if len(order) == n:
+                break
+            for c, x in enumerate(rows[i].tolist()):
+                if x != 0.0:
+                    cur[c] += x
+                    power(np.add(cols[c], cur[c], out=parts[c]), out=parts[c])
+            cols[0][p] = parts[0][p] = np.inf
+            used.append(p)
+            if 2 * len(used) >= len(live) >= 64:
+                keep = np.ones(len(live), dtype=bool)
+                keep[used] = False
                 cols = [col[keep] for col in cols]
-                live, pen = live[keep], pen[keep]
-                score, tmp = score[:len(live)], tmp[:len(live)]
-                dead = 0
+                parts = [part[keep] for part in parts]
+                live = live[keep]
+                buf, used = buf[:len(live)], []
     return order
 
 # ---------------------------------------------------------------------------
@@ -507,20 +524,28 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             got = take(axis, positive, abs(err[axis]))
             if got is not None:
                 mag, idx = got
-                selected.append(idx)
-                err[axis] -= mag if positive else -mag
-                continue
-            frontier += 1
-            if frontier > len(terms):
-                raise PrefixTooShort("series prefix exhausted before target reached")
-            ax, value = _axis_of(terms[frontier - 1])
-            if ax >= 0 and abs(err[ax]) > tol and (value > 0) == (err[ax] > 0):
-                selected.append(frontier)
-                err[ax] -= value
-            elif ax >= 0:
-                key = (ax, value > 0)
-                reservoir.setdefault(key, deque()).append((abs(value), frontier))
-                bisect.insort(mags.setdefault(key, []), -abs(value))
+                value = mag if positive else -mag
+            else:
+                # err cannot change until a pick, and a scanned term that is
+                # not picked is parked under its own (axis, sign) key, which
+                # is not wanted, so never the key take just missed: take
+                # would miss again after every park, so the wanted keys are
+                # found once and the frontier is scanned until one appears
+                wanted = {(a, err[a] > 0) for a in range(dim) if abs(err[a]) > tol}
+                while True:
+                    frontier += 1
+                    if frontier > len(terms):
+                        raise PrefixTooShort("series prefix exhausted before target reached")
+                    axis, value = _axis_of(terms[frontier - 1])
+                    key = (axis, value > 0)
+                    if key in wanted:
+                        break
+                    if axis >= 0:
+                        reservoir.setdefault(key, deque()).append((abs(value), frontier))
+                        bisect.insort(mags.setdefault(key, []), -abs(value))
+                idx = frontier
+            selected.append(idx)
+            err[axis] -= value
 
     # straight prefix through N(eps_1 / 2), then steer onto the first anchor
     n1 = constants.n_threshold(0.25)

@@ -59,8 +59,9 @@ class Walk:
     sums[0] is the start point; sums[1:] are s_1..s_P.  phase_lengths[k]
     counts the entries of sums[1:] that belong to phase k+1: nonnegative
     ints summing to P, else ValueError.  step_bounds, when present, gives
-    the declared per-phase maximum step norm.  Steps are measured in the
-    norm of the points' space (see :mod:`serwalk.core`).
+    the declared per-phase maximum step norm, one per phase, else
+    ValueError.  Steps are measured in the norm of the points' space (see
+    :mod:`serwalk.core`).
     """
 
     sums: list
@@ -74,6 +75,9 @@ class Walk:
         if sum(self.phase_lengths) != len(self.sums) - 1:
             raise ValueError(f"phase lengths sum to {sum(self.phase_lengths)}, "
                              f"not to the {len(self.sums) - 1} sums after the start")
+        if self.step_bounds is not None and len(self.step_bounds) != len(self.phase_lengths):
+            raise ValueError(f"{len(self.step_bounds)} step bounds for "
+                             f"{len(self.phase_lengths)} phases")
 
     @property
     def mode(self) -> str:

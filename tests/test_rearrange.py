@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -233,6 +234,26 @@ def test_balancing_matches_the_reference_pass(sparse, dim, n, seed, cancel, spec
     else:
         terms = [tuple(r) for r in rows.tolist()]
     assert find_balanced_permutation(terms, bound) == _balance_reference(terms, bound)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_balancing_matches_the_reference_pass_on_axis_aligned_terms(sparse):
+    # the rearranger's batches: one nonzero entry per row and the rest +0.0
+    # or -0.0, entries that a pick leaves out of the rescoring; 200 rows
+    # that cancel keep the pass inside the bound past its compactions
+    rng = random.Random(26)
+    half = []
+    for _ in range(100):
+        row = [rng.choice((0.0, -0.0)) for _ in range(3)]
+        row[rng.randrange(3)] = rng.choice((1, -1)) * rng.randint(1, 16) / 16
+        half.append(tuple(row))
+    terms = half + [tuple(-c for c in t) for t in half]
+    rng.shuffle(terms)
+    if sparse:
+        terms = [SparseVec({i: v for i, v in enumerate(t, start=1)}) for t in terms]
+    order = find_balanced_permutation(terms, 2.0)
+    assert sorted(order) == list(range(1, 201))
+    assert order == _balance_reference(terms, 2.0)
 
 
 def test_balancing_pinned_past_compaction():
@@ -526,6 +547,37 @@ def test_rearrange_3d_pinned():
     assert len(tau.images) == 6661
     assert (hashlib.sha256(repr((tau.images, walk.sums)).encode()).hexdigest()
             == "454afcf1004a4ad761d134f4e486a682302c2e972575720e0b94782bc810f342")
+
+def test_rearrange_6d_point_pinned():
+    # each stage's hand-off balances one large batch, the largest of 4,846
+    # terms, whose picks each move one of six coordinates
+    series = full_range_series(6, 160000)
+    tau, walk, reports = rearrange_to_limit_set(series, PointSample(((0.25,) * 6,)), stages=5)
+    assert (hashlib.sha256(repr((tau.images, walk.sums, reports)).encode()).hexdigest()
+            == "d62e5baeb02677b13de71dfead1c40011df2c744129aef3a81c4db1e61763acf")
+
+
+@functools.cache
+def _union_series(dim):
+    return full_range_series(dim, 80000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-8, 8)] * d), min_size=1, max_size=8, unique=True)),
+    st.integers(2, 3))
+def test_a_run_is_an_increasing_union_of_its_stages(rows, stages):
+    # the paper builds tau stage by stage, each stage extending the last: an
+    # s-stage run is a prefix of the (s + 1)-stage run, bit for bit
+    series = _union_series(len(rows[0]))
+    target = PointSample(tuple(tuple(c / 16 for c in r) for r in rows))
+    tau, walk, reports = rearrange_to_limit_set(series, target, stages)
+    tau_next, walk_next, reports_next = rearrange_to_limit_set(series, target, stages + 1)
+    assert tau_next.images[:len(tau.images)] == tau.images
+    assert walk_next.sums[:len(walk.sums)] == walk.sums
+    assert walk_next.phase_lengths[:stages + 1] == walk.phase_lengths
+    assert reports_next[:stages] == reports
+
 
 def test_rearrange_singleton_converges():
     series = full_range_series(2, 60000)

@@ -135,6 +135,15 @@ def test_walk_rejects_phase_lengths_that_do_not_cover_its_sums(lengths, message)
         Walk([(F(0),), (F(1),), (F(0),)], lengths)
 
 
+@pytest.mark.parametrize("bounds", [[0.1], [0.1, 0.1, 0.1], []], ids=["short", "long", "none"])
+def test_walk_rejects_a_step_bound_count_other_than_its_phases(bounds):
+    # a short list once left the phases past its end unchecked: this walk's
+    # 4.95 step in phase 2 passed check_step_bounds
+    with pytest.raises(ValueError, match=f"{len(bounds)} step bounds for 2 phases"):
+        Walk([(0.0,), (0.05,), (5.0,)], [1, 1], step_bounds=bounds)
+    assert not Walk([(0.0,), (0.05,), (5.0,)], [1, 1], step_bounds=[0.1, 0.1]).check_step_bounds()
+
+
 def test_random_palindromic_round_trips():
     rng = random.Random(7)
 
