@@ -27,15 +27,16 @@ written into zeros over the union of their supports.  Each coordinate
 goes through Python's float conversion, as ``np.array(..., dtype=float)``
 would convert it.  Its callers: the kernels below
 (:func:`distance_blocks`, :func:`upper_distance_blocks`,
-:func:`chain_gap`), the rearranger's balancing pass, term norms
-(``RPConstants``) and per-stage eps-ball check, and the limit-set
-estimate's grid keys and means.  Float64 is exact for dyadic coordinates
-of moderate size, which covers every generator and every trace read from
-disk, so measuring on the matrix gives the same answer as the exact
-points.  :func:`fold_norms` is the one fold into norms, for ``_block``,
-``RPConstants`` and the rearranger's eps-ball check; the balancing pass
-folds the same ufuncs step by step in its own buffers.  A square or
-difference past the float range is inf, without a numpy warning.
+:func:`chain_gap`), a tour's legs (:func:`gap_tour`), the rearranger's
+balancing pass, term norms (``RPConstants``) and per-stage eps-ball
+check, and the limit-set estimate's grid keys and means.  Float64 is
+exact for dyadic coordinates of moderate size, which covers every
+generator and every trace read from disk, so measuring on the matrix
+gives the same answer as the exact points.  :func:`fold_norms` is the one
+fold into norms, for ``_block``, :func:`gap_tour`'s legs, ``RPConstants``
+and the rearranger's eps-ball check; the balancing pass folds the same
+ufuncs step by step in its own buffers.  A square or difference past the
+float range is inf, without a numpy warning.
 
 Every all-pairs question is a reduction over one kernel,
 :func:`distance_blocks`, which yields the distance matrix between two
@@ -47,11 +48,14 @@ runs the same kernel over one sample's pairs i < j only, the columns right
 of each block's first row: the Cauchy diagnostic takes the maximum of that
 upper triangle of a walk's tail.  Every distance-threshold question -- gap
 components, epsilon-chains, the merge step of a limit estimate, chain
-building, the rearranger's stage tours -- is answered by that one gap
-graph and one breadth-first search of it: :func:`gap_path` and
-:func:`gap_components` run that search, :func:`gap_tour` strings paths
-through a list of stops, and :func:`chain_gap` is the smallest gap at
-which the graph is connected.  Chains are built by index: a walk builder
+building, the rearranger's stage tours -- is answered on that one gap
+graph: :func:`gap_path` and :func:`gap_components` run one breadth-first
+search of it, and :func:`chain_gap` is the smallest gap at which it is
+connected.  :func:`gap_tour` strings fewest-hop paths through a list of
+stops; a leg between neighbours is the edge itself, measured as the
+kernel measures it, and the graph is built only for the other legs, so a
+tour of a sample in an order that steps between neighbours costs one
+distance per leg, not all pairs.  Chains are built by index: a walk builder
 or the rearranger knows the sample index of every point it joins and asks
 for the indices between them, never looking a point up by its
 coordinates.
@@ -283,17 +287,39 @@ def gap_path(nbrs: list[list[int]], i: int, j: int) -> Optional[list[int]]:
     return path[::-1]
 
 
-def gap_tour(nbrs: list[list[int]], stops) -> Optional[list[int]]:
-    """Indices of a tour of a gap graph through the stops in turn, each leg
-    a fewest-hop :func:`gap_path`, or None when a leg has no path.  A stop
-    repeated in place is one zero-length hop, so ``[i, i]`` tours to
-    ``[i, i]``."""
+def gap_tour(a, gap: float, stops) -> Optional[list[int]]:
+    """Indices of a tour of the sample's gap graph through the stops in
+    turn, each leg a fewest-hop :func:`gap_path`, or None when a leg has no
+    path.  A stop repeated in place is one zero-length hop, so ``[i, i]``
+    tours to ``[i, i]``.
+
+    A leg between neighbours is the edge itself, and :func:`gap_graph` is
+    built, once, only when some other leg needs a search.  This is exact:
+    every leg i -> j is measured in one :func:`fold_norms` over the
+    coordinate differences ``rows[i, c] - rows[j, c]``, the operands of
+    ``_block``'s ``a_i - b_j`` in the same order, so ``d <= gap`` is exactly
+    "j is in ``gap_graph(a, gap)[i]``"; and a breadth-first search from i
+    records ``prev[j] = i`` while it expands i, so the fewest-hop path to a
+    neighbour is ``[i, j]``.  A NaN distance is no edge, so its leg goes to
+    the search, which finds no edge at that point either.
+    """
+    a = _points(a)
+    sup, (rows,) = float_rows(a)
+    ends = np.asarray(stops)
+    legs = fold_norms((rows[ends[:-1], c] - rows[ends[1:], c] for c in range(rows.shape[1])),
+                      len(ends) - 1, sup)
+    nbrs = None
     tour = [stops[0]]
-    for i, j in zip(stops, stops[1:]):
+    for i, j, d in zip(stops, stops[1:], legs.tolist()):
+        if i == j or d <= gap:
+            tour.append(j)
+            continue
+        if nbrs is None:
+            nbrs = gap_graph(a, gap)
         path = gap_path(nbrs, i, j)
         if path is None:
             return None
-        tour += path[1:] or [j]
+        tour += path[1:]
     return tour
 
 

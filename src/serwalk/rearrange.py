@@ -92,7 +92,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (PointSample, _points, add, chain_gap, coordinate_ufuncs, distance,
-                   float_rows, fold_norms, gap_graph, gap_tour, norm)
+                   float_rows, fold_norms, gap_tour, norm)
 from .walks import PartialPermutation, Walk, segment
 
 class PrefixTooShort(ValueError):
@@ -365,7 +365,7 @@ def _chain_tour(points: Sequence) -> list[int]:
     # neighbours: on c10's circle one is 5e-17 longer than the spanning
     # tree's longest edge, and the tour would go the long way round
     gap = chain_gap(points) * (1 + 1e-9)
-    return gap_tour(gap_graph(points, gap), [*range(len(points)), 0])
+    return gap_tour(points, gap, [*range(len(points)), 0])
 
 def _refined_tour(points: Sequence, tour: Sequence[int], hop: float) -> list:
     """The tour's points, each edge refined linearly to steps <= hop."""
@@ -420,7 +420,9 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
 
     The tour, computed once per call, visits the sample points in order
     and returns to the first, each leg a fewest-hop path (``core.gap_tour``)
-    on the gap graph at the sample's ``core.chain_gap`` times 1 + 1e-9.
+    on the gap graph at the sample's ``core.chain_gap`` times 1 + 1e-9: a
+    leg between neighbours is that edge, and the graph is built only for
+    the other legs.
     The slack rule: an edge longer than the spanning tree's longest by less
     than a relative 1e-9, as float jitter makes some edges of a uniform
     sample, stays a direct hop.  Stage j refines each tour edge of length d

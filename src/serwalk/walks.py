@@ -254,7 +254,10 @@ def build_chainable_walk(dense: Sequence, phases: int) -> Walk:
     Phase i is a 2^(1-i)-chain out-and-back from d_1; so that a finite
     prefix already revisits the whole target every phase, the phase-i chain
     threads through every dense point (one :func:`core.gap_tour` through
-    them in sample order) rather than stopping at d_{i+1}.
+    them in sample order) rather than stopping at d_{i+1}.  A leg between
+    neighbours at the phase's gap is that edge, and the gap graph is built
+    only for the other legs, so a sample listed in an order that steps
+    between neighbours costs one distance per point and phase.
     """
     pts = tuple(dict.fromkeys(dense))  # dedupe, keep order
     stops = range(len(pts)) if len(pts) > 1 else (0, 0)  # a point stays put
@@ -262,7 +265,7 @@ def build_chainable_walk(dense: Sequence, phases: int) -> Walk:
     schedule = []
     for i in range(1, phases + 1):
         gap = 2.0 ** (1 - i)
-        tour = core.gap_tour(core.gap_graph(pts, gap), stops)
+        tour = core.gap_tour(pts, gap, stops)
         if tour is None:
             raise ValueError(f"sample too sparse for gap {gap} at phase {i}")
         schedule.append([pts[k] for k in tour])

@@ -1,10 +1,11 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from serwalk import core
 from serwalk.analysis import cauchy_diagnostic
@@ -13,7 +14,8 @@ from serwalk.core import (PointSample, distance, distance_blocks, float_rows,
                           gap_path, gap_tour, hausdorff_distance, is_dyadic,
                           norm, point_mode)
 from serwalk.seqspace import THETA, SparseVec
-from serwalk.walks import Walk
+from serwalk.rearrange import _chain_tour
+from serwalk.walks import Walk, build_chainable_walk
 
 coords = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 points2 = st.tuples(coords, coords)
@@ -178,12 +180,85 @@ def test_gap_path_on_a_cycle():
 
 
 def test_gap_tour_on_a_cycle():
-    # legs 0->4, 4->3 and 3->0 of the same 5-cycle, each the short way round
-    nbrs = [[1, 2], [0, 4], [0, 3], [2, 4], [1, 3]]
-    assert gap_tour(nbrs, [0, 4, 3, 0]) == [0, 1, 4, 3, 2, 0]
-    assert gap_tour(nbrs, [2, 2]) == [2, 2]  # a stop repeated in place
-    assert gap_tour(nbrs, [3]) == [3]
-    assert gap_tour([[1], [0], []], [0, 1, 2]) is None
+    # a regular pentagon listed in cycle order 0, 1, 4, 3, 2: at its side
+    # length the gap graph is the 5-cycle 0-1-4-3-2-0 above, and legs 0->4,
+    # 4->3 and 3->0 each go the short way round
+    corner = [0, 1, 4, 3, 2]  # the corner each index sits at
+    pts = [(math.cos(2 * math.pi * corner[i] / 5), math.sin(2 * math.pi * corner[i] / 5))
+           for i in range(5)]
+    side = max(distance(pts[u], pts[v]) for u, v in [(0, 1), (1, 4), (4, 3), (3, 2), (2, 0)])
+    assert gap_graph(pts, side) == [[1, 2], [0, 4], [0, 3], [2, 4], [1, 3]]
+    assert gap_tour(pts, side, [0, 4, 3, 0]) == [0, 1, 4, 3, 2, 0]
+    assert gap_tour(pts, side, [2, 2]) == [2, 2]  # a stop repeated in place
+    assert gap_tour(pts, side, [3]) == [3]
+    assert gap_tour([(0.0,), (1.0,), (3.0,)], 1.0, [0, 1, 2]) is None
+
+
+def _tour_oracle(pts, gap, stops):
+    # the tour as a search of the whole gap graph gives it, leg by leg
+    nbrs = gap_graph(pts, gap)
+    tour = [stops[0]]
+    for i, j in zip(stops, stops[1:]):
+        path = gap_path(nbrs, i, j)
+        if path is None:
+            return None
+        tour += path[1:] or [j]
+    return tour
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice, st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+       st.sampled_from(["dense", "c0", "nan"]), st.integers(0, 16),
+       st.lists(st.integers(0, 16), min_size=1, max_size=8))
+@example([(0.0, 0.0), (5.0, 5.0)], 1.0, "dense", 0, [0, 1])  # a leg with no path
+@example([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)], 1.0, "c0", 0, [0, 2, 2, 1])
+@example([(0.0, 0.0), (1.0, 0.0)], 1.0, "nan", 1, [0, 1, 1, 2, 0])
+def test_gap_tour_matches_a_search_per_leg(pts, gap, layout, at, picks):
+    # legs between neighbours skip the gap graph; the tour is the one a
+    # search of that graph gives, also for c0 samples, measured in the sup
+    # norm, and for a sample holding a NaN point, which no edge reaches
+    if layout == "c0":
+        pts = [SparseVec({i: Fraction(c) for i, c in enumerate(p, start=1)}) for p in pts]
+    elif layout == "nan":
+        at %= len(pts) + 1
+        pts = pts[:at] + [(math.nan, 0.0)] + pts[at:]
+    stops = [k % len(pts) for k in picks]
+    assert gap_tour(pts, gap, stops) == _tour_oracle(pts, gap, stops)
+
+
+def test_tours_along_neighbours_build_no_gap_graph(monkeypatch):
+    # acceptance c08's 315-point circle and c10's 126-point circle, in row
+    # order: every leg joins two neighbours, so no gap graph is built
+    c08 = [(math.cos(2 * math.pi * i / 315), math.sin(2 * math.pi * i / 315))
+           for i in range(315)]
+    c10 = [(math.cos(2 * math.pi * i / 126), math.sin(2 * math.pi * i / 126))
+           for i in range(126)]
+    walk, tour = build_chainable_walk(c08, 5), _chain_tour(c10)
+
+    def refuse(a, gap):
+        raise AssertionError("gap graph built for a tour along neighbours")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(core, "gap_graph", refuse)
+        again = build_chainable_walk(c08, 5)
+        assert (again.sums, again.phase_lengths, again.step_bounds) == (
+            walk.sums, walk.phase_lengths, walk.step_bounds)
+        assert _chain_tour(c10) == tour
+    # shuffled rows put far points next to each other: the tour builds the
+    # graph, once, and searches it
+    shuffled = c08[:]
+    random.Random(0).shuffle(shuffled)
+    built = []
+
+    def counted(a, gap):
+        built.append(gap)
+        return gap_graph(a, gap)
+
+    monkeypatch.setattr(core, "gap_graph", counted)
+    stops = [*range(315), 0]
+    for gap in (0.25, 0.0625):
+        assert gap_tour(shuffled, gap, stops) == _tour_oracle(shuffled, gap, stops)
+    assert built == [0.25, 0.0625]
 
 
 def test_gap_chainable_endpoint_not_in_sample():
