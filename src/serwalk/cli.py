@@ -332,6 +332,9 @@ def main(argv=None) -> int:
         # so the flush at exit cannot fail again, as the Python docs advise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return FAIL
+    except OSError as err:  # inputs are read through _read, so an output failed
+        print(f"cannot write: {err}", file=sys.stderr)
+        return USAGE
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return USAGE

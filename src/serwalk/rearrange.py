@@ -568,10 +568,11 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             n_next = constants.n_threshold(eps_next / 2)
             push(range(frontier + 1, n_next + 1))
             frontier = max(frontier, n_next)
-            for q in reservoir.values():
-                for _, idx in q:
+            # a parked term is zero off its axis, and ±0.0 adds nothing to z (never -0.0)
+            for (axis, positive), q in reservoir.items():
+                for mag, idx in q:
                     batch.append(idx)
-                    z = [zc + float(c) for zc, c in zip(z, terms[idx - 1])]
+                    z[axis] += mag if positive else -mag
                 q.clear()
             mags.clear()
         err = [float(bc) - cc - zc for bc, cc, zc in zip(b, sums[-1], z)]

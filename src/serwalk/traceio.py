@@ -142,7 +142,7 @@ def read_walk_csv(fp: TextIO) -> Walk:
         if not row:
             continue
         if len(row) != dim + 2:
-            raise ValueError(f"row width mismatch at index {row[0]}")
+            raise ValueError(f"row width mismatch at trace row {n}")
         where = f"trace row {n}"
         for c in row[2:]:
             if c not in cells:

@@ -273,10 +273,6 @@ def build_chainable_walk(dense: Sequence, phases: int) -> Walk:
     return build_xwalk(schedule, step_bounds=bounds)
 
 
-def _nearest_to_radius(points: Sequence, radius: float) -> int:
-    return min(range(len(points)), key=lambda i: abs(norm(points[i]) - radius))
-
-
 def _sphere_arc(a, b, radius: float, pitch: float) -> list:
     """Points along the circle of given radius from direction a to b, at
     angular pitch <= pitch/radius."""
@@ -322,14 +318,15 @@ def build_unbounded_components_walk(components: Sequence[PointSample],
         raise ValueError(f"requires planar components: dimension {dim}, not 2")
     if list(radii) != sorted(set(radii)) or len(radii) < phases:
         raise ValueError("radii must be strictly increasing, one per phase")
+    norms = [[norm(p) for p in c.points] for c in components]
     for radius in radii[:phases]:
-        for c in components:
-            if max(norm(p) for p in c.points) < radius:
+        for c, ns in zip(components, norms):
+            if max(ns) < radius:
                 raise ValueError(f"component {c.label!r} does not reach radius {radius}")
 
     n = len(components)
     pts = [c.points for c in components]
-    base = [min(range(len(p)), key=lambda i: norm(p[i])) for p in pts]
+    base = [ns.index(min(ns)) for ns in norms]
     schedule = []
     bounds = []
     for k in range(1, phases + 1):
@@ -337,7 +334,9 @@ def build_unbounded_components_walk(components: Sequence[PointSample],
         radius = float(radii[k - 1])
         visited = range(min(k + 1, n))  # the components of d_1..d_{k+1}
         nbrs = [core.gap_graph(pts[c], gap) for c in visited]
-        top = [_nearest_to_radius(pts[c], radius) for c in visited]
+        # ties go to the first point, as for base
+        misses = [[abs(x - radius) for x in norms[c]] for c in visited]
+        top = [m.index(min(m)) for m in misses]
 
         def leg(c, i, j):
             path = core.gap_path(nbrs[c], i, j)
@@ -356,6 +355,6 @@ def build_unbounded_components_walk(components: Sequence[PointSample],
             chain.extend(leg(dst, top[dst], base[dst]))
         schedule.append(chain)
         # the hop on/off the sphere can add the radius mismatch of a top point
-        slack = max(abs(norm(pts[c][top[c]]) - radius) for c in visited)
+        slack = max(map(min, misses))
         bounds.append(gap + 2 * slack)
     return build_xwalk(schedule, step_bounds=bounds)

@@ -640,6 +640,23 @@ def test_closed_stdout_exits_quietly():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+@pytest.mark.parametrize("command, out", [
+    (["generate", "two-lines", "--phases", "2"], ""),
+    (["plot", "--input", "w.csv"], ""),
+    (["rearrange", "--target", "t.csv", "--stages", "2"], "missing/r"),
+], ids=["generate", "plot", "rearrange"])
+def test_an_output_that_cannot_be_opened_is_a_usage_error(tmp_path, command, out):
+    # a directory, or a file in a missing one: exit 1 would claim that a
+    # verified property failed
+    (tmp_path / "t.csv").write_text("coord_0,coord_1\n0.25,-0.5\n")
+    assert run("generate", "two-lines", "--phases", "2",
+               "--out", str(tmp_path / "w.csv")).returncode == 0
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in command]
+    r = run(*argv, "--out", str(tmp_path / out))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert r.stderr.startswith("cannot write: ") and str(tmp_path / out) in r.stderr
+
+
 def test_plot_round_trip(tmp_path):
     trace = tmp_path / "w.csv"
     marks = tmp_path / "marks.csv"

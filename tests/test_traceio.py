@@ -412,3 +412,10 @@ def test_readers_take_only_the_headers_the_writers_write(read, text):
 def test_read_sample_csv_rejects_ragged_rows(text):
     with pytest.raises(ValueError, match="row width mismatch at sample row 2"):
         read_sample_csv(io.StringIO(text))
+
+
+def test_read_walk_csv_names_a_short_row_by_its_place():
+    # the message once quoted the row's raw index cell, at any length
+    text = "index,phase,coord_0,coord_1\n1,1,0.5,0\n" + "9" * 500 + ",1\n"
+    with pytest.raises(ValueError, match="^row width mismatch at trace row 2$"):
+        read_walk_csv(io.StringIO(text))

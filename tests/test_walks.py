@@ -252,6 +252,20 @@ def test_unbounded_components_walk_pinned(components, radii, phases, digest):
     assert hashlib.sha256(state.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("component, digest", [
+    (PointSample(tuple((3.0, 0.1 * i) for i in range(42)), "rail"),
+     "02882a67aca46b865e24a3a57cf5763b4181a167fd9400010606f65026c9d496"),
+    (PointSample(((0.0, 5.0),), "point"),
+     "ec648ba9e234408d9f820f6e16d6bf6b3a7b84f8ee17d47d3052240f4c4dc076"),
+], ids=["rail-at-3", "point"])
+def test_unbounded_components_walk_whose_base_is_its_top_pinned(component, digest):
+    # the point nearest the origin is also the one nearest each radius, so
+    # every leg is empty; the other pins' rails all start at the origin
+    w = build_unbounded_components_walk([component], [2.0, 3.0], 2)
+    state = repr((w.sums, w.phase_lengths, w.step_bounds))
+    assert hashlib.sha256(state.encode()).hexdigest() == digest
+
+
 def test_unbounded_components_walk_sparse_component_fails():
     # steps of 0.3 chain at phase 1's gap 0.5 but not at phase 2's 0.25
     sparse = PointSample(tuple((0.0, 0.3 * i) for i in range(20)), "sparse")
