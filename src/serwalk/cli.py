@@ -10,6 +10,7 @@ leak into any artifact.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import logging
@@ -177,13 +178,22 @@ def cmd_rearrange(args) -> int:
         raise ValueError("stages must be >= 1")
     if args.out == "-":
         raise ValueError("rearrange writes files under a base name: --out - is not one")
+    # refuse, as open would, outputs that cannot be written before the run
+    outputs = _outputs(args)
+    folder = os.path.dirname(outputs[0]) or os.curdir
+    if not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+        raise OSError(code, os.strerror(code), outputs[0])
+    for path in outputs:
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     target = _read(args.target, "sample", traceio.read_sample_csv)
     try:
         tau, walk, reports = _rearrange(target, args.stages)
     except ValueError as err:
         print(f"rearrangement failed: {err}", file=sys.stderr)
         return FAIL
-    trace, perm, report_path, _ = _outputs(args)
+    trace, perm, report_path, _ = outputs
     with open(trace, "w") as fp:
         traceio.write_walk_csv(walk, fp)
     _write_json(perm, {"images": tau.images})

@@ -24,8 +24,12 @@ still runs on every distinct spelling, and the per-value number check runs
 on every entry.  A sparse term or trace row is then built through the
 trusted ``SparseVec._clean``: its keys passed the index check and are
 sorted, and its values are nonzero Fractions, which is all the validating
-constructor would establish.  The writers emit each entry as a JSON int or
-float without going through ``Fraction.__float__``.
+constructor would establish.  The sparse writers keep two memos for one
+call: each int key's ``"i": `` text, and each value's JSON text keyed by the
+``id`` of its Fraction object.  The caller's terms or walk hold every value
+object for the whole call, so no id is reused while its text is memoized.
+An entry is then joined from the two texts in C, and the bytes are those of
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -159,13 +163,31 @@ def read_walk_csv(fp: TextIO) -> Walk:
     return Walk([start] + sums, phase_lengths)
 
 
-def _encode_entries(v) -> dict:
-    """A SparseVec's entries as JSON: integral values as ints, the rest as
-    floats.  The keys stay ints, which ``json.dumps`` writes as the same
-    ``"i"`` strings, and ``numerator / denominator`` is the float that
-    ``float(x)`` gives, without its generic ``numbers.Rational`` method."""
-    return {i: x.numerator if x.denominator == 1 else x.numerator / x.denominator
-            for i, x in v.entries.items()}
+class _KeyTexts(dict):
+    """int key -> its JSON member prefix ``"i": ``, made on first use."""
+
+    def __missing__(self, i):
+        text = self[i] = f'"{i}": '
+        return text
+
+
+def _encode_entries(v, keys: _KeyTexts, texts: dict) -> str:
+    """The JSON text of a SparseVec's entries, as ``json.dumps`` writes them:
+    integral values as ints, the rest as floats (``numerator / denominator``
+    is the float ``float(x)`` gives, without its generic method).  ``keys``
+    and ``texts`` are the caller's memos; ``texts`` is keyed by
+    ``id(value)``, so the caller keeps every value it has seen alive."""
+    vals = v.entries.values()
+    ids = list(map(id, vals))
+    missing = set(ids).difference(texts)
+    if missing:
+        by_id = dict(zip(ids, vals))
+        for i in missing:
+            x = by_id[i]
+            texts[i] = json.dumps(x.numerator if x.denominator == 1
+                                  else x.numerator / x.denominator)
+    return "{" + ", ".join(map(str.__add__, map(keys.__getitem__, v.entries),
+                               map(texts.__getitem__, ids))) + "}"
 
 
 def _check_numbers(values, where: str) -> None:
@@ -211,10 +233,11 @@ def _decode_entries(entries, where: str, keys: dict, values: dict) -> SparseVec:
 def write_walk_jsonl(w: Walk, fp: TextIO) -> None:
     if not hasattr(w.sums[0], "entries"):
         raise ValueError("JSON-line traces are for sequence-space walks")
+    keys, texts = _KeyTexts(), {}  # w.sums holds every value for this call
     for phase, (lo, hi) in enumerate(w.phase_blocks(), start=1):
         for n in range(lo, hi):
-            fp.write(json.dumps({"index": n, "phase": phase,
-                                 "entries": _encode_entries(w.sums[n])}) + "\n")
+            text = _encode_entries(w.sums[n], keys, texts)
+            fp.write(f'{{"index": {n}, "phase": {phase}, "entries": {text}}}\n')
 
 
 def read_walk_jsonl(fp: TextIO) -> Walk:
@@ -295,12 +318,15 @@ def read_terms_json(fp: TextIO):
 
 def write_terms_json(terms: Sequence, fp: TextIO) -> None:
     """The bytes of ``json.dump({"terms": [...]})`` and a newline, written
-    one term at a time through ``json.dumps``, whose C encoder ``json.dump``
-    never uses."""
+    one term at a time: a sparse term through _encode_entries, whose memo
+    ``terms`` keeps sound by holding every value for this call, and a dense
+    one through ``json.dumps``, whose C encoder ``json.dump`` never uses."""
+    keys, texts = _KeyTexts(), {}
     fp.write('{"terms": [')
     for n, t in enumerate(terms):
-        enc = _encode_entries(t) if hasattr(t, "entries") else [float(c) for c in t]
-        fp.write((", " if n else "") + json.dumps(enc))
+        text = (_encode_entries(t, keys, texts) if hasattr(t, "entries")
+                else json.dumps([float(c) for c in t]))
+        fp.write((", " if n else "") + text)
     fp.write("]}\n")
 
 

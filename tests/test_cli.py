@@ -657,6 +657,27 @@ def test_an_output_that_cannot_be_opened_is_a_usage_error(tmp_path, command, out
     assert r.stderr.startswith("cannot write: ") and str(tmp_path / out) in r.stderr
 
 
+@pytest.mark.parametrize("out, made", [
+    ("missing/r", None),
+    ("d", "d.csv"),
+], ids=["missing-directory", "csv-is-a-directory"])
+def test_rearrange_refuses_an_unwritable_output_before_running(tmp_path, monkeypatch,
+                                                               capsys, out, made):
+    # the rearrangement itself may take minutes: refuse before it starts
+    def no_run(*args):
+        raise AssertionError("the rearrangement ran")
+
+    monkeypatch.setattr(cli, "_rearrange", no_run)
+    (tmp_path / "t.csv").write_text("coord_0,coord_1\n0.25,-0.5\n")
+    if made:
+        (tmp_path / made).mkdir()
+    rc = cli.main(["rearrange", "--target", str(tmp_path / "t.csv"),
+                   "--stages", "2", "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("cannot write: ")
+    assert str(tmp_path / out) + ".csv" in err
+
+
 def test_plot_round_trip(tmp_path):
     trace = tmp_path / "w.csv"
     marks = tmp_path / "marks.csv"

@@ -277,6 +277,59 @@ def test_write_terms_json_writes_what_json_dump_writes(terms, enc):
     assert got.getvalue() == want.getvalue() + "\n"
 
 
+def _entries_one_by_one(v) -> dict:
+    # the writers' rule applied entry by entry, for json.dumps to encode
+    return {i: x.numerator if x.denominator == 1 else x.numerator / x.denominator
+            for i, x in v.entries.items()}
+
+
+# nonzero values: integral, dyadic, non-dyadic, and numerators beyond 2^64
+sparse_values = st.builds(
+    F, st.one_of(st.integers(-9, 9), st.integers(2 ** 64, 2 ** 70),
+                 st.integers(-2 ** 70, -2 ** 64)).filter(bool),
+    st.sampled_from([1, 2, 3, 8, 2 ** 10]))
+# short keys and keys with many digits
+sparse_keys = st.one_of(st.integers(1, 40), st.integers(10 ** 30, 10 ** 30 + 9))
+
+
+@st.composite
+def shared_sparse_terms(draw):
+    """SparseVecs drawing their values from one pool of Fraction objects,
+    so one object sits under several keys and in several terms, and each
+    pooled value also has an equal twin that is a distinct object."""
+    pool = draw(st.lists(sparse_values, min_size=1, max_size=5))
+    pool += [F(x.numerator, x.denominator) for x in pool]
+    picks = st.dictionaries(sparse_keys, st.integers(0, len(pool) - 1), max_size=8)
+    return [SparseVec({i: pool[k] for i, k in t.items()})
+            for t in draw(st.lists(picks, min_size=1, max_size=5))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_sparse_terms())
+def test_sparse_writers_write_what_json_dumps_writes(terms):
+    got = io.StringIO()
+    write_terms_json(terms, got)
+    assert got.getvalue() == json.dumps(
+        {"terms": [_entries_one_by_one(t) for t in terms]}) + "\n"
+    split = len(terms) // 2
+    walk = Walk([SparseVec()] + terms, [split, len(terms) - split])
+    got = io.StringIO()
+    write_walk_jsonl(walk, got)
+    assert got.getvalue() == "".join(
+        json.dumps({"index": n, "phase": 1 + (n > split),
+                    "entries": _entries_one_by_one(t)}) + "\n"
+        for n, t in enumerate(terms, start=1))
+
+
+def test_sparse_writers_refuse_a_value_beyond_the_float_range():
+    # as float(x) would: a non-integral value past 1.8e308 has no JSON float
+    big = SparseVec({1: F(10 ** 400, 3)})
+    with pytest.raises(OverflowError):
+        write_terms_json([big], io.StringIO())
+    with pytest.raises(OverflowError):
+        write_walk_jsonl(Walk([SparseVec(), big], [1]), io.StringIO())
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"terms": [{"1": 1}, {"01": 1}]}', "term 2 holds '01', not a plain integer"),
     ('{"terms": [{"1": 1}, {"1": true}]}', "term 2 holds True, not a finite number"),
