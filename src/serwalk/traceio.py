@@ -17,19 +17,36 @@ digits, an optional ``.digits``), and a CSV index or phase, or a sparse
 key, is an integer as ``str(int)`` writes it, and a sparse key is at
 least 1.
 
-Each reader parses every distinct raw spelling once, into a per-file memo:
-CSV cells by their string, sparse keys by their string and sparse values
-by their JSON number.  A memo is keyed by the exact input, so every check
-still runs on every distinct spelling, and the per-value number check runs
-on every entry.  A sparse term or trace row is then built through the
-trusted ``SparseVec._clean``: its keys passed the index check and are
-sorted, and its values are nonzero Fractions, which is all the validating
-constructor would establish.  The sparse writers keep two memos for one
-call: each int key's ``"i": `` text, and each value's JSON text keyed by the
-``id`` of its Fraction object.  The caller's terms or walk hold every value
-object for the whole call, so no id is reused while its text is memoized.
-An entry is then joined from the two texts in C, and the bytes are those of
-``json.dumps``.
+Each reader parses every distinct raw spelling once, into a per-file memo,
+and does its per-entry and per-row work in C.  A memo is keyed by the exact
+input, so every check still runs on every distinct spelling.  A sparse term
+or trace row is built through the trusted ``SparseVec._clean``: its keys
+passed the index check and are sorted, and its values are nonzero Fractions,
+which is all the validating constructor would establish.
+
+- A terms file that opens as ``write_terms_json`` writes a sparse one
+  (``{"terms": [{``) is parsed with a memo of JSON float token texts as
+  ``parse_float``: a finite non-integral float becomes its exact Fraction
+  once per spelling, and the other floats (zeros, integral and non-finite
+  ones) stay floats for the per-entry rules.  A term whose values are all
+  such Fractions is valid by construction, so only its keys missing from
+  the key memo are checked, and the term is built by ``zip``.  Every other
+  term, terms document and JSON-line trace takes the per-entry rules:
+  the value check on every entry, and each distinct number made a
+  Fraction once.  The hook is chosen by the document's opening because it
+  pays a Python call per distinct spelling: a dense file or a JSON line
+  repeats few spellings.
+- A CSV trace is checked in bulk: row widths, the index column against
+  ``"1" ... str(n)``, each distinct phase spelling and cell once, phases
+  that start at 1 or more and never go down, and phase lengths from their
+  counts.  If any bulk check fails, the rows are scanned again one by one,
+  and the scan raises the message naming the first bad row.
+- The sparse writers keep two memos for one call: each int key's ``"i": ``
+  text, and each value's ``repr`` text with its ``", "`` separator, keyed by
+  the ``id`` of its Fraction object.  The caller's terms or walk hold every
+  value object for the whole call, so no id is reused while its text is
+  memoized.  A term is the interleaved join of the two texts without its
+  last separator, and the bytes are those of ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -38,8 +55,10 @@ import csv
 import json
 import math
 import re
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence, TextIO
 
 from .core import PointSample, is_dyadic
@@ -133,16 +152,44 @@ def write_walk_csv(w: Walk, fp: TextIO) -> None:
             writer.writerow([n, phase] + [render_scalar(c) for c in w.sums[n]])
 
 
-def read_walk_csv(fp: TextIO) -> Walk:
+def _csv_lines(fp: TextIO, what: str):
+    """The rows ``csv.reader`` reads from fp; a ``csv.Error``, such as a field
+    past ``csv.field_size_limit``, is a ValueError naming its line."""
     reader = csv.reader(fp)
-    header = next(reader, None) or []
-    dim = len(header) - 2
-    if dim < 1 or header != ["index", "phase"] + [f"coord_{i}" for i in range(dim)]:
-        raise ValueError("bad trace header: not index,phase,coord_0,...")
-    sums = []
-    rows = []
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise ValueError(f"{err} at {what} line {reader.line_num}") from err
+
+
+def _trace_columns(rows, dim: int):
+    """The coordinate columns, phase lengths and cell memo of a trace's
+    rows, checked in bulk.  A ValueError here only says that some row is
+    bad: :func:`_scan_trace_rows` names it."""
+    body = list(filter(None, rows))
+    if not body or set(map(len, body)) != {dim + 2}:
+        raise ValueError("an empty trace or a row of the wrong width")
+    index, phase, *coords = zip(*body)
+    if index != tuple(map(str, range(1, len(body) + 1))):
+        raise ValueError("the index column is not 1, 2, ..., n")
+    phase_of = {p: _read_int(p, "a phase") for p in set(phase)}
+    phases = list(map(phase_of.__getitem__, phase))
+    if phases[0] < 1 or phases != sorted(phases):
+        raise ValueError("the phases go down")
+    lengths = [0] * phases[-1]
+    for p, count in Counter(phases).items():
+        lengths[p - 1] = count
+    cells = {c: _read_cell(c, "a cell") for c in set().union(*coords)}
+    return coords, lengths, cells
+
+
+def _scan_trace_rows(rows, dim: int):
+    """What :func:`_trace_columns` returns, checked row by row, so that the
+    first bad row is the one named."""
+    body = []
+    index_phase = []
     cells: dict[str, Fraction] = {}  # raw cell -> its value, read once
-    for n, row in enumerate(reader, start=1):
+    for n, row in enumerate(rows, start=1):
         if not row:
             continue
         if len(row) != dim + 2:
@@ -151,14 +198,28 @@ def read_walk_csv(fp: TextIO) -> Walk:
         for c in row[2:]:
             if c not in cells:
                 cells[c] = _read_cell(c, where)
-        sums.append(tuple(map(cells.__getitem__, row[2:])))
-        rows.append((_read_int(row[0], where), _read_int(row[1], where)))
-    if not sums:
+        index_phase.append((_read_int(row[0], where), _read_int(row[1], where)))
+        body.append(row)
+    if not body:
         raise ValueError("empty trace")
-    phase_lengths = _phase_lengths(rows)
+    return list(zip(*body))[2:], _phase_lengths(index_phase), cells
+
+
+def read_walk_csv(fp: TextIO) -> Walk:
+    lines = _csv_lines(fp, "trace")
+    header = next(lines, None) or []
+    dim = len(header) - 2
+    if dim < 1 or header != ["index", "phase"] + [f"coord_{i}" for i in range(dim)]:
+        raise ValueError("bad trace header: not index,phase,coord_0,...")
+    rows = list(lines)
+    try:
+        coords, phase_lengths, cells = _trace_columns(rows, dim)
+    except ValueError:  # the row scan raises the message naming the bad row
+        coords, phase_lengths, cells = _scan_trace_rows(rows, dim)
     exact = all(map(is_dyadic, cells.values()))
     if not exact:
-        sums = [tuple(float(c) for c in p) for p in sums]
+        cells = {c: float(x) for c, x in cells.items()}
+    sums = list(zip(*(map(cells.__getitem__, col) for col in coords)))
     start = tuple([Fraction(0) if exact else 0.0] * dim)
     return Walk([start] + sums, phase_lengths)
 
@@ -174,9 +235,10 @@ class _KeyTexts(dict):
 def _encode_entries(v, keys: _KeyTexts, texts: dict) -> str:
     """The JSON text of a SparseVec's entries, as ``json.dumps`` writes them:
     integral values as ints, the rest as floats (``numerator / denominator``
-    is the float ``float(x)`` gives, without its generic method).  ``keys``
-    and ``texts`` are the caller's memos; ``texts`` is keyed by
-    ``id(value)``, so the caller keeps every value it has seen alive."""
+    is the float ``float(x)`` gives, without its generic method), each in
+    the ``repr`` that ``json`` writes for it.  ``keys`` and ``texts`` are the
+    caller's memos; ``texts`` is keyed by ``id(value)``, so the caller keeps
+    every value it has seen alive."""
     vals = v.entries.values()
     ids = list(map(id, vals))
     missing = set(ids).difference(texts)
@@ -184,22 +246,40 @@ def _encode_entries(v, keys: _KeyTexts, texts: dict) -> str:
         by_id = dict(zip(ids, vals))
         for i in missing:
             x = by_id[i]
-            texts[i] = json.dumps(x.numerator if x.denominator == 1
-                                  else x.numerator / x.denominator)
-    return "{" + ", ".join(map(str.__add__, map(keys.__getitem__, v.entries),
-                               map(texts.__getitem__, ids))) + "}"
+            texts[i] = repr(x.numerator if x.denominator == 1
+                            else x.numerator / x.denominator) + ", "
+    text = "".join(chain.from_iterable(zip(map(keys.__getitem__, v.entries),
+                                           map(texts.__getitem__, ids))))
+    return "{" + text[:-2] + "}"
+
+
+#: the types of the numbers _check_numbers takes (bool is not int)
+_NUMBER_TYPES = frozenset((int, float, Fraction))
 
 
 def _check_numbers(values, where: str) -> None:
-    """ValueError unless every value is a JSON int (not a bool) or a float
-    whose float value is finite."""
+    """ValueError unless every value is a JSON int (not a bool), a float
+    whose float value is finite, or a Fraction :class:`_Numbers` made of
+    one."""
     for x in values:
         try:
-            if type(x) in (int, float) and math.isfinite(x):
+            if type(x) in _NUMBER_TYPES and math.isfinite(x):
                 continue
         except OverflowError:  # an int beyond the float range
             pass
         raise ValueError(f"{where} holds {x!r:.40}, not a finite number")
+
+
+class _Numbers(dict):
+    """JSON float token text -> its number, made on first use: the exact
+    Fraction of a finite non-integral float, else the float itself (zeros,
+    integral and non-finite floats), which the per-entry rules then take."""
+
+    def __missing__(self, text):
+        x = float(text)
+        number = self[text] = (Fraction(x) if math.isfinite(x) and not x.is_integer()
+                               else x)
+        return number
 
 
 def _decode_entries(entries, where: str, keys: dict, values: dict) -> SparseVec:
@@ -220,10 +300,28 @@ def _decode_entries(entries, where: str, keys: dict, values: dict) -> SparseVec:
     for i, x in entries.items():
         if i not in keys:
             keys[i] = _read_index(i, where)
-        if x:  # a JSON int or float: zero, 0.0 and -0.0 are dropped
+        if x:  # zero, 0.0 and -0.0 are dropped
             if x not in values:
                 values[x] = Fraction(x)
             clean[keys[i]] = values[x]
+    order = list(clean)
+    if order != sorted(order):
+        clean = {i: clean[i] for i in sorted(order)}
+    return SparseVec._clean(clean)
+
+
+def _decode_term(entries, where: str, keys: dict, values: dict) -> SparseVec:
+    """_decode_entries for a sparse term, in C when every value is a
+    Fraction from :class:`_Numbers`: such a term is finite and nonzero by
+    construction, so only its keys missing from the key memo are checked,
+    in entry order, so that the first bad key is the one named."""
+    if not isinstance(entries, dict) or set(map(type, entries.values())) != {Fraction}:
+        return _decode_entries(entries, where, keys, values)
+    if not entries.keys() <= keys.keys():
+        for i in entries:
+            if i not in keys:
+                keys[i] = _read_index(i, where)
+    clean = dict(zip(map(keys.__getitem__, entries), entries.values()))
     order = list(clean)
     if order != sorted(order):
         clean = {i: clean[i] for i in sorted(order)}
@@ -264,12 +362,12 @@ def read_walk_jsonl(fp: TextIO) -> Walk:
 
 
 def read_sample_csv(fp: TextIO) -> PointSample:
-    reader = csv.reader(fp)
-    header = next(reader, None)
+    lines = _csv_lines(fp, "sample")
+    header = next(lines, None)
     if not header or header != [f"coord_{i}" for i in range(len(header))]:
         raise ValueError("bad sample header: not coord_0,coord_1,...")
     pts = []
-    for n, row in enumerate(reader, start=1):
+    for n, row in enumerate(lines, start=1):
         if not row:
             continue
         if len(row) != len(header):
@@ -278,6 +376,11 @@ def read_sample_csv(fp: TextIO) -> PointSample:
     if not pts:
         raise ValueError("empty sample")
     return PointSample(tuple(pts))
+
+
+#: the opening of a sparse terms file as write_terms_json writes it, after
+#: any JSON whitespace
+_SPARSE_TERMS_OPENING = re.compile(r'[ \t\n\r]*\{"terms": \[\{')
 
 
 def _term_kind(t, n: int) -> str:
@@ -294,7 +397,10 @@ def read_terms_json(fp: TextIO):
     {index: value} objects, read as SparseVecs.  Every value must be a
     JSON int or a finite float.  A term (numbered from 1) that breaks a
     rule raises ValueError naming it."""
-    doc = json.load(fp)
+    text = fp.read()
+    doc = json.loads(text, parse_float=_Numbers().__getitem__
+                     if _SPARSE_TERMS_OPENING.match(text) else None)
+    del text  # freed before the terms are decoded, as json.load frees it
     terms = doc.get("terms") if isinstance(doc, dict) else None
     if not isinstance(terms, list) or not terms:
         raise ValueError("no terms")
@@ -306,7 +412,7 @@ def read_terms_json(fp: TextIO):
         if _term_kind(t, n) != kind:
             raise ValueError(f"term {n} is {_term_kind(t, n)}, term 1 is {kind}")
         if kind == "sparse":
-            out.append(_decode_entries(t, f"term {n}", keys, values))
+            out.append(_decode_term(t, f"term {n}", keys, values))
             continue
         if len(t) != len(terms[0]):
             raise ValueError(f"term {n} has {len(t)} coordinates, "

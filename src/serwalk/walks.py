@@ -183,9 +183,18 @@ def segment(a, b, n: int) -> list:
     """The n points a + d*i/n, i = 1..n, with d = b - a: the one segment
     formula of the walk builders and the rearranger's tours.  It is exact
     on Fractions; on floats ``_polyline_chain``'s n is a power of two, so
-    (d*i)/n equals d*(i/n), the product with the exact fraction i/n."""
-    d = [cb - ca for ca, cb in zip(a, b)]
-    return [tuple(ca + dc * i / n for ca, dc in zip(a, d)) for i in range(1, n + 1)]
+    (d*i)/n equals d*(i/n), the product with the exact fraction i/n.  A
+    Fraction coordinate the segment leaves unchanged is reused as it is; a
+    float or int one stays on the formula, whose value there differs in
+    sign or type (-0.0 + 0.0 is 0.0, an int plus 0 * i / n a float)."""
+    columns = []
+    for ca, cb in zip(a, b):
+        dc = cb - ca
+        if dc == 0 and type(ca) is Fraction and type(dc) is Fraction:
+            columns.append([ca] * n)
+        else:
+            columns.append([ca + dc * i / n for i in range(1, n + 1)])
+    return list(zip(*columns)) or [()] * n  # a point in R^0 is ()
 
 
 def _polyline_chain(points: Sequence, bound) -> list:

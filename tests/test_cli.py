@@ -628,6 +628,20 @@ def test_malformed_values_are_usage_errors(tmp_path, command, name, text):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("command, kind, text, line", [
+    (CAUCHY, "trace", _trace("1" * 200_000), 2),
+    (CHAINABLE, "sample", _sample("1" * 200_000), 3),
+], ids=["trace", "sample"])
+def test_a_field_past_the_csv_limit_is_a_usage_error(tmp_path, command, kind, text, line):
+    # csv.Error once escaped the readers: a traceback and exit 1
+    path = tmp_path / "big.csv"
+    path.write_text(text)
+    r = run(*command, str(path))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == (f"cannot read {kind} {path}: field larger than field limit "
+                        f"(131072) at {kind} line {line}\n")
+
+
 def test_closed_stdout_exits_quietly():
     # `serwalk generate ... | head -1`: the reader leaves after one line
     p = subprocess.Popen(CLI + ["generate", "two-lines", "--phases", "9"],

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -9,10 +10,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from serwalk import cli
+from serwalk import cli, rearrange
+from serwalk.core import is_dyadic
 from serwalk.seqspace import (SparseVec, gen_c0_singleton_divergent,
                               gen_c0_two_point, gen_no_rp_series)
-from serwalk.traceio import (estimate_report, read_sample_csv,
+from serwalk.traceio import (_SPARSE_TERMS_OPENING, _phase_lengths, _read_cell,
+                             _read_int, estimate_report, read_sample_csv,
                              read_terms_json, read_walk_csv, read_walk_jsonl,
                              render_scalar, write_terms_json,
                              write_walk_csv, write_walk_jsonl, write_walk_svg)
@@ -359,27 +362,67 @@ def test_read_walk_jsonl_memos_keep_every_check(second, message):
         read_walk_jsonl(io.StringIO(text))
 
 
-# JSON numbers for sparse values: zeros of every spelling, and equal
-# numbers spelled as an int and as a float
-json_values = st.one_of(st.sampled_from([0, 0.0, -0.0, 1, 1.0, -2, -2.0]),
-                        st.builds(lambda n: n / 4, st.integers(-8, 8)),
-                        st.integers(-3, 3))
+# JSON number tokens for sparse values: zeros of every spelling, equal
+# numbers spelled as an int, as a float and with other digits (0.5, 0.50,
+# 5e-1), integral floats, and ints and zeros mixed with non-integral floats
+json_values = st.one_of(
+    st.sampled_from(["0", "0.0", "-0.0", "1", "1.0", "-2", "-2.0", "0.5", "0.50",
+                     "5e-1", "2.5E1", "1e-400"]),
+    st.builds(lambda n: repr(n / 4), st.integers(-8, 8)),
+    st.builds(str, st.integers(-3, 3)))
 # keys in the order hypothesis draws them, so often unsorted
 raw_entries = st.dictionaries(st.integers(1, 40).map(str), json_values, max_size=12)
+# entries no sparse reader takes, under keys no drawn entry has
+BAD_ENTRIES = [("41", "1e400"), ("41", "-1e400"), ("41", "NaN"), ("41", "true"),
+               ("41", '"0.5"'), ("01", "0.5"), ("0", "0.25"), ("+1", "1")]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(raw_entries, min_size=1, max_size=4))
-def test_sparse_readers_match_the_validating_constructor(terms):
-    want = [SparseVec({int(i): x for i, x in t.items()}) for t in terms]
-    doc = json.dumps({"terms": terms})
-    lines = "".join(json.dumps({"index": n, "phase": 1, "entries": t}) + "\n"
-                    for n, t in enumerate(terms, start=1))
-    for got in (read_terms_json(io.StringIO(doc)),
-                read_walk_jsonl(io.StringIO(lines)).sums[1:]):
+def _read_or_message(read, text):
+    try:
+        return read(io.StringIO(text))
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(raw_entries, min_size=1, max_size=4),
+       st.none() | st.tuples(st.sampled_from(BAD_ENTRIES), st.integers(0, 3),
+                             st.integers(0, 12)))
+def test_sparse_readers_match_the_validating_constructor(terms, fault):
+    members = [[f'"{i}": {x}' for i, x in t.items()] for t in terms]
+    if fault:
+        (key, token), k, at = fault
+        members[k % len(members)].insert(at, f'"{key}": {token}')
+    objects = ["{" + ", ".join(m) + "}" for m in members]
+    # the writer's opening is parsed with the float-spelling memo, a
+    # hand-spaced one without it: both read the same terms or message
+    written = '{"terms": [' + ", ".join(objects) + "]}"
+    spaced = '{ "terms" : [\n ' + ",\n ".join(objects) + "\n] }\n"
+    assert _SPARSE_TERMS_OPENING.match(written) and not _SPARSE_TERMS_OPENING.match(spaced)
+    readings = [_read_or_message(read_terms_json, text) for text in (written, spaced)]
+    assert readings[0] == readings[1]
+    if fault:
+        assert isinstance(readings[0], str)
+        return
+    want = [SparseVec({int(i): json.loads(x) for i, x in t.items()}) for t in terms]
+    lines = "".join(f'{{"index": {n}, "phase": 1, "entries": {o}}}\n'
+                    for n, o in enumerate(objects, start=1))
+    for got in (*readings, read_walk_jsonl(io.StringIO(lines)).sums[1:]):
         assert [list(t.entries.items()) for t in got] == [
             list(t.entries.items()) for t in want]
         assert all(type(x) is F for t in got for x in t.entries.values())
+
+
+def test_dense_terms_read_back_bit_identically():
+    # a dense document takes no float-spelling memo: every float, its sign
+    # and its last bit come back as written
+    terms = rearrange.full_range_series(2, 200) + [
+        (-0.0, 0.1), (5e-324, -1.7976931348623157e308)]
+    buf = io.StringIO()
+    write_terms_json(terms, buf)
+    back = read_terms_json(io.StringIO(buf.getvalue()))
+    assert [tuple(map(float.hex, t)) for t in back] == [
+        tuple(map(float.hex, t)) for t in terms]
 
 
 @pytest.mark.parametrize("key", ["0", "-1"])
@@ -413,6 +456,89 @@ def test_walk_csv_memo_reads_each_spelling_exactly():
     w = read_walk_csv(io.StringIO(text))
     assert w.mode == "float" and w.sums[-1] == (0.1,) and w.sums[1] == (0.5,)
     assert all(type(c) is float for p in w.sums for c in p)
+
+
+def _read_walk_csv_row_by_row(fp):
+    # read_walk_csv as it was before it checked the rows in bulk: the
+    # reference for every value and every message
+    reader = csv.reader(fp)
+    header = next(reader, None) or []
+    dim = len(header) - 2
+    if dim < 1 or header != ["index", "phase"] + [f"coord_{i}" for i in range(dim)]:
+        raise ValueError("bad trace header: not index,phase,coord_0,...")
+    sums = []
+    rows = []
+    cells = {}
+    for n, row in enumerate(reader, start=1):
+        if not row:
+            continue
+        if len(row) != dim + 2:
+            raise ValueError(f"row width mismatch at trace row {n}")
+        where = f"trace row {n}"
+        for c in row[2:]:
+            if c not in cells:
+                cells[c] = _read_cell(c, where)
+        sums.append(tuple(map(cells.__getitem__, row[2:])))
+        rows.append((_read_int(row[0], where), _read_int(row[1], where)))
+    if not sums:
+        raise ValueError("empty trace")
+    phase_lengths = _phase_lengths(rows)
+    exact = all(map(is_dyadic, cells.values()))
+    if not exact:
+        sums = [tuple(float(c) for c in p) for p in sums]
+    start = tuple([F(0) if exact else 0.0] * dim)
+    return Walk([start] + sums, phase_lengths)
+
+
+CSV_CELLS = ["0", "0.5", "0.50", "-0.25", "3", "0.1"]
+#: what each fault does to a row: its place in the row list is drawn
+CSV_FAULTS = {
+    "blank": lambda row: [[], row],
+    "short": lambda row: [row[:-1]],
+    "long": lambda row: [row + ["0"]],
+    "index-01": lambda row: [["0" + row[0]] + row[1:]],
+    "index-plus": lambda row: [["+" + row[0]] + row[1:]],
+    "index-later": lambda row: [[str(int(row[0]) + 1)] + row[1:]],
+    "phase-0": lambda row: [row[:1] + ["0"] + row[2:]],
+    "phase-down": lambda row: [row[:1] + [str(int(row[1]) - 1)] + row[2:]],
+    "cell-fraction": lambda row: [row[:-1] + ["1/3"]],
+    "cell-exponent": lambda row: [row[:-1] + ["1e400"]],
+    "cell-space": lambda row: [row[:-1] + [" 1"]],
+}
+
+
+@st.composite
+def csv_traces(draw):
+    """A trace's CSV text: valid rows in up to four phases, often with blank
+    rows, and sometimes with faults at drawn rows."""
+    dim = draw(st.integers(1, 2))
+    phases = sorted(draw(st.lists(st.integers(1, 4), max_size=12)))
+    rows = [[str(n), str(p)] + draw(st.lists(st.sampled_from(CSV_CELLS),
+                                             min_size=dim, max_size=dim))
+            for n, p in enumerate(phases, start=1)]
+    faults = draw(st.lists(st.tuples(st.sampled_from(sorted(CSV_FAULTS)),
+                                     st.integers(0, 11)), max_size=2))
+    for fault, at in faults:
+        if rows and rows[at % len(rows)]:
+            at %= len(rows)
+            rows[at:at + 1] = CSV_FAULTS[fault](rows[at])
+    header = ",".join(["index", "phase"] + [f"coord_{i}" for i in range(dim)])
+    return "".join(f"{line}\n" for line in [header] + [",".join(r) for r in rows])
+
+
+def _walk_or_message(read, text):
+    w = _read_or_message(read, text)
+    if isinstance(w, str):
+        return w
+    return [[(type(c), c) for c in p] for p in w.sums], w.phase_lengths
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_traces())
+def test_read_walk_csv_matches_the_row_by_row_reader(text):
+    # the bulk checks decide only that a row is bad: the row scan names it
+    assert _walk_or_message(read_walk_csv, text) == _walk_or_message(
+        _read_walk_csv_row_by_row, text)
 
 
 def test_estimate_report_shapes():
