@@ -6,47 +6,38 @@ origin: a walk anchored elsewhere reads back with its sums unchanged and
 only its first step moved.  Dyadic values render as exact terminating
 decimal strings -- never scientific notation -- so golden files stay
 stable.  Sequence-space walks serialize as JSON lines
-``{"index": n, "phase": p, "entries": {"i": v, ...}}``.  Both readers
-reject a trace whose index runs other than 1, 2, ..., n or whose phase
-goes down.  Sparse entries and dense series terms must be JSON ints or
-finite floats; JSON-line index and phase must be JSON ints.  The readers
-take only what the writers write: a CSV header names exactly the columns
-``index,phase,coord_0,...,coord_{m-1}`` (a sample's, ``coord_0,...``), a
-CSV coordinate is a plain decimal in the float range (an optional ``-``,
-digits, an optional ``.digits``), and a CSV index or phase, or a sparse
-key, is an integer as ``str(int)`` writes it, and a sparse key is at
-least 1.
+``{"index": n, "phase": p, "entries": {"i": v, ...}}``.  The readers take
+only what the writers write: the writer's header (a sample's is
+``coord_0,...``), CSV coordinates that are plain decimals in the float
+range, JSON ints or finite floats for sparse entries and dense terms, JSON
+ints for a JSON line's index and phase, and integers as ``str(int)``
+writes them for a CSV index or phase and a sparse key, which is at least 1.
 
-Each reader parses every distinct raw spelling once, into a per-file memo,
-and does its per-entry and per-row work in C.  A memo is keyed by the exact
-input, so every check still runs on every distinct spelling.  A sparse term
-or trace row is built through the trusted ``SparseVec._clean``: its keys
-passed the index check and are sorted, and its values are nonzero Fractions,
-which is all the validating constructor would establish.
+A CSV file is read ``_BLOCK`` rows at a time, and only one block's strings
+are held.  A block is checked in bulk, and only when that fails does
+:func:`_check_rows`, the one statement of the format rules, scan it.
 
-- A terms file that opens as ``write_terms_json`` writes a sparse one
-  (``{"terms": [{``) is parsed with a memo of JSON float token texts as
-  ``parse_float``: a finite non-integral float becomes its exact Fraction
-  once per spelling, and the other floats (zeros, integral and non-finite
-  ones) stay floats for the per-entry rules.  A term whose values are all
-  such Fractions is valid by construction, so only its keys missing from
-  the key memo are checked, and the term is built by ``zip``.  Every other
-  term, terms document and JSON-line trace takes the per-entry rules:
-  the value check on every entry, and each distinct number made a
-  Fraction once.  The hook is chosen by the document's opening because it
-  pays a Python call per distinct spelling: a dense file or a JSON line
-  repeats few spellings.
-- A CSV trace is checked in bulk: row widths, the index column against
-  ``"1" ... str(n)``, each distinct phase spelling and cell once, phases
-  that start at 1 or more and never go down, and phase lengths from their
-  counts.  If any bulk check fails, the rows are scanned again one by one,
-  and the scan raises the message naming the first bad row.
-- The sparse writers keep two memos for one call: each int key's ``"i": ``
-  text, and each value's ``repr`` text with its ``", "`` separator, keyed by
-  the ``id`` of its Fraction object.  The caller's terms or walk hold every
-  value object for the whole call, so no id is reused while its text is
-  memoized.  A term is the interleaved join of the two texts without its
-  last separator, and the bytes are those of ``json.dumps``.
+Each reader parses every distinct raw spelling once, into a per-file memo
+that holds only spellings that passed.  A trace's values are Fractions
+until a cell is not dyadic, then floats, its earlier sums included.
+
+A CSV row is checked for its width, then its cells left to right, then its
+index, then its phase.  A format fault in any row beats an order fault
+(:func:`_check_order`, shared with JSON lines) in any row, and a
+``csv.Error`` comes after the rows before it: an error names the first bad
+row.  A trace may skip phase numbers but names none past its row count.
+
+Sparse entries have one decoder, :func:`_decode_entries`.  Only a terms
+file that opens as ``write_terms_json`` writes a sparse one repeats enough
+spellings to repay :class:`_Numbers` as ``parse_float``, which makes each
+finite non-integral float a Fraction once per spelling.
+
+The sparse writers keep two memos for one call: each int key's ``"i": ``
+text, and each value's ``repr`` text with its ``", "`` separator, keyed by
+the ``id`` of its Fraction object.  The caller's terms or walk hold every
+value object for the whole call, so no id is reused while its text is
+memoized.  A term is the interleaved join of the two texts without its
+last separator, and the bytes are those of ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -58,7 +49,8 @@ import re
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count, islice
+from operator import eq
 from typing import Optional, Sequence, TextIO
 
 from .core import PointSample, is_dyadic
@@ -93,15 +85,11 @@ _PLAIN_DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 
 def _read_cell(cell: str, where: str) -> Fraction:
     """A CSV coordinate as an exact Fraction: a plain decimal whose value
-    fits a float, else ValueError.  So ``1/3``, ``1_0`` and `` 1`` are not
-    reinterpreted, and ``1e400`` or ``1e-999999999`` is never expanded."""
-    if _PLAIN_DECIMAL.fullmatch(cell):
-        x = Fraction(cell)
-        try:
-            float(x)
-            return x
-        except OverflowError:
-            pass
+    fits a float (``float`` rounds the text as it rounds the Fraction), else
+    ValueError.  So ``1/3``, ``1_0`` and `` 1`` are not reinterpreted, and
+    ``1e400`` or ``1e-999999999`` is never expanded."""
+    if _PLAIN_DECIMAL.fullmatch(cell) and math.isfinite(float(cell)):
+        return Fraction(cell)
     raise ValueError(f"{where} holds {cell!r:.40}, not a plain decimal in the float range")
 
 
@@ -124,23 +112,6 @@ def _read_index(text: str, where: str) -> int:
     return i
 
 
-def _phase_lengths(rows) -> list[int]:
-    """Phase lengths from the (index, phase) of each trace row.
-
-    Rows must be numbered 1, 2, ..., n and their phases must never go down;
-    anything else would silently move rows into other phases.
-    """
-    lengths: list[int] = []
-    for n, (index, phase) in enumerate(rows, start=1):
-        if index != n:
-            raise ValueError(f"row {n} has index {index}, expected {n}")
-        if phase < max(len(lengths), 1):
-            raise ValueError(f"row {n} has phase {phase} after phase {len(lengths)}")
-        lengths.extend([0] * (phase - len(lengths)))
-        lengths[-1] += 1
-    return lengths
-
-
 def write_walk_csv(w: Walk, fp: TextIO) -> None:
     if hasattr(w.sums[0], "entries"):
         raise ValueError("CSV traces are for dense walks")
@@ -152,76 +123,119 @@ def write_walk_csv(w: Walk, fp: TextIO) -> None:
             writer.writerow([n, phase] + [render_scalar(c) for c in w.sums[n]])
 
 
-def _csv_lines(fp: TextIO, what: str):
-    """The rows ``csv.reader`` reads from fp; a ``csv.Error``, such as a field
-    past ``csv.field_size_limit``, is a ValueError naming its line."""
-    reader = csv.reader(fp)
+def _check_order(index, phase: list, k: int, last: int) -> None:
+    """ValueError naming the first of rows k + 1, k + 2, ... whose index is
+    not its number or whose phase is below 1 or the one before (last, for
+    row k + 1), which would move rows between phases: the loop names it."""
+    phases = [max(last, 1), *phase]  # the least phase, then the rows'
+    if all(map(eq, index, count(k + 1))) and phases == sorted(phases):
+        return
+    for k, i, p in zip(count(k + 1), index, phase):
+        if i != k:
+            raise ValueError(f"row {k} has index {i}, expected {k}")
+        if p < max(last, 1):
+            raise ValueError(f"row {k} has phase {p} after phase {last}")
+        last = p
+
+
+def _phase_lengths(counts: Counter) -> list[int]:
+    """Phase lengths from each phase's count of rows, refusing a phase past
+    the row count, which no writer writes, before it sizes the list."""
+    if not counts:
+        raise ValueError("empty trace")
+    if max(counts) > counts.total():
+        raise ValueError(f"phase {max(counts)} in a trace of {counts.total()} rows")
+    return [counts[p] for p in range(1, max(counts) + 1)]
+
+
+#: the rows of a CSV file that are read and checked at a time
+_BLOCK = 1 << 14
+
+
+def _csv_blocks(fp: TextIO, what: str):
+    """The header row ``csv.reader`` reads from fp ([] if none), then lists
+    of up to ``_BLOCK`` of its other rows.  A ``csv.Error``, such as a field
+    past ``csv.field_size_limit``, ends them with the rows before it and a
+    ValueError naming its line."""
+    reader, block = csv.reader(fp), []
     try:
-        yield from reader
+        yield next(reader, [])
+        while block.extend(islice(reader, _BLOCK)) or block:
+            yield block
+            block = []
     except csv.Error as err:
+        if block:
+            yield block
         raise ValueError(f"{err} at {what} line {reader.line_num}") from err
 
 
-def _trace_columns(rows, dim: int):
-    """The coordinate columns, phase lengths and cell memo of a trace's
-    rows, checked in bulk.  A ValueError here only says that some row is
-    bad: :func:`_scan_trace_rows` names it."""
-    body = list(filter(None, rows))
-    if not body or set(map(len, body)) != {dim + 2}:
-        raise ValueError("an empty trace or a row of the wrong width")
-    index, phase, *coords = zip(*body)
-    if index != tuple(map(str, range(1, len(body) + 1))):
-        raise ValueError("the index column is not 1, 2, ..., n")
-    phase_of = {p: _read_int(p, "a phase") for p in set(phase)}
-    phases = list(map(phase_of.__getitem__, phase))
-    if phases[0] < 1 or phases != sorted(phases):
-        raise ValueError("the phases go down")
-    lengths = [0] * phases[-1]
-    for p, count in Counter(phases).items():
-        lengths[p - 1] = count
-    cells = {c: _read_cell(c, "a cell") for c in set().union(*coords)}
-    return coords, lengths, cells
-
-
-def _scan_trace_rows(rows, dim: int):
-    """What :func:`_trace_columns` returns, checked row by row, so that the
-    first bad row is the one named."""
-    body = []
-    index_phase = []
-    cells: dict[str, Fraction] = {}  # raw cell -> its value, read once
-    for n, row in enumerate(rows, start=1):
-        if not row:
-            continue
-        if len(row) != dim + 2:
-            raise ValueError(f"row width mismatch at trace row {n}")
-        where = f"trace row {n}"
-        for c in row[2:]:
+def _check_rows(rows, n: int, what: str, width: int, lead: int, cells: dict) -> None:
+    """The CSV format rules: ValueError naming the first row, counted from
+    n, that is not blank and not width cells long, or whose cells past the
+    first lead _read_cell refuses (into cells), or _read_int its first lead."""
+    for n, row in enumerate(rows, start=n):
+        if row and len(row) != width:  # a blank row has no cells to check
+            raise ValueError(f"row width mismatch at {what} row {n}")
+        where = f"{what} row {n}"
+        for c in row[lead:]:
             if c not in cells:
                 cells[c] = _read_cell(c, where)
-        index_phase.append((_read_int(row[0], where), _read_int(row[1], where)))
-        body.append(row)
-    if not body:
-        raise ValueError("empty trace")
-    return list(zip(*body))[2:], _phase_lengths(index_phase), cells
+        for text in row[:lead]:
+            _read_int(text, where)
+
+
+def _read_block(rows, n: int, what: str, width: int, lead: int, cells: dict):
+    """The columns of the non-blank rows, numbered from n, and the new memo
+    entries of their cells past lead, checked in bulk or by _check_rows."""
+    body = list(filter(None, rows))
+    columns = list(zip(*body)) or [()] * width
+    try:
+        if set(map(len, body)) <= {width}:
+            new = {c: _read_cell(c, "")
+                   for c in set().union(*columns[lead:]).difference(cells)}
+            cells.update(new)
+            return columns, new
+    except ValueError:
+        pass
+    _check_rows(rows, n, what, width, lead, cells)
 
 
 def read_walk_csv(fp: TextIO) -> Walk:
-    lines = _csv_lines(fp, "trace")
-    header = next(lines, None) or []
+    blocks = _csv_blocks(fp, "trace")
+    header = next(blocks)
     dim = len(header) - 2
     if dim < 1 or header != ["index", "phase"] + [f"coord_{i}" for i in range(dim)]:
         raise ValueError("bad trace header: not index,phase,coord_0,...")
-    rows = list(lines)
-    try:
-        coords, phase_lengths, cells = _trace_columns(rows, dim)
-    except ValueError:  # the row scan raises the message naming the bad row
-        coords, phase_lengths, cells = _scan_trace_rows(rows, dim)
-    exact = all(map(is_dyadic, cells.values()))
-    if not exact:
-        cells = {c: float(x) for c, x in cells.items()}
-    sums = list(zip(*(map(cells.__getitem__, col) for col in coords)))
-    start = tuple([Fraction(0) if exact else 0.0] * dim)
-    return Walk([start] + sums, phase_lengths)
+    cells, phases = {}, {}  # raw cell -> its Fraction, raw phase -> its int
+    values = cells  # raw cell -> its value in the walk
+    counts, sums = Counter(), []  # phase -> its rows
+    for n, block in (numbered := zip(count(1, _BLOCK), blocks)):
+        (index, phase, *coords), new = _read_block(block, n, "trace", dim + 2, 2, cells)
+        rows = range(len(sums) + 1, len(sums) + len(index) + 1)
+        try:
+            phases.update({p: _read_int(p, "") for p in set(phase).difference(phases)})
+            in_order = index == tuple(map(str, rows))
+        except ValueError:
+            in_order = False
+        if not in_order:
+            _check_rows(block, n, "trace", dim + 2, 2, cells)  # a format fault,
+            rows = list(map(int, index))  # else the index is out of order
+        phase = list(map(phases.__getitem__, phase))
+        try:
+            _check_order(rows, phase, len(sums), max(counts, default=0))
+        except ValueError:  # raised once every later row's format passed
+            for n, block in numbered:
+                _check_rows(block, n, "trace", dim + 2, 2, cells)
+            raise
+        counts.update(phase)
+        if values is cells and not all(map(is_dyadic, new.values())):
+            values, new = {}, cells  # floats from here on
+            sums = [tuple(map(float, p)) for p in sums]
+        if values is not cells:
+            values.update(zip(new, map(float, new.values())))
+        sums.extend(zip(*(map(values.__getitem__, col) for col in coords)))
+    start = tuple([Fraction(0) if values is cells else 0.0] * dim)
+    return Walk([start] + sums, _phase_lengths(counts))
 
 
 class _KeyTexts(dict):
@@ -283,45 +297,32 @@ class _Numbers(dict):
 
 
 def _decode_entries(entries, where: str, keys: dict, values: dict) -> SparseVec:
-    """Inverse of _encode_entries: a SparseVec of exact Fractions, with each
-    distinct raw key and number parsed once into the reader's memos.
-
-    Every value is checked by _check_numbers and every key, on its memo
-    miss, by _read_int and as an index >= 1; the memo holds only keys that
-    passed, and distinct canonical spellings are distinct ints.  So the
-    result is what the validating ``SparseVec`` constructor would build --
-    nonzero Fractions under sorted int keys -- and is built through the
-    trusted ``SparseVec._clean`` after dropping zeros and sorting the keys
-    when they arrive unsorted."""
+    """Inverse of _encode_entries: what the validating ``SparseVec`` would
+    build, built through the trusted ``SparseVec._clean``.  Values that are
+    all Fractions, which only :class:`_Numbers` makes, are finite and
+    nonzero; any others are checked, made Fractions once each into the memo
+    values and dropped if zero.  Keys missing from the memo keys are
+    checked, in entry order, so the keys are distinct ints."""
     if not isinstance(entries, dict):
         raise ValueError(f"{where} has no entries object")
-    _check_numbers(entries.values(), where)
-    clean = {}
-    for i, x in entries.items():
-        if i not in keys:
-            keys[i] = _read_index(i, where)
-        if x:  # zero, 0.0 and -0.0 are dropped
-            if x not in values:
-                values[x] = Fraction(x)
-            clean[keys[i]] = values[x]
-    order = list(clean)
-    if order != sorted(order):
-        clean = {i: clean[i] for i in sorted(order)}
-    return SparseVec._clean(clean)
-
-
-def _decode_term(entries, where: str, keys: dict, values: dict) -> SparseVec:
-    """_decode_entries for a sparse term, in C when every value is a
-    Fraction from :class:`_Numbers`: such a term is finite and nonzero by
-    construction, so only its keys missing from the key memo are checked,
-    in entry order, so that the first bad key is the one named."""
-    if not isinstance(entries, dict) or set(map(type, entries.values())) != {Fraction}:
-        return _decode_entries(entries, where, keys, values)
-    if not entries.keys() <= keys.keys():
+    numbers = entries.values()  # a JSON line's first value is never a Fraction
+    exact = (type(next(iter(numbers), None)) is Fraction
+             and set(map(type, numbers)) == {Fraction})
+    if not exact:
+        _check_numbers(numbers, where)
+    if not (exact and entries.keys() <= keys.keys()):  # a term's keys, in C
         for i in entries:
             if i not in keys:
                 keys[i] = _read_index(i, where)
-    clean = dict(zip(map(keys.__getitem__, entries), entries.values()))
+    if exact:
+        clean = dict(zip(map(keys.__getitem__, entries), numbers))
+    else:
+        clean = {}
+        for i, x in entries.items():
+            if x:  # zero, 0.0 and -0.0 are dropped
+                if x not in values:
+                    values[x] = Fraction(x)
+                clean[keys[i]] = values[x]
     order = list(clean)
     if order != sorted(order):
         clean = {i: clean[i] for i in sorted(order)}
@@ -339,10 +340,8 @@ def write_walk_jsonl(w: Walk, fp: TextIO) -> None:
 
 
 def read_walk_jsonl(fp: TextIO) -> Walk:
-    sums = []
-    rows = []
-    keys: dict = {}
-    values: dict = {}
+    sums, index, phase = [], [], []
+    keys, values = {}, {}  # raw key -> its int; number -> its Fraction
     for n, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
@@ -350,29 +349,27 @@ def read_walk_jsonl(fp: TextIO) -> Walk:
         rec = json.loads(line)
         if not isinstance(rec, dict):
             raise ValueError(f"line {n} is not a JSON object")
-        index, phase = rec.get("index"), rec.get("phase")
-        if type(index) is not int or type(phase) is not int:
-            raise ValueError(f"line {n} has index {index!r:.40} and phase "
-                             f"{phase!r:.40}, not two JSON ints")
+        i, p = rec.get("index"), rec.get("phase")
+        if type(i) is not int or type(p) is not int:
+            raise ValueError(f"line {n} has index {i!r:.40} and phase "
+                             f"{p!r:.40}, not two JSON ints")
         sums.append(_decode_entries(rec.get("entries"), f"line {n}", keys, values))
-        rows.append((index, phase))
-    if not sums:
-        raise ValueError("empty trace")
-    return Walk([SparseVec()] + sums, _phase_lengths(rows))
+        index.append(i)
+        phase.append(p)
+    _check_order(index, phase, 0, 0)
+    return Walk([SparseVec()] + sums, _phase_lengths(Counter(phase)))
 
 
 def read_sample_csv(fp: TextIO) -> PointSample:
-    lines = _csv_lines(fp, "sample")
-    header = next(lines, None)
+    blocks = _csv_blocks(fp, "sample")
+    header = next(blocks)
     if not header or header != [f"coord_{i}" for i in range(len(header))]:
         raise ValueError("bad sample header: not coord_0,coord_1,...")
-    pts = []
-    for n, row in enumerate(lines, start=1):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ValueError(f"row width mismatch at sample row {n}")
-        pts.append(tuple(float(_read_cell(c, f"sample row {n}")) for c in row))
+    pts: list = []
+    for n, block in zip(count(1, _BLOCK), blocks):
+        # a memo per block: one for the file would hold every point's text
+        columns, cells = _read_block(block, n, "sample", len(header), 0, {})
+        pts.extend(zip(*(map(float, map(cells.__getitem__, col)) for col in columns)))
     if not pts:
         raise ValueError("empty sample")
     return PointSample(tuple(pts))
@@ -406,13 +403,12 @@ def read_terms_json(fp: TextIO):
         raise ValueError("no terms")
     kind = _term_kind(terms[0], 1)
     out = []
-    keys: dict = {}
-    values: dict = {}
+    keys, values = {}, {}  # raw key -> its int; number -> its Fraction
     for n, t in enumerate(terms, start=1):
         if _term_kind(t, n) != kind:
             raise ValueError(f"term {n} is {_term_kind(t, n)}, term 1 is {kind}")
         if kind == "sparse":
-            out.append(_decode_term(t, f"term {n}", keys, values))
+            out.append(_decode_entries(t, f"term {n}", keys, values))
             continue
         if len(t) != len(terms[0]):
             raise ValueError(f"term {n} has {len(t)} coordinates, "

@@ -555,6 +555,21 @@ def test_verify_rejects_misordered_trace(tmp_path, name, text):
     assert "cannot read trace" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("name, text", [
+    ("w.csv", "index,phase,coord_0\n1,1000000000000000,0\n"),
+    ("w.jsonl", '{"index": 1, "phase": 1000000000000000, "entries": {}}\n'),
+], ids=["csv", "jsonl"])
+def test_verify_refuses_a_phase_past_the_row_count(tmp_path, name, text):
+    # the phase number once sized the list of phase lengths: a MemoryError
+    # traceback and exit 1
+    trace = tmp_path / name
+    trace.write_text(text)
+    r = run("verify", "estimate", "--input", str(trace))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == (f"cannot read trace {trace}: "
+                        "phase 1000000000000000 in a trace of 1 rows\n")
+
+
 def _record(entries='{"1": 1}', index="1", phase="1"):
     return f'{{"index": {index}, "phase": {phase}, "entries": {entries}}}\n'
 

@@ -145,6 +145,13 @@ CALLERS = [*SOURCES, *sorted((ROOT / "demos").glob("*.py")),
            ROOT / "tests" / "test_acceptance.py"]
 
 
+def test_sources_parse_at_the_python_floor():
+    # pyproject's requires-python is 3.10: no syntax from a later Python in
+    # the library or the demos
+    for path in [*SOURCES, *sorted((ROOT / "demos").glob("*.py"))]:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def _calls_by_name():
     # callee name -> (positional count, keyword names) of every call in the
     # callers; a *args or **kwargs argument may pass anything
