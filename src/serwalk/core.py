@@ -22,8 +22,9 @@ no caller chooses a norm.
 coordinates: it returns the samples' space and their float64 matrices
 over shared columns, and every matrix kernel works on those.  A dense
 sample is one flat ``np.fromiter`` over its coordinates, reshaped, after
-one check that every point has the first point's length; SparseVecs are
-written into zeros over the union of their supports.  Each coordinate
+one check that every point has the first point's length, except a
+``rearrange.FloatSeries``, whose matrix is returned as it is; SparseVecs
+are written into zeros over the union of their supports.  Each coordinate
 goes through Python's float conversion, as ``np.array(..., dtype=float)``
 would convert it.  Its callers: the kernels below
 (:func:`distance_blocks`, :func:`upper_distance_blocks`,
@@ -160,15 +161,12 @@ def float_rows(*samples) -> tuple[bool, list[np.ndarray]]:
     coordinates, or for SparseVecs the sorted union of every sample's
     supports (zero-support vectors alone give no columns).  Empty samples
     alone are dense, 0x0.  Dense points of different lengths, in one sample
-    or across samples, raise ValueError."""
+    or across samples, raise ValueError.  A dense sample that holds its
+    float64 matrix as ``rows`` (``rearrange.FloatSeries``) gives that
+    matrix as it is, read-only."""
     first = next((s[0] for s in samples if len(s)), ())
     if not hasattr(first, "entries"):
-        dim = len(first)
-        if not set(map(len, itertools.chain.from_iterable(samples))) <= {dim}:
-            raise ValueError("points of different dimensions")
-        return False, [np.fromiter(itertools.chain.from_iterable(s), float,
-                                   count=len(s) * dim).reshape(len(s), dim)
-                       for s in samples]
+        return False, [_dense_rows(s, len(first)) for s in samples]
     support = sorted({i for s in samples for p in s for i in p.entries})
     column = {i: k for k, i in enumerate(support)}
     out = []
@@ -179,6 +177,20 @@ def float_rows(*samples) -> tuple[bool, list[np.ndarray]]:
                 rows[r, column[i]] = float(v)
         out.append(rows)
     return True, out
+
+
+def _dense_rows(sample, dim: int) -> np.ndarray:
+    """One dense sample of :func:`float_rows` as a float64 matrix of ``dim``
+    columns: the matrix it holds, or one flat conversion of its points."""
+    held = getattr(sample, "rows", None)
+    if isinstance(held, np.ndarray):
+        if len(held) and held.shape[1] != dim:
+            raise ValueError("points of different dimensions")
+        return held if len(held) else held.reshape(0, dim)
+    if not set(map(len, sample)) <= {dim}:
+        raise ValueError("points of different dimensions")
+    return np.fromiter(itertools.chain.from_iterable(sample), float,
+                       count=len(sample) * dim).reshape(len(sample), dim)
 
 
 def coordinate_ufuncs(sup: bool) -> tuple[np.ufunc, np.ufunc]:

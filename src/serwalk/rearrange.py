@@ -18,28 +18,41 @@ around a.  A step that lands off b raises ValueError, and so does a stage
 whose report breaks an invariant of ``_stage_fault``, which
 ``check_stage_invariants`` runs too: a run that returns passes it.
 
-A stage step costs Python work per move and per index it picks: ``push``
-records each index with its partial sum, the last sum plus the term, and
-that one running total steers selection and the landing checks.  The
-eps-ball check runs once per stage, in numpy: ``core.float_rows`` converts
-the stage's sums, as it converts every point, and one pass measures each
+The series is read once, as the float64 matrix ``RPConstants`` keeps: a
+``FloatSeries`` (what ``full_range_series`` and ``alternating_harmonic``
+return) hands over the matrix it holds, and any other sequence of tuples
+is converted once.  Every term is read from that matrix.  Before the first
+stage, one pass over its columns gives each term's (axis, sign) key.  A
+stage step costs Python work per move and per index it picks: ``push``
+records each picked index with its partial sum, the last sum plus the
+term's row, and that one running total steers selection and the landing
+checks.  The opening prefix and each hand-off's run of consecutive indices
+are folded onto the last sum by one ``np.add.accumulate``.  It adds left
+to right, so every sum has the bits of the same adds in Python; a float
+plus an int or a Fraction adds that number's float, which is the row's
+entry, so a list of exact terms gives the same sums too.  The eps-ball
+check runs once per stage, in numpy: ``core.float_rows`` converts the
+stage's sums, as it converts every point, and one pass measures each
 against its move's start anchor.
 
-The reservoir keeps one queue per axis and sign.  A pick takes the first
-queued index whose magnitude is below twice the error left on that axis,
-and the indices queued before it move, in their order, to the back of the
-queue (one rotate); a queue with no such index is left as it was.  Later
-picks depend on this order.  A term scanned at the frontier, when the
-reservoir cannot serve, is picked whenever its axis is still off and the
-error there has its sign, whatever its magnitude: a pick of 2|err| or more
-leaves that axis's error no smaller than it was.  The error cannot change
-until a pick, so once the reservoir cannot serve, the wanted (axis, sign)
-keys are found once and the frontier is scanned on until a term of one of
-them appears, each term before it parked in order.  Each queue's magnitudes
-are also kept sorted, largest first (negated), so a queue that cannot serve
-a pick is known from its last, smallest magnitude, without a scan; a scan
-meets ever smaller magnitudes, so a park appends, and a pick deletes near
-the end.
+The reservoir keeps one queue per key (axis and sign).  A pick takes the
+first queued index whose magnitude is below twice the error left on that
+axis, and the indices queued before it move, in their order, to the back
+of the queue (one rotate); a queue with no such index is left as it was.
+Later picks depend on this order.  A term scanned at the frontier, when
+the reservoir cannot serve, is picked whenever its axis is still off and
+the error there has its sign, whatever its magnitude: a pick of 2|err| or
+more leaves that axis's error no smaller than it was.  The error cannot
+change until a pick, so once the reservoir cannot serve, the wanted keys
+are found once and the frontier is scanned on, one stored key per term,
+until a term of one of them appears, each term before it parked in order
+with the magnitude read from its row.  A zero term is skipped, and a term
+with two nonzero coordinates raises ValueError when the scan reaches it;
+the opening prefix and the hand-offs push rows without reading keys, so
+they take such a term.  Each queue's magnitudes are also kept sorted,
+largest first (negated), so a queue that cannot serve a pick is known from
+its last, smallest magnitude, without a scan; a scan meets ever smaller
+magnitudes, so a park appends, and a pick deletes near the end.
 
 N(eps) is a bisection over the term norms, which ``RPConstants`` computes
 once, in one pass over the series' float64 rows, and checks to be finite
@@ -50,19 +63,24 @@ check.
 
 A prefix that is too short for the run raises ``PrefixTooShort``, a
 ValueError: N(eps) past its end, a scan past its last term, or too few
-terms past N(eps) to certify.  A run reads nothing past its frontier, and
-N(eps) is the first qualifying index at any length, so a longer prefix of
-the same series gives the same result, bit for bit, once it holds the
-frontier; ``serwalk rearrange`` relies on this to choose the length.
+terms past N(eps) to certify.  A run's result depends on nothing past its
+frontier, and N(eps) is the first qualifying index at any length, so a
+longer prefix of the same series gives the same result, bit for bit, once
+it holds the frontier; ``serwalk rearrange`` relies on this to choose the
+length.
 
 Balancing orders the batch by one deterministic greedy pass over the
 terms' float64 rows (``core.float_rows``), the same code for dense tuples
 and SparseVecs.  It falls back to a complete search for batches of at most
-10 terms, and a one-term batch is decided by its norm alone.  The pass lays
-the rows out once as contiguous columns, one per coordinate, and keeps each
-coordinate's part of the score from step to step: a pick rebuilds only the
-parts of the coordinates it moves, one for the rearranger's axis-aligned
-terms, and a step folds the parts into the score.  Every score equals
+10 terms, and a one-term batch is decided by its norm alone.  The
+rearranger hands it a batch's rows as a ``FloatSeries``, so nothing is
+converted, and decides a one-term batch itself, from the norm
+``RPConstants`` stored, which equals ``core.norm`` bit for bit.  The pass
+lays the rows out once as contiguous columns, one per coordinate, and
+keeps each coordinate's part of the score from step to step: a pick
+rebuilds only the parts of the coordinates it moves, one for the
+rearranger's axis-aligned terms, and a step folds the parts into the
+score.  Every score equals
 ``core.fold_norms``'s fold, unrooted, bit for bit.  A used row is marked
 inf, so it scores inf, and once at least half of 64 or more live rows are
 used they are compacted away; the rest keep their index order, so a tie
@@ -85,9 +103,10 @@ import functools
 import math
 import operator
 import random
-from collections import deque
+from collections import defaultdict, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -102,28 +121,62 @@ class PrefixTooShort(ValueError):
 # ---------------------------------------------------------------------------
 # test series with full sum range
 
-def full_range_series(dim: int, count: int) -> list[tuple]:
+class FloatSeries(Sequence):
+    """A series held as one read-only float64 matrix, one row per term.
+
+    ``s[i]`` builds term i as a tuple of Python floats when it is asked
+    for, and a slice is a FloatSeries over the same rows; no tuple is kept
+    beside the matrix.  :func:`core.float_rows` returns ``rows`` as they
+    are, so ``RPConstants`` and the rearranger read the matrix and convert
+    nothing.  A float64 matrix given is made read-only and kept, not
+    copied; any other array is converted to one, and an array that is not
+    two-dimensional raises ValueError.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2:
+            raise ValueError(f"a series matrix has one row per term, not shape {rows.shape}")
+        rows.flags.writeable = False
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return FloatSeries(self.rows[i])
+        return tuple(self.rows[i].tolist())
+
+    def __iter__(self):
+        return (tuple(row.tolist()) for row in self.rows)
+
+def full_range_series(dim: int, count: int) -> FloatSeries:
     """Round-robin signed harmonic-type terms: for t = 1, 2, ... emit
     +8/t and -8/t along each axis in turn.
 
     Every coordinate has divergent positive and negative parts with terms
     tending to zero, so the sum range is all of R^dim.  The scale 8 leaves a
     desk-scale prefix with enough mass for multi-stage rearrangements.
+    Term k (from 0) is 8/t on axis k // 2 mod dim, negated for odd k, with
+    t = k // (2 dim) + 1: numpy divides as Python does, so every term has
+    the bits of Python's ``sign * 8.0 / t``, and every other coordinate is
+    +0.0.  A dimension below 1 raises ValueError.
     """
-    out = []
-    t = 1
-    while len(out) < count:
-        for axis in range(dim):
-            for sign in (1.0, -1.0):
-                coords = [0.0] * dim
-                coords[axis] = sign * 8.0 / t
-                out.append(tuple(coords))
-        t += 1
-    return out[:count]
+    if dim < 1:
+        raise ValueError(f"a full-range series needs dimension >= 1, not {dim}")
+    k = np.arange(count)
+    value = 8.0 / (k // (2 * dim) + 1)
+    rows = np.zeros((len(k), dim))
+    rows[k, k // 2 % dim] = np.where(k % 2, -value, value)
+    return FloatSeries(rows)
 
-def alternating_harmonic(count: int) -> list[tuple]:
+def alternating_harmonic(count: int) -> FloatSeries:
     """(-1)^(n+1)/n as 1-D points; partial sums converge to ln 2."""
-    return [((1.0 if n % 2 else -1.0) / n,) for n in range(1, count + 1)]
+    n = np.arange(1, count + 1)
+    return FloatSeries((np.where(n % 2, 1.0, -1.0) / n)[:, None])
 
 # ---------------------------------------------------------------------------
 # prefix balancing
@@ -283,9 +336,13 @@ class RPConstants:
     the first whose norm exceeds its predecessor's.  Terms are numbered
     from 1, as N(eps) is.
 
-    The norms are one ``core.fold_norms`` over the columns of
-    ``core.float_rows`` (for SparseVecs, the union of their supports), in
-    the order :func:`core.norm` sums, so each equals ``norm(term)``.
+    The series is read once, as the float64 matrix ``core.float_rows``
+    gives (for SparseVecs, over the union of their supports): a
+    ``FloatSeries`` hands over the matrix it holds, and any other sequence
+    is converted here, once.  The matrix is kept, and the rearranger reads
+    every term from it.  The norms are one ``core.fold_norms`` over its
+    columns, in the order :func:`core.norm` sums, so each equals
+    ``norm(term)``.
     """
 
     def __init__(self, series: Sequence):
@@ -299,7 +356,7 @@ class RPConstants:
         if bad.size:
             raise ValueError(f"term norms must be nonincreasing: term {bad[0] + 2} "
                              f"is longer than term {bad[0] + 1}")
-        self._norms = norms
+        self._rows, self._norms = rows, norms
 
     def delta(self, eps: float) -> float:
         return eps / 2
@@ -352,11 +409,9 @@ def certify_rp_family(series_prefix: Sequence, epsilons: Sequence[float],
 # ---------------------------------------------------------------------------
 # the staged rearrangement
 
-def _axis_of(term) -> tuple[int, float]:
-    nz = [(a, float(v)) for a, v in enumerate(term) if float(v) != 0.0]
-    if len(nz) > 1:
-        raise ValueError("tail selection needs axis-aligned terms")
-    return nz[0] if nz else (-1, 0.0)
+#: the key of a zero term, which selection skips, and of a term with two
+#: nonzero coordinates, which it refuses
+_ZERO, _SKEW = -1, -2
 
 def _chain_tour(points: Sequence) -> list[int]:
     """Indices of the closed tour 0, 1, ..., n-1, 0 of the sample over its
@@ -462,9 +517,8 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     if stages < 1:
         raise ValueError("stages must be >= 1")
     points = _points(target)
-    terms = series_prefix
-    constants = RPConstants(terms)
-    dim = len(terms[0]) if terms else 0
+    constants = RPConstants(series_prefix)
+    dim = len(series_prefix[0]) if series_prefix else 0
     for i, p in enumerate(points):
         if len(p) != dim:
             raise ValueError(f"target point {i} has dimension {len(p)}, "
@@ -474,6 +528,18 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     constants.n_threshold(2.0 ** -(stages + 2))  # the run's smallest threshold
     tour = _chain_tour(points)
 
+    # every term is read from the constants' float64 rows, and each term's
+    # key once, a column at a time: 2 axis + (value > 0) for a term whose
+    # one nonzero coordinate is on that axis, _ZERO for a zero term and
+    # _SKEW for one with two nonzero coordinates (no NaN: norms are finite)
+    rows = constants._rows
+    keys, count = np.full(len(rows), _ZERO), np.zeros(len(rows), int)
+    for a, col in enumerate(rows.T):
+        on = col != 0.0
+        count += on
+        keys[on] = 2 * a + (col[on] > 0.0)
+    keys[count > 1] = _SKEW
+    keys, n = keys.tolist(), len(rows)
     images: list[int] = []
     sums = [tuple([0.0] * dim)]
     frontier = 0
@@ -481,17 +547,27 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     # scanned-but-unused indices wait here until the walk swings back their
     # way; sweeping them at every extension instead would feed each move's
     # displacement back into the next one and exhaust the prefix
-    reservoir: dict[tuple[int, bool], deque] = {}
+    reservoir: defaultdict[int, deque] = defaultdict(deque)
     # each queue's magnitudes, negated and sorted (largest first): a take
     # that no queued index can serve reads the last and scans nothing
-    mags: dict[tuple[int, bool], list] = {}
+    mags: defaultdict[int, list] = defaultdict(list)
     # (first image, start anchor) of each move of the current stage
     marks: list = []
 
-    def push(order):
-        for i in order:
+    def push(picked):
+        # picked indices, each its row added to the last sum
+        for i in picked:
             images.append(i)
-            sums.append(tuple(map(operator.add, sums[-1], terms[i - 1])))
+            sums.append(tuple(map(operator.add, sums[-1], rows[i - 1].tolist())))
+
+    def push_range(lo, hi):
+        # the indices lo+1..hi in order, folded onto the last sum by one
+        # accumulate, which adds left to right: the same adds, the same bits
+        block = np.vstack([sums[-1], rows[lo:hi]])
+        with np.errstate(over="ignore", invalid="ignore"):  # as float adds overflow
+            np.add.accumulate(block, axis=0, out=block)
+        images.extend(range(lo + 1, hi + 1))
+        sums.extend(map(tuple, block[1:].tolist()))
 
     def max_excursion(stage_sums):
         # the largest distance from a sum of the stage to its move's start
@@ -500,8 +576,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         anchors = np.repeat(starts, np.diff([m for m, _ in marks] + [len(images)]), axis=0)
         return float(fold_norms(block.T - anchors.T, len(block), sup).max(initial=0.0))
 
-    def take(axis, positive, err_abs):
-        key = (axis, positive)
+    def take(key, err_abs):
         if not mags.get(key) or not -mags[key][-1] < 2 * err_abs:
             return None
         q = reservoir[key]
@@ -523,35 +598,39 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             if axis is None:
                 return selected
             positive = err[axis] > 0
-            got = take(axis, positive, abs(err[axis]))
+            got = take(2 * axis + positive, abs(err[axis]))
             if got is not None:
                 mag, idx = got
                 value = mag if positive else -mag
             else:
                 # err cannot change until a pick, and a scanned term that is
-                # not picked is parked under its own (axis, sign) key, which
-                # is not wanted, so never the key take just missed: take
-                # would miss again after every park, so the wanted keys are
-                # found once and the frontier is scanned until one appears
-                wanted = {(a, err[a] > 0) for a in range(dim) if abs(err[a]) > tol}
+                # not picked is parked under its own key, which is not
+                # wanted, so never the key take just missed: take would miss
+                # again after every park, so the wanted keys are found once
+                # and the frontier is scanned until one appears
+                wanted = {2 * a + (err[a] > 0) for a in range(dim) if abs(err[a]) > tol}
                 while True:
                     frontier += 1
-                    if frontier > len(terms):
+                    if frontier > n:
                         raise PrefixTooShort("series prefix exhausted before target reached")
-                    axis, value = _axis_of(terms[frontier - 1])
-                    key = (axis, value > 0)
+                    key = keys[frontier - 1]
                     if key in wanted:
                         break
-                    if axis >= 0:
-                        reservoir.setdefault(key, deque()).append((abs(value), frontier))
-                        bisect.insort(mags.setdefault(key, []), -abs(value))
+                    if key >= 0:
+                        mag = abs(rows.item(frontier - 1, key // 2))
+                        reservoir[key].append((mag, frontier))
+                        bisect.insort(mags[key], -mag)
+                    elif key == _SKEW:
+                        raise ValueError("tail selection needs axis-aligned terms")
                 idx = frontier
+                axis = key // 2
+                value = rows.item(idx - 1, axis)
             selected.append(idx)
             err[axis] -= value
 
     # straight prefix through N(eps_1 / 2), then steer onto the first anchor
     n1 = constants.n_threshold(0.25)
-    push(range(1, n1 + 1))
+    push_range(0, n1)
     frontier = n1
     d1 = tuple(float(c) for c in points[0])
     push(select([a - b for a, b in zip(d1, sums[-1])], _landing_tol(0.5)))
@@ -566,10 +645,11 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             # pairs; in ascending order their prefixes cancel pairwise, so
             # they need no balancing pass
             n_next = constants.n_threshold(eps_next / 2)
-            push(range(frontier + 1, n_next + 1))
+            push_range(frontier, n_next)
             frontier = max(frontier, n_next)
             # a parked term is zero off its axis, and ±0.0 adds nothing to z (never -0.0)
-            for (axis, positive), q in reservoir.items():
+            for key, q in reservoir.items():
+                axis, positive = divmod(key, 2)
                 for mag, idx in q:
                     batch.append(idx)
                     z[axis] += mag if positive else -mag
@@ -579,8 +659,12 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         land = _landing_tol(eps_next)
         batch.extend(select(err, land))
         if batch:
-            order = find_balanced_permutation([terms[i - 1] for i in batch],
-                                              constants.delta(eps))
+            delta = constants.delta(eps)
+            if len(batch) == 1:  # find_balanced_permutation's rule, on the stored norm
+                order = [1] if constants._norms.item(batch[0] - 1) < delta else None
+            else:
+                order = find_balanced_permutation(
+                    FloatSeries(rows.take([i - 1 for i in batch], axis=0)), delta)
             if order is None:
                 raise ValueError("RP bound violated at stage: balancing failed")
             push(batch[p - 1] for p in order)

@@ -7,19 +7,24 @@ only its first step moved.  Dyadic values render as exact terminating
 decimal strings -- never scientific notation -- so golden files stay
 stable.  Sequence-space walks serialize as JSON lines
 ``{"index": n, "phase": p, "entries": {"i": v, ...}}``.  The readers take
-only what the writers write: the writer's header (a sample's is
-``coord_0,...``), CSV coordinates that are plain decimals in the float
-range, JSON ints or finite floats for sparse entries and dense terms, JSON
-ints for a JSON line's index and phase, and integers as ``str(int)``
-writes them for a CSV index or phase and a sparse key, which is at least 1.
+only what the writers write: the writer's header, CSV trace coordinates
+that are plain decimals in the float range, JSON ints or finite floats for
+sparse entries and dense terms, JSON ints for a JSON line's index and
+phase, and integers as ``str(int)`` writes them for a CSV index or phase
+and a sparse key, which is at least 1.  The writers, in turn, refuse a
+walk whose trace the readers would refuse or change (``_check_phases``).
+Samples have no writer: their header is ``coord_0,...``, and a coordinate
+may be any finite float as ``repr`` writes it, exponent included, read by
+``float`` alone (``_read_sample_cell``).
 
 A CSV file is read ``_BLOCK`` rows at a time, and only one block's strings
 are held.  A block is checked in bulk, and only when that fails does
 :func:`_check_rows`, the one statement of the format rules, scan it.
 
-Each reader parses every distinct raw spelling once, into a per-file memo
-that holds only spellings that passed.  A trace's values are Fractions
-until a cell is not dyadic, then floats, its earlier sums included.
+Each trace reader parses every distinct raw spelling once, into a
+per-file memo that holds only spellings that passed.  A trace's values are
+Fractions until a cell is not dyadic, then floats, its earlier sums
+included.  A sample's cells are checked and read in bulk, with no memo.
 
 A CSV row is checked for its width, then its cells left to right, then its
 index, then its phase.  A format fault in any row beats an order fault
@@ -93,6 +98,23 @@ def _read_cell(cell: str, where: str) -> Fraction:
     raise ValueError(f"{where} holds {cell!r:.40}, not a plain decimal in the float range")
 
 
+#: a sample coordinate: a plain decimal, or Python's float spelling with a
+#: decimal exponent, as ``repr`` writes any finite float
+_FLOAT_SPELLING = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+
+
+def _read_sample_cell(cell: str, where: str) -> float:
+    """A sample coordinate as ``float`` reads it, when it is spelled as
+    _FLOAT_SPELLING and is finite, else ValueError.  No Fraction is made,
+    so an exponent is never expanded; ``1/3``, ``1_0``, `` 1``, ``nan`` and
+    ``inf`` are refused, and ``1e400`` too, as past the float range."""
+    if _FLOAT_SPELLING.fullmatch(cell):
+        x = float(cell)
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"{where} holds {cell!r:.40}, not a decimal number in the float range")
+
+
 def _read_int(text: str, where: str) -> int:
     """An integer written as ``str(int)`` writes it, else ValueError: no
     sign ``+``, no spaces, no ``_`` and no leading zeros."""
@@ -112,9 +134,28 @@ def _read_index(text: str, where: str) -> int:
     return i
 
 
+def _check_phases(w: Walk) -> None:
+    """ValueError for a walk whose trace the readers would refuse or
+    change: one with no sums after its start (no rows), one whose last
+    phase is empty (it writes no row, so it would be dropped), or one with
+    more phases than sums (its last phase number would pass the row
+    count).  An empty phase before a nonempty one round-trips: its number
+    is skipped."""
+    phases, rows = len(w.phase_lengths), sum(w.phase_lengths)
+    if not rows:
+        raise ValueError("a walk with no sums after its start has no trace")
+    if not w.phase_lengths[-1]:
+        raise ValueError(f"the walk's last phase, phase {phases}, is empty, "
+                         "and a trace cannot end on an empty phase")
+    if phases > rows:
+        raise ValueError(f"the walk has {phases} phases and {rows} sums after its "
+                         "start, and a trace names no phase past its row count")
+
+
 def write_walk_csv(w: Walk, fp: TextIO) -> None:
     if hasattr(w.sums[0], "entries"):
         raise ValueError("CSV traces are for dense walks")
+    _check_phases(w)
     dim = len(w.sums[0])
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(["index", "phase"] + [f"coord_{i}" for i in range(dim)])
@@ -169,35 +210,38 @@ def _csv_blocks(fp: TextIO, what: str):
         raise ValueError(f"{err} at {what} line {reader.line_num}") from err
 
 
-def _check_rows(rows, n: int, what: str, width: int, lead: int, cells: dict) -> None:
+def _check_rows(rows, n: int, what: str, width: int, lead: int, cells: dict,
+                read) -> None:
     """The CSV format rules: ValueError naming the first row, counted from
     n, that is not blank and not width cells long, or whose cells past the
-    first lead _read_cell refuses (into cells), or _read_int its first lead."""
+    first lead the cell rule read refuses (into cells), or _read_int its
+    first lead."""
     for n, row in enumerate(rows, start=n):
         if row and len(row) != width:  # a blank row has no cells to check
             raise ValueError(f"row width mismatch at {what} row {n}")
         where = f"{what} row {n}"
         for c in row[lead:]:
             if c not in cells:
-                cells[c] = _read_cell(c, where)
+                cells[c] = read(c, where)
         for text in row[:lead]:
             _read_int(text, where)
 
 
-def _read_block(rows, n: int, what: str, width: int, lead: int, cells: dict):
-    """The columns of the non-blank rows, numbered from n, and the new memo
-    entries of their cells past lead, checked in bulk or by _check_rows."""
+def _read_block(rows, n: int, width: int, cells: dict):
+    """The columns of a trace block's non-blank rows, numbered from n, and
+    the new memo entries of their cells past the index and phase, checked
+    in bulk or by _check_rows."""
     body = list(filter(None, rows))
     columns = list(zip(*body)) or [()] * width
     try:
         if set(map(len, body)) <= {width}:
             new = {c: _read_cell(c, "")
-                   for c in set().union(*columns[lead:]).difference(cells)}
+                   for c in set().union(*columns[2:]).difference(cells)}
             cells.update(new)
             return columns, new
     except ValueError:
         pass
-    _check_rows(rows, n, what, width, lead, cells)
+    _check_rows(rows, n, "trace", width, 2, cells, _read_cell)
 
 
 def read_walk_csv(fp: TextIO) -> Walk:
@@ -210,7 +254,7 @@ def read_walk_csv(fp: TextIO) -> Walk:
     values = cells  # raw cell -> its value in the walk
     counts, sums = Counter(), []  # phase -> its rows
     for n, block in (numbered := zip(count(1, _BLOCK), blocks)):
-        (index, phase, *coords), new = _read_block(block, n, "trace", dim + 2, 2, cells)
+        (index, phase, *coords), new = _read_block(block, n, dim + 2, cells)
         rows = range(len(sums) + 1, len(sums) + len(index) + 1)
         try:
             phases.update({p: _read_int(p, "") for p in set(phase).difference(phases)})
@@ -218,14 +262,14 @@ def read_walk_csv(fp: TextIO) -> Walk:
         except ValueError:
             in_order = False
         if not in_order:
-            _check_rows(block, n, "trace", dim + 2, 2, cells)  # a format fault,
+            _check_rows(block, n, "trace", dim + 2, 2, cells, _read_cell)  # a format fault,
             rows = list(map(int, index))  # else the index is out of order
         phase = list(map(phases.__getitem__, phase))
         try:
             _check_order(rows, phase, len(sums), max(counts, default=0))
         except ValueError:  # raised once every later row's format passed
             for n, block in numbered:
-                _check_rows(block, n, "trace", dim + 2, 2, cells)
+                _check_rows(block, n, "trace", dim + 2, 2, cells, _read_cell)
             raise
         counts.update(phase)
         if values is cells and not all(map(is_dyadic, new.values())):
@@ -332,6 +376,7 @@ def _decode_entries(entries, where: str, keys: dict, values: dict) -> SparseVec:
 def write_walk_jsonl(w: Walk, fp: TextIO) -> None:
     if not hasattr(w.sums[0], "entries"):
         raise ValueError("JSON-line traces are for sequence-space walks")
+    _check_phases(w)
     keys, texts = _KeyTexts(), {}  # w.sums holds every value for this call
     for phase, (lo, hi) in enumerate(w.phase_blocks(), start=1):
         for n in range(lo, hi):
@@ -365,11 +410,16 @@ def read_sample_csv(fp: TextIO) -> PointSample:
     header = next(blocks)
     if not header or header != [f"coord_{i}" for i in range(len(header))]:
         raise ValueError("bad sample header: not coord_0,coord_1,...")
-    pts: list = []
+    width, pts = len(header), []
     for n, block in zip(count(1, _BLOCK), blocks):
-        # a memo per block: one for the file would hold every point's text
-        columns, cells = _read_block(block, n, "sample", len(header), 0, {})
-        pts.extend(zip(*(map(float, map(cells.__getitem__, col)) for col in columns)))
+        body = list(filter(None, block))
+        cells = list(chain.from_iterable(body))
+        values = list(map(float, filter(_FLOAT_SPELLING.fullmatch, cells)))
+        if (not set(map(len, body)) <= {width} or len(values) != len(cells)
+                or not all(map(math.isfinite, values))):
+            _check_rows(block, n, "sample", width, 0, {}, _read_sample_cell)
+        by_row = iter(values)  # width values at a time, one point each
+        pts.extend(zip(*[by_row] * width))
     if not pts:
         raise ValueError("empty sample")
     return PointSample(tuple(pts))

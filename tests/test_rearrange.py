@@ -14,8 +14,8 @@ from serwalk import rearrange
 from serwalk.analysis import estimate_limit_set
 from serwalk.core import (PointSample, chain_gap, distance, float_rows, hausdorff_distance,
                           norm)
-from serwalk.rearrange import (HOP_FACTOR, PrefixTooShort, RPConstants, _chain_tour,
-                               _dfs_balance,
+from serwalk.rearrange import (HOP_FACTOR, FloatSeries, PrefixTooShort, RPConstants,
+                               _chain_tour, _dfs_balance,
                                _eta, _refined_tour, _stage_fault, alternating_harmonic,
                                certify_rp_family, check_stage_invariants,
                                find_balanced_permutation, full_range_series,
@@ -47,6 +47,67 @@ def test_alternating_harmonic_converges_to_ln2():
     s = alternating_harmonic(20000)
     total = sum(t[0] for t in s)
     assert total == pytest.approx(math.log(2), abs=1e-4)
+
+
+def _full_range_tuples(dim, count):
+    # full_range_series as a list of tuples, as it was built before the
+    # series became one float64 matrix, kept as an oracle
+    out = []
+    t = 1
+    while len(out) < count:
+        for axis in range(dim):
+            for sign in (1.0, -1.0):
+                coords = [0.0] * dim
+                coords[axis] = sign * 8.0 / t
+                out.append(tuple(coords))
+        t += 1
+    return out[:count]
+
+
+def _alternating_harmonic_tuples(count):
+    # alternating_harmonic's tuples, kept as an oracle
+    return [((1.0 if n % 2 else -1.0) / n,) for n in range(1, count + 1)]
+
+
+def _hex(terms):
+    return [tuple(map(float.hex, t)) for t in terms]
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_full_range_series_is_the_tuple_loop(dim):
+    # bit for bit, read by index, by iteration and through a slice; every
+    # coordinate a Python float, the zeros +0.0
+    count = 20001
+    series, want = full_range_series(dim, count), _hex(_full_range_tuples(dim, count))
+    assert len(series) == count
+    assert _hex(series) == want
+    assert _hex(series[i] for i in range(count)) == want
+    assert _hex(series[-3:]) == want[-3:] and _hex([series[-1]]) == want[-1:]
+    assert all(type(c) is float for t in series[:4 * dim] for c in t)
+    assert not series.rows.flags.writeable
+
+
+def test_a_float_series_holds_one_float64_matrix():
+    # an int matrix is converted, a float64 one kept and made read-only
+    ints = FloatSeries(np.array([[1, 0], [0, -2]]))
+    assert list(ints) == [(1.0, 0.0), (0.0, -2.0)]
+    assert all(type(c) is float for t in ints for c in t)
+    rows = np.zeros((3, 2))
+    assert FloatSeries(rows).rows is rows and not rows.flags.writeable
+    with pytest.raises(ValueError, match=r"not shape \(3,\)"):
+        FloatSeries(np.zeros(3))
+
+
+def test_full_range_series_needs_a_dimension():
+    # the tuple loop never ended for dim 0
+    with pytest.raises(ValueError, match="dimension >= 1, not 0"):
+        full_range_series(0, 4)
+
+
+def test_alternating_harmonic_is_the_tuple_loop():
+    count = 20001
+    assert _hex(alternating_harmonic(count)) == _hex(_alternating_harmonic_tuples(count))
+    assert len(alternating_harmonic(0)) == len(full_range_series(2, 0)) == 0
 
 
 def test_find_balanced_permutation_exhaustive_matches_brute_force():
@@ -794,3 +855,77 @@ def test_rearrange_checks_every_sum_against_its_eps_ball(monkeypatch):
         "sparse-zero-support", "sparse-zero-support-at-zero"])
 def test_one_term_balancing(term, bound, expected):
     assert find_balanced_permutation([term], bound) == expected
+
+
+def _run_hex(run):
+    tau, walk, reports = run
+    return tau.images, _hex(walk.sums), walk.phase_lengths, reports
+
+
+@pytest.mark.parametrize("target", [
+    *[(tuple((0.3, -0.2, 0.1)[a % 3] for a in range(dim)),) for dim in range(1, 9)],
+    C10_CIRCLE,
+], ids=[*(f"point-{dim}d" for dim in range(1, 9)), "c10-circle"])
+def test_a_list_series_rearranges_as_its_float_series(target):
+    # the rearranger reads a FloatSeries' matrix and converts a list of the
+    # same tuples once: the same tau, sums to the bit, and reports
+    series = full_range_series(len(target[0]), 20000)
+    got = rearrange_to_limit_set(series, PointSample(target), 3)
+    assert _run_hex(got) == _run_hex(rearrange_to_limit_set(list(series), PointSample(target), 3))
+
+
+def _sequential_sums(series, images):
+    # the walk's sums as tuple adds, one term at a time from the float origin
+    acc = (0.0,) * len(series[0])
+    out = [acc]
+    for i in images:
+        acc = tuple(a + b for a, b in zip(acc, series[i - 1]))
+        out.append(acc)
+    return out
+
+
+#: coordinates that float adds treat with care: signed zeros, subnormals,
+#: the smallest normal, ints and dyadic Fractions (a float plus either adds
+#: its float)
+_AWKWARD = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 0, 1, -2,
+                     Fraction(-3, 4), Fraction(5, 1024)]),
+    st.floats(-2.0, 2.0, allow_subnormal=True),
+    st.builds(Fraction, st.integers(-2 ** 20, 2 ** 20), st.sampled_from([1, 2 ** 10, 2 ** 60])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.floats(0.5, 2.0), st.floats(-2.0, -0.5)), _AWKWARD,
+                          st.booleans()), min_size=1, max_size=8))
+def test_range_pushes_are_sequential_tuple_adds(head):
+    # a head of terms of norm >= 0.5, each followed by its negative so that
+    # the head sums to about 0, lies inside the opening prefix, which is one
+    # range push: the head's terms need not be axis-aligned there.  A tail
+    # of full_range_series's terms over 32 (norms from 1/4 down) lets a
+    # one-stage run land; its hand-off is another range push.  Every sum is
+    # the sequential tuple add, bit for bit
+    terms = [(big, other) if first else (other, big) for big, other, first in head]
+    pairs = [u for t in terms for u in (t, tuple(-c for c in t))]
+    series = [*sorted(pairs, key=norm, reverse=True),
+              *(tuple(c / 32 for c in t) for t in full_range_series(2, 6000))]
+    tau, walk, _ = rearrange_to_limit_set(series, PointSample(((0.125, -0.25),)), 1)
+    n1 = RPConstants(series).n_threshold(0.25)
+    assert tau.images[:n1] == list(range(1, n1 + 1)) and n1 > len(pairs)
+    assert _hex(walk.sums) == _hex(_sequential_sums(series, tau.images))
+
+
+def test_a_term_off_the_axes_is_taken_in_a_range_and_refused_by_the_scan():
+    series = list(full_range_series(2, 20000))
+    # (3, 4) has norm 5, between the t = 1 and t = 2 terms: inside the
+    # opening prefix, which takes it as it takes any term
+    inside = [*series[:4], (3.0, 4.0), *series[4:]]
+    tau, walk, reports = rearrange_to_limit_set(inside, PointSample(((0.25, -0.5),)), 2)
+    assert 5 in tau.images[:RPConstants(inside).n_threshold(0.25)]
+    assert check_stage_invariants(reports, tau, RPConstants(inside))
+    assert _hex(walk.sums) == _hex(_sequential_sums(inside, tau.images))
+    # (3/128, 4/128) has norm 5/128, after the t = 204 terms: past the
+    # opening prefix, and the scan towards (4, 0) reaches it
+    past = [*series[:816], (3 / 128, 4 / 128), *series[816:]]
+    assert RPConstants(past).n_threshold(0.25) < 817
+    with pytest.raises(ValueError, match="^tail selection needs axis-aligned terms$"):
+        rearrange_to_limit_set(past, PointSample(((4.0, 0.0),)), 1)

@@ -135,6 +135,30 @@ def test_empty_phase_round_trips_byte_identically(text, read, write):
     assert buf.getvalue() == text
 
 
+@pytest.mark.parametrize("phases, message", [
+    ([0, 0, 1], "the walk has 3 phases and 1 sums after its start"),
+    ([0, 1], "the walk has 2 phases and 1 sums after its start"),
+    ([1, 0], "the walk's last phase, phase 2, is empty"),
+    ([2, 0, 0], "the walk's last phase, phase 3, is empty"),
+    ([0], "a walk with no sums after its start has no trace"),
+    ([], "a walk with no sums after its start has no trace"),
+], ids=["phase-past-rows", "second-phase-alone", "last-empty", "two-last-empty",
+        "one-empty-phase", "no-phases"])
+@pytest.mark.parametrize("write", [write_walk_csv, write_walk_jsonl], ids=["csv", "jsonl"])
+def test_writers_refuse_a_walk_the_readers_refuse(write, phases, message):
+    # [0, 0, 1] was written as the row 1,3,1, which the reader refuses
+    # ("phase 3 in a trace of 1 rows"), and [1, 0] read back as [1]: a
+    # writer refuses such a walk before its first write
+    n = sum(phases)
+    start, step = ((F(0),), lambda k: (F(k),)) if write is write_walk_csv else (
+        SparseVec(), lambda k: SparseVec({1: F(k)}))
+    w = Walk([start, *map(step, range(1, n + 1))], phases)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        write(w, buf)
+    assert buf.getvalue() == ""
+
+
 def test_sample_csv_round_trip():
     # samples are written by hand: a coord_ header, one row per point
     back = read_sample_csv(io.StringIO("coord_0,coord_1\n0.5,-1.25\n2,3.0\n"))
@@ -202,6 +226,48 @@ def _sample_csv(points) -> str:
     # a sample CSV holding each float's exact decimal
     return "coord_0,coord_1\n" + "".join(f"{Decimal(x):f},{Decimal(y):f}\n"
                                          for x, y in points)
+
+
+def _repr_sample_csv(points) -> str:
+    # a sample CSV holding each float's repr, exponents included
+    return "coord_0,coord_1\n" + "".join(f"{x!r},{y!r}\n" for x, y in points)
+
+
+def test_a_sample_written_with_repr_reads_back_bit_identically(tmp_path, monkeypatch):
+    # row 64 holds 1.2246467991473532e-16, once refused as no plain decimal;
+    # the exact-decimal and the repr spellings read to the same floats, so
+    # the chainable walk built on either is the same file
+    text = _repr_sample_csv(C10_CIRCLE)
+    assert text.splitlines()[64].endswith(",1.2246467991473532e-16")
+    back = read_sample_csv(io.StringIO(text))
+    assert [tuple(map(float.hex, p)) for p in back.points] == [
+        tuple(map(float.hex, p)) for p in C10_CIRCLE]
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for name, sample in [("exact", _sample_csv(C10_CIRCLE)), ("repr", text)]:
+        (tmp_path / f"{name}.csv").write_text(sample)
+        assert cli.main(["generate", "chainable", "--target", f"{name}.csv",
+                         "--phases", "3", "--out", f"{name}.walk.csv"]) == 0
+        outputs.append((tmp_path / f"{name}.walk.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("cell", [
+    "1e-999999999", "-2.5E-3", "1e+16", "5e-324", "-0.0", "1.7976931348623157e308", "007"])
+def test_a_sample_cell_is_read_by_float(cell):
+    # no Fraction is made: a huge negative exponent is 0.0 at once, and a
+    # negative zero keeps its sign
+    [(x,)] = read_sample_csv(io.StringIO(f"coord_0\n{cell}\n")).points
+    assert type(x) is float and x.hex() == float(cell).hex()
+
+
+@pytest.mark.parametrize("cell", [
+    "1e400", "-1e400", "1" + "0" * 400, "nan", "inf", "-inf", "1_0", " 1", "1 ", "1/3", "+1",
+    "1e", "e5", ".5", "1.", "1.e5", "0x10", "1.5E+", "--1", ""])
+def test_a_sample_cell_past_the_float_spelling_is_refused(cell):
+    message = f"sample row 2 holds {cell!r:.40}, not a decimal number in the float range"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_sample_csv(io.StringIO(f"coord_0,coord_1\n0,0\n0.5,{cell}\n"))
 
 
 @pytest.mark.parametrize("argv, name, digest", [
@@ -319,6 +385,11 @@ def test_sparse_writers_write_what_json_dumps_writes(terms):
     split = len(terms) // 2
     walk = Walk([SparseVec()] + terms, [split, len(terms) - split])
     got = io.StringIO()
+    if not split:  # one row in phase 2, which the reader refuses: so does the writer
+        with pytest.raises(ValueError, match="no phase past its row count"):
+            write_walk_jsonl(walk, got)
+        assert got.getvalue() == ""
+        return
     write_walk_jsonl(walk, got)
     assert got.getvalue() == "".join(
         json.dumps({"index": n, "phase": 1 + (n > split),
@@ -418,8 +489,8 @@ def test_sparse_readers_match_the_validating_constructor(terms, fault):
 def test_dense_terms_read_back_bit_identically():
     # a dense document takes no float-spelling memo: every float, its sign
     # and its last bit come back as written
-    terms = rearrange.full_range_series(2, 200) + [
-        (-0.0, 0.1), (5e-324, -1.7976931348623157e308)]
+    terms = [*rearrange.full_range_series(2, 200),
+             (-0.0, 0.1), (5e-324, -1.7976931348623157e308)]
     buf = io.StringIO()
     write_terms_json(terms, buf)
     back = read_terms_json(io.StringIO(buf.getvalue()))
