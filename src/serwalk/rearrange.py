@@ -13,10 +13,10 @@ j-1's hand-off, or for j = 1 the opening prefix, already pushed through);
 ``_landing_tol`` (eps_{j+1}/12) over 2 max(1, sqrt(m/3)), which leaves a
 Euclidean error of at most sqrt(m) times that, sqrt(3)/2 of the tolerance,
 parking scanned-but-unused indices in a reservoir; (3) order the batch
-with ``find_balanced_permutation`` so that no prefix leaves the eps_j-ball
-around a.  A step that lands off b raises ValueError, and so does a stage
-whose report breaks an invariant of ``_stage_fault``, which
-``check_stage_invariants`` runs too: a run that returns passes it.
+by Riemann's per-axis rule (``_riemann_order``) so that no prefix leaves
+the eps_j-ball around a.  A step that lands off b raises ValueError, and
+so does a stage whose report breaks an invariant of ``_stage_fault``,
+which ``check_stage_invariants`` runs too: a run that returns passes it.
 
 The series is read once, as the float64 matrix ``RPConstants`` keeps: a
 ``FloatSeries`` (what ``full_range_series`` and ``alternating_harmonic``
@@ -69,31 +69,31 @@ longer prefix of the same series gives the same result, bit for bit, once
 it holds the frontier; ``serwalk rearrange`` relies on this to choose the
 length.
 
-Balancing orders the batch by one deterministic greedy pass over the
-terms' float64 rows (``core.float_rows``), the same code for dense tuples
-and SparseVecs.  It falls back to a complete search for batches of at most
-10 terms, and a one-term batch is decided by its norm alone.  The
-rearranger hands it a batch's rows as a ``FloatSeries``, so nothing is
-converted, and decides a one-term batch itself, from the norm
-``RPConstants`` stored, which equals ``core.norm`` bit for bit.  The pass
-lays the rows out once as contiguous columns, one per coordinate, and
-keeps each coordinate's part of the score from step to step: a pick
-rebuilds only the parts of the coordinates it moves, one for the
-rearranger's axis-aligned terms, and a step folds the parts into the
-score.  Every score equals
-``core.fold_norms``'s fold, unrooted, bit for bit.  A used row is marked
-inf, so it scores inf, and once at least half of 64 or more live rows are
-used they are compacted away; the rest keep their index order, so a tie
-still goes to the first index.  No randomized pass breaks ties, so a batch
-of more than 10 terms with exactly tied scores, where only a tie-broken
-greedy order stays inside the bound, fails with "balancing failed".  No
-workload, test or demo has such a batch; a Steinitz-lemma construction with
-a proven bound is the planned answer for it.
+Balancing.  Every batch the rearranger forms is axis-aligned (selection
+refuses other terms), and ``_riemann_order`` orders it with no search, by
+Riemann's rule on each axis: while both signs remain, an axis's sum stays
+within M_a, its largest magnitude, and the rest move it monotonically to
+s_a, its sum, so every prefix lies within sqrt(sum_a (|s_a| + M_a)^2), and
+within sqrt(sum_a max(|s_a|, M_a)^2), of the batch's start: a bound proven
+per batch.  In a stage-j move other than the hand-off, the batch starts
+within eps_j/12 of anchor a and ends within eps_j/12 of b, at most
+HOP_FACTOR eta_j = eps_j/16 from a, so |s| < 11 eps_j/48; its terms lie past
+N(eps_j/2), where the stage's frontier starts and the hand-off before it
+emptied the reservoir, so each M_a <= eps_j/8.  Then sum_a max(|s_a|,
+M_a)^2 <= |s|^2 + m eps_j^2/64 < eps_j^2/4 = delta(eps_j)^2 for every
+dimension m <= 12.  A hand-off's batch starts where its range push left the
+sum, which depends on the series.  A batch whose float prefix norm reaches
+delta raises "balancing failed"; there is no other path.
 
-Balancing constants are certified empirically, not proven: for a series
-with nonincreasing term norms we take N(eps) = first index whose term norm
-is <= eps/4 and delta(eps) = eps/2, and stress-test the pair with random
-small-sum batches.
+``find_balanced_permutation`` orders terms in any direction, dense tuples
+and SparseVecs alike, for ``certify_rp_family`` and ``serwalk verify
+rp-instance``: one deterministic greedy pass over the terms' float64 rows
+(``core.float_rows``), with a complete search for batches of at most 10
+terms, so that None is then a proof that no order exists.  For such terms
+the constants are certified empirically, not proven: for a series with
+nonincreasing term norms N(eps) is the first index whose term norm is
+<= eps/4 and delta(eps) = eps/2, and ``certify_rp_family`` stress-tests
+the pair with random small-sum batches.
 """
 
 from __future__ import annotations
@@ -106,6 +106,7 @@ import random
 from collections import defaultdict, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -181,14 +182,6 @@ def alternating_harmonic(count: int) -> FloatSeries:
 # ---------------------------------------------------------------------------
 # prefix balancing
 
-def _max_prefix_norm(terms: Sequence, order: Sequence[int]) -> float:
-    cur = None
-    worst = 0.0
-    for idx in order:
-        cur = terms[idx - 1] if cur is None else add(cur, terms[idx - 1])
-        worst = max(worst, norm(cur))
-    return worst
-
 def _dfs_balance(terms: Sequence, bound: float) -> Optional[list[int]]:
     """Complete search with prefix pruning; equivalent to trying all n!
     orders but abandons a branch as soon as a prefix reaches the bound."""
@@ -229,49 +222,28 @@ def find_balanced_permutation(terms: Sequence, bound: float) -> Optional[list[in
     Dense tuples and SparseVecs take the same path.  The greedy pass scores
     prefixes in float64, which is exact for dyadic terms (every
     generator's, and every trace read from disk); the complete search sums
-    the terms in their own arithmetic.
+    the terms in their own arithmetic.  A batch of one term is decided by
+    ``core.norm``, the pass's first score bit for bit: ``[1]`` when it is
+    below the bound, else None.
 
-    Layout: the rows are copied once into one contiguous column per
-    coordinate (a batch with no coordinates gets one zero column, which
-    scores every prefix 0, as the empty fold does), and the prefix ``cur``
-    is a list of Python floats, one per column, the same float64 sums that
-    adding the accepted rows gives.  Each coordinate keeps one part,
-    ``power(col + cur[c])`` (``core.coordinate_ufuncs``), across steps,
-    and each step folds the parts into ``score`` left to right, through
-    one buffer: ``fold(part_0, part_1)``, then ``fold(score, part_c)``.
-    That is ``core.fold_norms``'s fold onto zeros before its root, bit for
-    bit: its first step is ``0.0 + d*d`` or ``max(0.0, |d|)``, which
-    equals ``d*d`` or ``|d|``, since neither is ever -0.0.
+    The rows are copied once into one column per coordinate (a batch with no
+    coordinates gets one zero column, which scores every prefix 0, as the
+    empty fold does); ``cur`` holds the prefix's float64 sums, one Python
+    float per column.  Each coordinate keeps its part ``power(col + cur[c])``
+    (``core.coordinate_ufuncs``) across steps, and a step folds the parts
+    left to right through one buffer: ``core.fold_norms``'s fold before its
+    root, bit for bit, since its first step onto 0.0 changes nothing.  A
+    pick rebuilds only the coordinates where its entry is ``!= 0.0`` (a NaN
+    entry is): adding +0.0 or -0.0 changes ``cur[c]`` at most in the sign
+    of a zero, which ``square`` and ``abs`` erase.
 
-    After a pick, only the coordinates where the picked row's entry is
-    ``!= 0.0`` (a NaN entry is) take the entry into ``cur`` and rebuild
-    their part; the rearranger's terms are axis-aligned, so that is one add
-    and one power a step, not one of each per coordinate.  This is exact:
-    adding +0.0 or -0.0 changes ``cur[c]`` at most in the sign of a zero,
-    which ``square`` and ``abs`` erase.  Nothing is done after the last
-    pick.
-
-    A used row is marked by writing inf into its coordinate-0 column and
-    its coordinate-0 part, so a rebuild of coordinate 0 keeps the mark, and
-    it scores exactly inf.  Accepted rows and ``cur`` are finite: each
-    accepted prefix scored finite and below the bound, and a finite prefix
-    plus a row that is not finite is not finite.  So each other part of a
-    used row is the power of a sum of two finite floats, which may overflow
-    to inf but is never NaN, and inf folded with a part that is not NaN is
-    inf.  A used row can tie an unused row only at inf, and a step whose
-    minimum is inf fails whichever it picks; an unused row that scores NaN
-    is still ``argmin``'s first minimum.  When at least half of the live
-    rows are used and there are at least 64 of them, one boolean mask,
-    built from the positions used since the last compaction, compacts the
-    columns, the parts and the ``live`` array of row indices.  ``live``
-    stays increasing, so the first minimum in position order, which
-    ``argmin`` returns (NaN counting as a minimum), is still the first in
-    index order.
-
-    A batch of one term is decided by ``core.norm``, which is the greedy
-    pass's first score bit for bit (and the complete search's answer when
-    that score is not below the bound): ``[1]`` when the norm is below the
-    bound, else None.  Most of the rearranger's batches have one term.
+    A used row is marked inf in its coordinate-0 column and part, so it
+    scores exactly inf: its other parts are powers of sums of finite floats
+    (every accepted prefix scored finite, so every accepted row is finite),
+    which may overflow to inf but are never NaN.  A used row ties an unused
+    one only at inf, where the step fails either way; an unused row that
+    scores NaN is still ``argmin``'s first minimum, and a tie goes to the
+    first index.
     """
     if len(terms) == 1:
         return [1] if norm(terms[0]) < bound else None
@@ -280,8 +252,7 @@ def find_balanced_permutation(terms: Sequence, bound: float) -> Optional[list[in
     cols = list(rows.T.copy()) or [np.zeros(n)]
     cur = [0.0] * len(cols)
     power, fold = coordinate_ufuncs(sup)
-    live, buf = np.arange(n), np.empty(n)
-    used = []  # positions used since the last compaction
+    buf = np.empty(n)
     order = []
     # a score past the float range is inf, and inf or NaN fails the step
     with np.errstate(over="ignore", invalid="ignore"):
@@ -290,11 +261,10 @@ def find_balanced_permutation(terms: Sequence, bound: float) -> Optional[list[in
             score = parts[0]
             for part in parts[1:]:
                 score = fold(score, part, out=buf)
-            p = score.argmin()
-            value = score.item(p) if sup else math.sqrt(score.item(p))
+            i = int(score.argmin())
+            value = score.item(i) if sup else math.sqrt(score.item(i))
             if not value < bound:  # a NaN prefix is never inside the bound
                 return _dfs_balance(terms, bound) if n <= 10 else None
-            i = live.item(p)
             order.append(i + 1)
             if len(order) == n:
                 break
@@ -302,15 +272,7 @@ def find_balanced_permutation(terms: Sequence, bound: float) -> Optional[list[in
                 if x != 0.0:
                     cur[c] += x
                     power(np.add(cols[c], cur[c], out=parts[c]), out=parts[c])
-            cols[0][p] = parts[0][p] = np.inf
-            used.append(p)
-            if 2 * len(used) >= len(live) >= 64:
-                keep = np.ones(len(live), dtype=bool)
-                keep[used] = False
-                cols = [col[keep] for col in cols]
-                parts = [part[keep] for part in parts]
-                live = live[keep]
-                buf, used = buf[:len(live)], []
+            cols[0][i] = parts[0][i] = np.inf
     return order
 
 # ---------------------------------------------------------------------------
@@ -378,7 +340,11 @@ def certify_rp_family(series_prefix: Sequence, epsilons: Sequence[float],
     terms past N(eps) and demands a balanced permutation below eps for each;
     raises ValueError otherwise.  The witnesses are monotone by construction
     (delta(eps) = eps/2; N(eps) bisects nonincreasing norms), as c12 checks.
+    An epsilon that is not finite and positive raises ValueError first.
     """
+    for epsilon in epsilons:
+        if not 0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be a finite positive number, not {epsilon}")
     constants = RPConstants(series_prefix)
     out = []
     for epsilon in sorted(epsilons, reverse=True):
@@ -387,8 +353,7 @@ def certify_rp_family(series_prefix: Sequence, epsilons: Sequence[float],
         pool = list(range(n_thr, len(series_prefix)))
         if len(pool) < 12:
             raise PrefixTooShort("series prefix too short beyond N(eps)")
-        worst = 0.0
-        checked = 0
+        worst, checked = 0.0, 0
         for _ in range(instance_budget):
             for _ in range(500):
                 size = rng.randint(2, 12)
@@ -400,7 +365,8 @@ def certify_rp_family(series_prefix: Sequence, epsilons: Sequence[float],
             order = find_balanced_permutation(instance, epsilon)
             if order is None:
                 raise ValueError(f"RP certification failed at eps={epsilon}")
-            worst = max(worst, _max_prefix_norm(instance, order))
+            # every prefix's norm, summed in the terms' own arithmetic
+            worst = max(worst, *map(norm, accumulate((instance[p - 1] for p in order), add)))
             checked += 1
         out.append(RPWitness(epsilon, n_thr, delta,
                              {"instances": checked, "max_prefix_norm": worst}))
@@ -408,6 +374,43 @@ def certify_rp_family(series_prefix: Sequence, epsilons: Sequence[float],
 
 # ---------------------------------------------------------------------------
 # the staged rearrangement
+
+def _riemann_order(batch: Sequence[int], keys: Sequence[int], rows: np.ndarray,
+                   delta: float) -> Optional[list[int]]:
+    """The batch's indices in Riemann's order, or None when a prefix of it,
+    summed from zero in float, has a norm that is not below ``delta``.
+
+    Each term is axis-aligned, ``keys[i - 1]`` being 2 axis + (value > 0).
+    Each axis, in increasing order, is ordered alone, each sign in batch
+    order: a negative term while its running sum is >= 0, else a positive
+    one, then the rest.  With s_a the batch's sum on axis a and M_a its
+    largest magnitude there, the sum stays in [-M_a, M_a] while both signs
+    remain, and the rest share a sign and move it monotonically to s_a, so
+    every prefix on axis a is within max(|s_a|, M_a) <= |s_a| + M_a; a term
+    moves its own axis only, so every prefix lies within sqrt(sum_a (|s_a|
+    + M_a)^2).  The check is of the float prefixes: per axis, the earlier
+    axes' sums with this axis's largest |running sum| give its largest
+    prefix norm (``core.norm``, Euclidean for these dense rows).
+    """
+    # axis -> (negative, positive) indices, last first: pop() takes them in order
+    signs = defaultdict(lambda: ([], []))
+    for i in reversed(batch):
+        axis, positive = divmod(keys[i - 1], 2)
+        signs[axis][positive].append(i)
+    order, prefix = [], [0.0] * rows.shape[1]
+    for axis in sorted(signs):
+        neg, pos = signs[axis]
+        total = peak = 0.0
+        while neg or pos:
+            i = neg.pop() if neg and (total >= 0.0 or not pos) else pos.pop()
+            order.append(i)
+            total += rows.item(i - 1, axis)
+            peak = max(peak, abs(total))
+        prefix[axis] = peak
+        if not norm(prefix) < delta:
+            return None
+        prefix[axis] = total
+    return order
 
 #: the key of a zero term, which selection skips, and of a term with two
 #: nonzero coordinates, which it refuses
@@ -658,16 +661,10 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         err = [float(bc) - cc - zc for bc, cc, zc in zip(b, sums[-1], z)]
         land = _landing_tol(eps_next)
         batch.extend(select(err, land))
-        if batch:
-            delta = constants.delta(eps)
-            if len(batch) == 1:  # find_balanced_permutation's rule, on the stored norm
-                order = [1] if constants._norms.item(batch[0] - 1) < delta else None
-            else:
-                order = find_balanced_permutation(
-                    FloatSeries(rows.take([i - 1 for i in batch], axis=0)), delta)
-            if order is None:
-                raise ValueError("RP bound violated at stage: balancing failed")
-            push(batch[p - 1] for p in order)
+        order = _riemann_order(batch, keys, rows, constants.delta(eps))
+        if order is None:
+            raise ValueError("RP bound violated at stage: balancing failed")
+        push(order)
         if not distance(sums[-1], b) < land:
             raise ValueError("terminal sum off target")
 

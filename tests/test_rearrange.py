@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import inspect
 import math
 import random
 import re
@@ -15,8 +16,8 @@ from serwalk.analysis import estimate_limit_set
 from serwalk.core import (PointSample, chain_gap, distance, float_rows, hausdorff_distance,
                           norm)
 from serwalk.rearrange import (HOP_FACTOR, FloatSeries, PrefixTooShort, RPConstants,
-                               _chain_tour, _dfs_balance,
-                               _eta, _refined_tour, _stage_fault, alternating_harmonic,
+                               _chain_tour, _dfs_balance, _eta, _refined_tour,
+                               _riemann_order, _stage_fault, alternating_harmonic,
                                certify_rp_family, check_stage_invariants,
                                find_balanced_permutation, full_range_series,
                                rearrange_to_limit_set)
@@ -281,7 +282,7 @@ SPECIALS = (-0.0, 1e200, -1e200, 1e308, -1e308, math.nan, math.inf, -math.inf)
 def test_balancing_matches_the_reference_pass(sparse, dim, n, seed, cancel, specials, bound):
     # quarter-integer entries tie exactly and share magnitudes; a cancelling
     # batch (rows, then their negatives, shuffled) keeps the greedy pass
-    # inside the bound long enough for the used rows to be compacted away
+    # inside the bound for many steps over rows already used
     rng = np.random.default_rng(seed)
     rows = rng.integers(-4, 5, size=(n, dim)) / 4
     if cancel:
@@ -299,9 +300,9 @@ def test_balancing_matches_the_reference_pass(sparse, dim, n, seed, cancel, spec
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 def test_balancing_matches_the_reference_pass_on_axis_aligned_terms(sparse):
-    # the rearranger's batches: one nonzero entry per row and the rest +0.0
-    # or -0.0, entries that a pick leaves out of the rescoring; 200 rows
-    # that cancel keep the pass inside the bound past its compactions
+    # one nonzero entry per row and the rest +0.0 or -0.0, entries that a
+    # pick leaves out of the rescoring; 200 rows that cancel keep the pass
+    # inside the bound to its last pick
     rng = random.Random(26)
     half = []
     for _ in range(100):
@@ -317,9 +318,9 @@ def test_balancing_matches_the_reference_pass_on_axis_aligned_terms(sparse):
     assert order == _balance_reference(terms, 2.0)
 
 
-def test_balancing_pinned_past_compaction():
-    # 1,200 dyadic terms in R^3 that cancel: the pass compacts its used rows
-    # away several times before it returns, and the order is pinned
+def test_balancing_pinned_on_a_large_cancelling_batch():
+    # 1,200 dyadic terms in R^3 that cancel: the greedy pass keeps each
+    # used row, marked inf, to its last pick, and the order is pinned
     rng = random.Random(21)
     half = [tuple(rng.randint(-16, 16) / 16 for _ in range(3)) for _ in range(600)]
     terms = half + [tuple(-c for c in t) for t in half]
@@ -476,6 +477,18 @@ def test_certify_rp_reports_failed_balancing(monkeypatch):
                           rng=random.Random(5))
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf])
+def test_certify_rp_family_refuses_an_epsilon_that_is_not_finite_and_positive(eps):
+    # 0, -0.5 and NaN raised PrefixTooShort, which says a longer prefix
+    # might serve, and inf returned a witness; verify rp-instance refuses
+    # the same epsilons with the same message
+    with pytest.raises(ValueError, match=re.escape(
+            f"epsilon must be a finite positive number, not {eps}")) as info:
+        certify_rp_family(alternating_harmonic(2000), [1.0, eps], instance_budget=10,
+                          rng=random.Random(5))
+    assert not isinstance(info.value, PrefixTooShort)
+
+
 def test_rearrange_small_segment_target():
     series = full_range_series(2, 60000)
     target = PointSample(tuple((0.1 * i, 0.0) for i in range(6)))
@@ -534,10 +547,10 @@ SEMICIRCLE = tuple((math.cos(math.pi * i / 63), math.sin(math.pi * i / 63))
 
 
 @pytest.mark.parametrize("target, digest", [
-    (C10_CIRCLE, "854ef0bb9a2a650d1b7a14f7ad8c1af8f5a7ea93da7619f86a3c3b505d378681"),
-    # its stage hand-offs send batches of thousands of terms to greedy balancing
-    (((-0.4, -0.1),), "fc773c3ac41280adb691fd811c01deb903f72e51dd1ab960a6a3da82474dab5e"),
-    (SEMICIRCLE, "8f969df7cfd297b94a202b1f7e6671358a6d663432d4edea96b2a4a1b5a3bbad"),
+    (C10_CIRCLE, "aa0a766533dc2070637bf24c43aad639225dbc49633fa5607738837d303c45cc"),
+    # its stage hand-offs order batches of thousands of terms
+    (((-0.4, -0.1),), "5e50efcbf3a9089fee0329ee06e8d3619d4fc9ba3ca3ff865cde3f3d94a1171d"),
+    (SEMICIRCLE, "8f4065943d25acfc079806de77635f2b1bc452e8bd8c317cfb562a4c0e73395f"),
 ], ids=["circle", "point", "semicircle"])
 def test_rearrange_c10_pinned(target, digest):
     series = full_range_series(2, 80000)
@@ -607,15 +620,15 @@ def test_rearrange_3d_pinned():
     tau, walk, _ = rearrange_to_limit_set(series, PointSample(target), stages=3)
     assert len(tau.images) == 6661
     assert (hashlib.sha256(repr((tau.images, walk.sums)).encode()).hexdigest()
-            == "454afcf1004a4ad761d134f4e486a682302c2e972575720e0b94782bc810f342")
+            == "519bb6785874697286b5aa9ccd3149f662968cbff9e2247f9aeee7201cd055e4")
 
 def test_rearrange_6d_point_pinned():
-    # each stage's hand-off balances one large batch, the largest of 4,846
-    # terms, whose picks each move one of six coordinates
+    # each stage's hand-off orders one large batch over six axes, each axis
+    # by its own running sum
     series = full_range_series(6, 160000)
     tau, walk, reports = rearrange_to_limit_set(series, PointSample(((0.25,) * 6,)), stages=5)
     assert (hashlib.sha256(repr((tau.images, walk.sums, reports)).encode()).hexdigest()
-            == "d62e5baeb02677b13de71dfead1c40011df2c744129aef3a81c4db1e61763acf")
+            == "77a7e9ce8cb29d7fadd6f62d70f3d3d759821ee28334676fb94dfb8c2da24fdb")
 
 
 @functools.cache
@@ -743,8 +756,8 @@ def test_check_stage_invariants_rejects_a_broken_run(two_stage_run, broken):
 
 
 def test_rearrange_reports_failed_balancing(monkeypatch):
-    monkeypatch.setattr("serwalk.rearrange.find_balanced_permutation",
-                        lambda terms, bound: None)
+    monkeypatch.setattr("serwalk.rearrange._riemann_order",
+                        lambda batch, keys, rows, delta: None)
     with pytest.raises(ValueError, match="balancing failed"):
         rearrange_to_limit_set(full_range_series(2, 80000),
                                PointSample(((-0.4, -0.1),)), 5)
@@ -752,10 +765,10 @@ def test_rearrange_reports_failed_balancing(monkeypatch):
 
 def test_rearrange_reports_a_step_that_lands_off_its_anchor(monkeypatch):
     # a balancing that drops each batch's last term leaves the step short
-    def drop_last(terms, bound):
-        return find_balanced_permutation(terms, bound)[:-1]
+    def drop_last(batch, keys, rows, delta):
+        return _riemann_order(batch, keys, rows, delta)[:-1]
 
-    monkeypatch.setattr("serwalk.rearrange.find_balanced_permutation", drop_last)
+    monkeypatch.setattr("serwalk.rearrange._riemann_order", drop_last)
     with pytest.raises(ValueError, match="terminal sum off target"):
         rearrange_to_limit_set(full_range_series(2, 80000),
                                PointSample(((-0.4, -0.1),)), 5)
@@ -789,10 +802,10 @@ def test_a_prefix_short_of_the_last_threshold_fails_before_any_stage(monkeypatch
     # 10,000 terms hold N(2^-6) = 8,189, which stage 5's moves use, but not
     # N(2^-7) = 16,381, which its hand-off needs; the run asks for it up
     # front, so no stage balances a batch first
-    def refuse(terms, bound):
+    def refuse(batch, keys, rows, delta):
         raise AssertionError("balancing called")
 
-    monkeypatch.setattr("serwalk.rearrange.find_balanced_permutation", refuse)
+    monkeypatch.setattr("serwalk.rearrange._riemann_order", refuse)
     series = full_range_series(2, 10000)
     assert RPConstants(series).n_threshold(2.0 ** -6) == 8189
     with pytest.raises(PrefixTooShort, match="^series prefix too short: no term below eps/4$"):
@@ -830,13 +843,67 @@ def test_rearrange_lands_in_higher_dimensions(target, stages):
 def test_rearrange_checks_every_sum_against_its_eps_ball(monkeypatch):
     # a batch summed with its positive-x terms first runs far right of the
     # anchor before the rest pull it back
-    def positive_x_first(terms, bound):
-        return sorted(range(1, len(terms) + 1), key=lambda p: not terms[p - 1][0] > 0)
+    def positive_x_first(batch, keys, rows, delta):
+        return sorted(batch, key=lambda i: not rows.item(i - 1, 0) > 0)
 
-    monkeypatch.setattr("serwalk.rearrange.find_balanced_permutation", positive_x_first)
+    monkeypatch.setattr("serwalk.rearrange._riemann_order", positive_x_first)
     with pytest.raises(ValueError, match="prefix escaped its eps-ball"):
         rearrange_to_limit_set(full_range_series(2, 80000),
                                PointSample(((-0.4, -0.1),)), 5)
+
+
+def _within_the_riemann_bound(rows, batch, order):
+    # every prefix of the order, summed exactly (dyadic entries), lies within
+    # max(|s_a|, M_a) on each axis a and within sqrt(sum_a (|s_a| + M_a)^2),
+    # with s_a the batch's sum on axis a and M_a its largest magnitude there
+    picked = rows[[i - 1 for i in batch]]
+    s, m = np.abs(picked.sum(axis=0)), np.abs(picked).max(axis=0, initial=0.0)
+    prefixes = np.cumsum(rows[[i - 1 for i in order]], axis=0)
+    return bool((np.abs(prefixes) <= np.maximum(s, m)).all()
+                and ((prefixes ** 2).sum(axis=1) <= ((s + m) ** 2).sum()).all())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda dim: st.tuples(
+           # per axis: both signs (0), or positive (1) or negative (-1) terms only
+           st.lists(st.sampled_from([0, 1, -1]), min_size=dim, max_size=dim),
+           st.lists(st.tuples(st.integers(0, dim - 1), st.integers(1, 64), st.booleans()),
+                    min_size=1, max_size=40))),
+       st.randoms(use_true_random=False))
+def test_riemann_order_keeps_every_prefix_within_its_bound(axes, rnd):
+    # axis-aligned batches in R^1..R^8 with entries k/16, so every float sum
+    # is exact, the other coordinates +0.0 or -0.0 at random, and the batch
+    # in a random order: the order is a permutation of the batch, every
+    # prefix lies within the per-axis bound, and the float check returns
+    # None exactly when the largest prefix norm is not below delta
+    signs, terms = axes
+    rows = np.array([[rnd.choice((0.0, -0.0)) for _ in signs] for _ in terms])
+    for r, (axis, k, negative) in enumerate(terms):
+        sign = signs[axis] or (-1 if negative else 1)
+        rows[r, axis] = sign * k / 16
+    keys = [2 * axis + bool(rows[r, axis] > 0) for r, (axis, _, _) in enumerate(terms)]
+    batch = rnd.sample(range(1, len(terms) + 1), len(terms))
+    order = _riemann_order(batch, keys, rows, math.inf)
+    assert sorted(order) == list(range(1, len(terms) + 1))
+    assert _within_the_riemann_bound(rows, batch, order)
+    worst = max(_prefix_norms([tuple(r) for r in rows.tolist()], order))
+    assert _riemann_order(batch, keys, rows, worst) is None
+    assert _riemann_order(batch, keys, rows, math.nextafter(worst, math.inf)) == order
+
+
+def test_the_riemann_bound_fails_the_inverted_rule():
+    # the mutant takes a positive term while the sum is >= 0: on an axis
+    # with both signs its prefixes run past max(|s_a|, M_a), and the bound
+    # that the hypothesis test checks fails it
+    source = inspect.getsource(_riemann_order)
+    assert source.count("total >= 0.0") == 1
+    scope = dict(vars(rearrange))
+    exec(source.replace("total >= 0.0", "total < 0.0"), scope)
+    rows = np.array([[0.5, 0.0], [0.5, -0.0], [-0.5, 0.0], [-0.5, 0.0], [0.0, 0.25]])
+    keys, batch = [1, 1, 0, 0, 3], [1, 2, 3, 4, 5]
+    assert _within_the_riemann_bound(rows, batch, _riemann_order(batch, keys, rows, math.inf))
+    mutant = scope["_riemann_order"](batch, keys, rows, math.inf)
+    assert sorted(mutant) == batch and not _within_the_riemann_bound(rows, batch, mutant)
 
 
 @pytest.mark.parametrize("term, bound, expected", [

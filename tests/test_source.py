@@ -228,13 +228,14 @@ def test_every_export_has_a_caller():
 
 def test_demos_run_and_redraw_the_committed_svgs(tmp_path):
     # each demo runs from a copy, so the SVGs it writes next to itself land
-    # in tmp_path and must equal the committed ones byte for byte
+    # in tmp_path and must equal the committed ones byte for byte; a
+    # RuntimeWarning fails a demo, as it fails an in-process test
     paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     for demo in sorted((ROOT / "demos").glob("*.py")):
         shutil.copy(demo, tmp_path)
-        r = subprocess.run([sys.executable, demo.name], cwd=tmp_path, env=env,
-                           capture_output=True, text=True)
+        r = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", demo.name],
+                           cwd=tmp_path, env=env, capture_output=True, text=True)
         assert r.returncode == 0, f"{demo.name}: {r.stderr}"
     for svg in ("circle.svg", "two_lines.svg"):
         assert (tmp_path / svg).read_bytes() == (ROOT / "demos" / svg).read_bytes()

@@ -311,14 +311,14 @@ def test_dense_cli_outputs_are_byte_identical_to_their_pins(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("points, digests", [
     (C10_CIRCLE, {
-        "csv": "990aec92a34bcf5243480cbb3632155f60a94d7fe5e5ebaf49d249df93f7557d",
-        "perm.json": "f7d31238f8e34cbd31daa3bdc0c62a1a492c92a91b7b31506ef2a94e4bbb49bd",
-        "report.json": "ab1466a78842bd0753f3b4601ed70373d60ce2c859d7e070d5f64ee6779fb560",
+        "csv": "1a0c50c5ee6bb192be47b39a3fe6bdc880d1c3c7ab1c1d08228011cb31dddd73",
+        "perm.json": "48f039f980837e3470c2f214f7715ae4cec1798981e59fb0313e9c53f0a91f1e",
+        "report.json": "e748944172c01b192ed5a2c17d151828ad1edb7e46d8468865154eec5f594029",
         "manifest.json": "08d7b1e077cada47aad71436c51058e73446a2929d51de84e01e4a36989a2267"}),
     ([(0.25, -0.5)], {
-        "csv": "64875304639201734e57ff014950a2121eb22b88836cb53bcfaf7552cc0a9125",
-        "perm.json": "932173fa9b70c8cdf2d84d14c7b3fcb7a8e6997f92feb8e32b6142186cef6dc4",
-        "report.json": "3a780d10ac6705d7449b74dc2c2c46e50ce5c9d7b1a96704c26c463487b937ce",
+        "csv": "fb795ee65672699a4dea83b06fea8ae52da90c15fff6e216511cc519bc0c6734",
+        "perm.json": "fa8c36d9ef9f169cb6d6de67a2b25e0c076e65244dac80110cc6ff6d9086323e",
+        "report.json": "fc211bcafe629849dbae441bb7ae344f4898e0d9e6d4961603ce00896cbe0e33",
         "manifest.json": "08d7b1e077cada47aad71436c51058e73446a2929d51de84e01e4a36989a2267"}),
 ], ids=["circle", "point"])
 def test_rearrange_cli_outputs_are_byte_identical_to_their_pins(tmp_path, monkeypatch,
