@@ -23,17 +23,24 @@ The series is read once, as the float64 matrix ``RPConstants`` keeps: a
 return) hands over the matrix it holds, and any other sequence of tuples
 is converted once.  Every term is read from that matrix.  Before the first
 stage, one pass over its columns gives each term's (axis, sign) key.  A
-stage step costs Python work per move and per index it picks: ``push``
-records each picked index with its partial sum, the last sum plus the
-term's row, and that one running total steers selection and the landing
-checks.  The opening prefix and each hand-off's run of consecutive indices
-are folded onto the last sum by one ``np.add.accumulate``.  It adds left
-to right, so every sum has the bits of the same adds in Python; a float
-plus an int or a Fraction adds that number's float, which is the row's
-entry, so a list of exact terms gives the same sums too.  The eps-ball
-check runs once per stage, in numpy: ``core.float_rows`` converts the
-stage's sums, as it converts every point, and one pass measures each
-against its move's start anchor.
+stage step costs Python work per move and per index it picks, on one axis
+at a time: ``push`` records each picked index with its partial sum, adding
+the term's one axis entry to a running copy of the last sum.  That is the
+last sum plus the term's row, bit for bit: every picked term is
+axis-aligned, its other entries are +0.0 or -0.0, and no sum coordinate is
+ever -0.0 (sums start at +0.0, and a round-to-nearest add returns -0.0
+only for two -0.0 operands), so adding them changes nothing.  That one
+running total steers selection and the landing checks; a move's landing
+check is ``core.norm`` of the differences ``x - float(y)`` from the sum to
+its anchor, the float arithmetic of ``core.distance``.  The opening
+prefix and each hand-off's run of consecutive indices are folded onto the
+last sum by one ``np.add.accumulate``.  It adds left to right, so every
+sum has the bits of the same adds in Python; a float plus an int or a
+Fraction adds that number's float, which is the row's entry, so a list of
+exact terms gives the same sums too.  The eps-ball check runs once per
+stage, in numpy: ``core.float_rows`` converts the stage's sums, as it
+converts every point, and one pass measures each against its move's start
+anchor.
 
 The reservoir keeps one queue per key (axis and sign).  A pick takes the
 first queued index whose magnitude is below twice the error left on that
@@ -52,7 +59,9 @@ the opening prefix and the hand-offs push rows without reading keys, so
 they take such a term.  Each queue's magnitudes are also kept sorted,
 largest first (negated), so a queue that cannot serve a pick is known from
 its last, smallest magnitude, without a scan; a scan meets ever smaller
-magnitudes, so a park appends, and a pick deletes near the end.
+magnitudes, so a park appends, and a pick deletes near the end.  A
+hand-off empties the queues in the order of their keys' first park in the
+run, so each axis's two queues are summed in that order.
 
 N(eps) is a bisection over the term norms, which ``RPConstants`` computes
 once, in one pass over the series' float64 rows, and checks to be finite
@@ -103,7 +112,7 @@ import functools
 import math
 import operator
 import random
-from collections import defaultdict, deque
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
@@ -392,20 +401,22 @@ def _riemann_order(batch: Sequence[int], keys: Sequence[int], rows: np.ndarray,
     axes' sums with this axis's largest |running sum| give its largest
     prefix norm (``core.norm``, Euclidean for these dense rows).
     """
-    # axis -> (negative, positive) indices, last first: pop() takes them in order
-    signs = defaultdict(lambda: ([], []))
+    # one list per key, last first: pop() takes each key's indices in order
+    signs = [[] for _ in range(2 * rows.shape[1])]
     for i in reversed(batch):
-        axis, positive = divmod(keys[i - 1], 2)
-        signs[axis][positive].append(i)
+        signs[keys[i - 1]].append(i)
     order, prefix = [], [0.0] * rows.shape[1]
-    for axis in sorted(signs):
-        neg, pos = signs[axis]
+    for axis in range(rows.shape[1]):
+        neg, pos = signs[2 * axis], signs[2 * axis + 1]
+        if not (neg or pos):
+            continue
         total = peak = 0.0
         while neg or pos:
             i = neg.pop() if neg and (total >= 0.0 or not pos) else pos.pop()
             order.append(i)
             total += rows.item(i - 1, axis)
-            peak = max(peak, abs(total))
+            if abs(total) > peak:
+                peak = abs(total)
         prefix[axis] = peak
         if not norm(prefix) < delta:
             return None
@@ -499,7 +510,8 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     left-to-right fold of the terms onto 0.0, and a float plus an int or a
     Fraction adds that number's float, so an exact series and its float
     copy give the same sums to the bit.  An empty target ("empty sample"),
-    or a target point with a NaN or infinite coordinate or a dimension
+    or a target point with a NaN or infinite coordinate (or an exact one
+    past the float range, which ``core.norm`` reads as inf) or a dimension
     other than the series' terms (an empty series has dimension 0), raises
     ValueError.
 
@@ -526,7 +538,11 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         if len(p) != dim:
             raise ValueError(f"target point {i} has dimension {len(p)}, "
                              f"the series has dimension {dim}")
-        if not all(math.isfinite(float(c)) for c in p):
+        try:
+            finite = all(math.isfinite(float(c)) for c in p)
+        except OverflowError:  # an int or Fraction past the float range
+            finite = False
+        if not finite:
             raise ValueError(f"target point {i} is not finite: {p}")
     constants.n_threshold(2.0 ** -(stages + 2))  # the run's smallest threshold
     tour = _chain_tour(points)
@@ -547,21 +563,30 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     sums = [tuple([0.0] * dim)]
     frontier = 0
     per_axis = 2 * max(1.0, math.sqrt(dim / 3))  # select's divisor, 2 for dim <= 3
-    # scanned-but-unused indices wait here until the walk swings back their
-    # way; sweeping them at every extension instead would feed each move's
-    # displacement back into the next one and exhaust the prefix
-    reservoir: defaultdict[int, deque] = defaultdict(deque)
+    # scanned-but-unused indices wait here, one queue per key, until the
+    # walk swings back their way; sweeping them at every extension instead
+    # would feed each move's displacement back into the next one and
+    # exhaust the prefix
+    reservoir = [deque() for _ in range(2 * dim)]
     # each queue's magnitudes, negated and sorted (largest first): a take
     # that no queued index can serve reads the last and scans nothing
-    mags: defaultdict[int, list] = defaultdict(list)
+    mags: list[list] = [[] for _ in range(2 * dim)]
+    # the keys in the order of their first park in the run: the hand-off
+    # sums each axis's two queues in this order
+    parked: list[int] = []
     # (first image, start anchor) of each move of the current stage
     marks: list = []
 
     def push(picked):
-        # picked indices, each its row added to the last sum
+        # picked indices, each its axis entry added to a running copy of the
+        # last sum: its other entries are ±0.0, which add nothing to a sum
+        # that is never -0.0
+        total = list(sums[-1])
         for i in picked:
+            axis = keys[i - 1] >> 1
+            total[axis] += rows.item(i - 1, axis)
             images.append(i)
-            sums.append(tuple(map(operator.add, sums[-1], rows[i - 1].tolist())))
+            sums.append(tuple(total))
 
     def push_range(lo, hi):
         # the indices lo+1..hi in order, folded onto the last sum by one
@@ -580,13 +605,16 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         return float(fold_norms(block.T - anchors.T, len(block), sup).max(initial=0.0))
 
     def take(key, err_abs):
-        if not mags.get(key) or not -mags[key][-1] < 2 * err_abs:
+        sorted_mags, bound = mags[key], 2 * err_abs
+        if not sorted_mags or not -sorted_mags[-1] < bound:
             return None
         q = reservoir[key]
-        k = next(k for k, (mag, _) in enumerate(q) if mag < 2 * err_abs)
+        for k, got in enumerate(q):
+            if got[0] < bound:
+                break
         q.rotate(-k)
-        got = q.popleft()
-        del mags[key][bisect.bisect_left(mags[key], -got[0])]
+        q.popleft()
+        del sorted_mags[bisect.bisect_left(sorted_mags, -got[0])]
         return got
 
     def select(err, land):
@@ -597,8 +625,10 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         tol = land / per_axis
         selected: list[int] = []
         while True:
-            axis = next((a for a in range(dim) if abs(err[a]) > tol), None)
-            if axis is None:
+            for axis in range(dim):
+                if abs(err[axis]) > tol:
+                    break
+            else:
                 return selected
             positive = err[axis] > 0
             got = take(2 * axis + positive, abs(err[axis]))
@@ -621,7 +651,10 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
                         break
                     if key >= 0:
                         mag = abs(rows.item(frontier - 1, key // 2))
-                        reservoir[key].append((mag, frontier))
+                        q = reservoir[key]
+                        if not q and key not in parked:
+                            parked.append(key)
+                        q.append((mag, frontier))
                         bisect.insort(mags[key], -mag)
                     elif key == _SKEW:
                         raise ValueError("tail selection needs axis-aligned terms")
@@ -651,13 +684,13 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             push_range(frontier, n_next)
             frontier = max(frontier, n_next)
             # a parked term is zero off its axis, and ±0.0 adds nothing to z (never -0.0)
-            for key, q in reservoir.items():
+            for key in parked:
                 axis, positive = divmod(key, 2)
-                for mag, idx in q:
+                for mag, idx in reservoir[key]:
                     batch.append(idx)
                     z[axis] += mag if positive else -mag
-                q.clear()
-            mags.clear()
+                reservoir[key].clear()
+                mags[key].clear()
         err = [float(bc) - cc - zc for bc, cc, zc in zip(b, sums[-1], z)]
         land = _landing_tol(eps_next)
         batch.extend(select(err, land))
@@ -665,7 +698,8 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         if order is None:
             raise ValueError("RP bound violated at stage: balancing failed")
         push(order)
-        if not distance(sums[-1], b) < land:
+        # core.distance's float arithmetic, without its point-type checks
+        if not norm([x - float(y) for x, y in zip(sums[-1], b)]) < land:
             raise ValueError("terminal sum off target")
 
     phase_lengths = [len(images)]
@@ -684,7 +718,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         # permutation covers an initial segment, landing within the next
         # stage's tolerance
         move(prev_anchor, prev_anchor, eps, eps_next)
-        pending = [idx for q in reservoir.values() for _, idx in q]
+        pending = [idx for key in parked for _, idx in reservoir[key]]
         report = {
             "stage": j,
             "k_i": len(images),

@@ -4,6 +4,7 @@ import inspect
 import math
 import random
 import re
+from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
 
@@ -687,7 +688,11 @@ def test_rearrange_exhausts_short_prefix():
     (((0.5, 0.0), (math.nan, 0.25), (0.0, 0.5)),
      r"target point 1 is not finite: \(nan, 0.25\)"),
     (((math.inf, 0.0),), r"target point 0 is not finite: \(inf, 0.0\)"),
-], ids=["nan", "nan-among-finite", "inf"])
+    # past the float range, float() raises OverflowError, not inf
+    (((0.0, 10 ** 400),), r"target point 0 is not finite: \(0.0, 1000000000000000"),
+    (((0.0, 0.0), (Fraction(10 ** 400), 0.5)),
+     r"target point 1 is not finite: \(Fraction\(1000000000000000"),
+], ids=["nan", "nan-among-finite", "inf", "int-past-float", "fraction-past-float"])
 def test_rearrange_rejects_a_non_finite_target_point(target, name):
     series = full_range_series(2, 1000)
     with pytest.raises(ValueError, match=name):
@@ -863,6 +868,28 @@ def _within_the_riemann_bound(rows, batch, order):
                 and ((prefixes ** 2).sum(axis=1) <= ((s + m) ** 2).sum()).all())
 
 
+def _riemann_order_reference(batch, keys, rows, delta):
+    # the ordering as first written: defaultdict buckets, axes sorted
+    signs = defaultdict(lambda: ([], []))
+    for i in reversed(batch):
+        axis, positive = divmod(keys[i - 1], 2)
+        signs[axis][positive].append(i)
+    order, prefix = [], [0.0] * rows.shape[1]
+    for axis in sorted(signs):
+        neg, pos = signs[axis]
+        total = peak = 0.0
+        while neg or pos:
+            i = neg.pop() if neg and (total >= 0.0 or not pos) else pos.pop()
+            order.append(i)
+            total += rows.item(i - 1, axis)
+            peak = max(peak, abs(total))
+        prefix[axis] = peak
+        if not norm(prefix) < delta:
+            return None
+        prefix[axis] = total
+    return order
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda dim: st.tuples(
            # per axis: both signs (0), or positive (1) or negative (-1) terms only
@@ -875,7 +902,8 @@ def test_riemann_order_keeps_every_prefix_within_its_bound(axes, rnd):
     # is exact, the other coordinates +0.0 or -0.0 at random, and the batch
     # in a random order: the order is a permutation of the batch, every
     # prefix lies within the per-axis bound, and the float check returns
-    # None exactly when the largest prefix norm is not below delta
+    # None exactly when the largest prefix norm is not below delta, each as
+    # the reference ordering returns it
     signs, terms = axes
     rows = np.array([[rnd.choice((0.0, -0.0)) for _ in signs] for _ in terms])
     for r, (axis, k, negative) in enumerate(terms):
@@ -889,6 +917,9 @@ def test_riemann_order_keeps_every_prefix_within_its_bound(axes, rnd):
     worst = max(_prefix_norms([tuple(r) for r in rows.tolist()], order))
     assert _riemann_order(batch, keys, rows, worst) is None
     assert _riemann_order(batch, keys, rows, math.nextafter(worst, math.inf)) == order
+    for delta in (math.inf, worst, math.nextafter(worst, math.inf), worst / 2):
+        assert (_riemann_order(batch, keys, rows, delta)
+                == _riemann_order_reference(batch, keys, rows, delta))
 
 
 def test_the_riemann_bound_fails_the_inverted_rule():
@@ -963,18 +994,22 @@ _AWKWARD = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.one_of(st.floats(0.5, 2.0), st.floats(-2.0, -0.5)), _AWKWARD,
-                          st.booleans()), min_size=1, max_size=8))
-def test_range_pushes_are_sequential_tuple_adds(head):
+                          st.booleans()), min_size=1, max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+def test_range_pushes_are_sequential_tuple_adds(head, seed):
     # a head of terms of norm >= 0.5, each followed by its negative so that
     # the head sums to about 0, lies inside the opening prefix, which is one
     # range push: the head's terms need not be axis-aligned there.  A tail
-    # of full_range_series's terms over 32 (norms from 1/4 down) lets a
-    # one-stage run land; its hand-off is another range push.  Every sum is
-    # the sequential tuple add, bit for bit
+    # of full_range_series's terms over 32 (norms from 1/4 down), each zero
+    # off its axis drawn from +0.0 and -0.0, lets a one-stage run land; its
+    # picks are pushed one axis entry at a time and its hand-off is another
+    # range push.  Every sum is the sequential tuple add, bit for bit
     terms = [(big, other) if first else (other, big) for big, other, first in head]
     pairs = [u for t in terms for u in (t, tuple(-c for c in t))]
+    rnd = random.Random(seed)
     series = [*sorted(pairs, key=norm, reverse=True),
-              *(tuple(c / 32 for c in t) for t in full_range_series(2, 6000))]
+              *(tuple(c / 32 if c else rnd.choice((0.0, -0.0)) for c in t)
+                for t in full_range_series(2, 6000))]
     tau, walk, _ = rearrange_to_limit_set(series, PointSample(((0.125, -0.25),)), 1)
     n1 = RPConstants(series).n_threshold(0.25)
     assert tau.images[:n1] == list(range(1, n1 + 1)) and n1 > len(pairs)
