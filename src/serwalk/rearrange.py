@@ -42,26 +42,24 @@ stage, in numpy: ``core.float_rows`` converts the stage's sums, as it
 converts every point, and one pass measures each against its move's start
 anchor.
 
-The reservoir keeps one queue per key (axis and sign).  A pick takes the
-first queued index whose magnitude is below twice the error left on that
-axis, and the indices queued before it move, in their order, to the back
-of the queue (one rotate); a queue with no such index is left as it was.
-Later picks depend on this order.  A term scanned at the frontier, when
-the reservoir cannot serve, is picked whenever its axis is still off and
-the error there has its sign, whatever its magnitude: a pick of 2|err| or
-more leaves that axis's error no smaller than it was.  The error cannot
-change until a pick, so once the reservoir cannot serve, the wanted keys
-are found once and the frontier is scanned on, one stored key per term,
-until a term of one of them appears, each term before it parked in order
-with the magnitude read from its row.  A zero term is skipped, and a term
-with two nonzero coordinates raises ValueError when the scan reaches it;
-the opening prefix and the hand-offs push rows without reading keys, so
-they take such a term.  Each queue's magnitudes are also kept sorted,
-largest first (negated), so a queue that cannot serve a pick is known from
-its last, smallest magnitude, without a scan; a scan meets ever smaller
-magnitudes, so a park appends, and a pick deletes near the end.  A
-hand-off empties the queues in the order of their keys' first park in the
-run, so each axis's two queues are summed in that order.
+The reservoir keeps one stack of indices per key (axis and sign).  Any
+parked term x of the error's sign with |x| < 2|err| brings that axis's
+error closer to zero, and a pick takes the last-parked one, the smallest:
+a park appends the index the frontier scan reached, so each stack holds
+its indices in increasing order, and the term norms, which ``RPConstants``
+keeps nonincreasing, are the parked terms' magnitudes.  So when the last
+is not below 2|err|, no parked term of that key is, and the reservoir
+cannot serve.  A term scanned at the frontier then is picked whenever its
+axis is still off and the error there has its sign, whatever its
+magnitude: a pick of 2|err| or more leaves that axis's error no smaller
+than it was.  The error cannot change until a pick, so once the reservoir
+cannot serve, the wanted keys are found once and the frontier is scanned
+on, one stored key per term, until a term of one of them appears, each
+term before it parked.  A zero term is skipped, and a term with two
+nonzero coordinates raises ValueError when the scan reaches it; the
+opening prefix and the hand-offs push rows without reading keys, so they
+take such a term.  A hand-off empties the stacks in key order, each from
+its first index, reading every value from the series' rows.
 
 N(eps) is a bisection over the term norms, which ``RPConstants`` computes
 once, in one pass over the series' float64 rows, and checks to be finite
@@ -112,7 +110,6 @@ import functools
 import math
 import operator
 import random
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
@@ -327,7 +324,7 @@ class RPConstants:
         if bad.size:
             raise ValueError(f"term norms must be nonincreasing: term {bad[0] + 2} "
                              f"is longer than term {bad[0] + 1}")
-        self._rows, self._norms = rows, norms
+        self._sup, self._rows, self._norms = sup, rows, norms
 
     def delta(self, eps: float) -> float:
         return eps / 2
@@ -513,7 +510,8 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     or a target point with a NaN or infinite coordinate (or an exact one
     past the float range, which ``core.norm`` reads as inf) or a dimension
     other than the series' terms (an empty series has dimension 0), raises
-    ValueError.
+    ValueError, and so does a series of SparseVecs: the stage step sums in
+    R^m only.
 
     Every sum is checked against the eps_j-ball around its move's start
     anchor, but once per stage, by ``_stage_fault`` after the stage's last
@@ -533,7 +531,9 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         raise ValueError("stages must be >= 1")
     points = _points(target)
     constants = RPConstants(series_prefix)
-    dim = len(series_prefix[0]) if series_prefix else 0
+    if constants._sup:
+        raise ValueError("the rearranger takes dense terms, not SparseVecs")
+    dim = constants._rows.shape[1]
     for i, p in enumerate(points):
         if len(p) != dim:
             raise ValueError(f"target point {i} has dimension {len(p)}, "
@@ -563,17 +563,11 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
     sums = [tuple([0.0] * dim)]
     frontier = 0
     per_axis = 2 * max(1.0, math.sqrt(dim / 3))  # select's divisor, 2 for dim <= 3
-    # scanned-but-unused indices wait here, one queue per key, until the
+    # scanned-but-unused indices wait here, one stack per key, until the
     # walk swings back their way; sweeping them at every extension instead
     # would feed each move's displacement back into the next one and
     # exhaust the prefix
-    reservoir = [deque() for _ in range(2 * dim)]
-    # each queue's magnitudes, negated and sorted (largest first): a take
-    # that no queued index can serve reads the last and scans nothing
-    mags: list[list] = [[] for _ in range(2 * dim)]
-    # the keys in the order of their first park in the run: the hand-off
-    # sums each axis's two queues in this order
-    parked: list[int] = []
+    reservoir: list[list[int]] = [[] for _ in range(2 * dim)]
     # (first image, start anchor) of each move of the current stage
     marks: list = []
 
@@ -604,19 +598,6 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         anchors = np.repeat(starts, np.diff([m for m, _ in marks] + [len(images)]), axis=0)
         return float(fold_norms(block.T - anchors.T, len(block), sup).max(initial=0.0))
 
-    def take(key, err_abs):
-        sorted_mags, bound = mags[key], 2 * err_abs
-        if not sorted_mags or not -sorted_mags[-1] < bound:
-            return None
-        q = reservoir[key]
-        for k, got in enumerate(q):
-            if got[0] < bound:
-                break
-        q.rotate(-k)
-        q.popleft()
-        del sorted_mags[bisect.bisect_left(sorted_mags, -got[0])]
-        return got
-
     def select(err, land):
         # greedy Riemann selection until each axis is within land/per_axis,
         # which leaves sqrt(dim)/per_axis <= sqrt(3)/2 of land: drain the
@@ -630,15 +611,15 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
                     break
             else:
                 return selected
-            positive = err[axis] > 0
-            got = take(2 * axis + positive, abs(err[axis]))
-            if got is not None:
-                mag, idx = got
-                value = mag if positive else -mag
+            # the last-parked index holds the key's smallest magnitude: when
+            # it is not below 2|err|, no parked index is
+            stack = reservoir[2 * axis + (err[axis] > 0)]
+            if stack and abs(rows.item(stack[-1] - 1, axis)) < 2 * abs(err[axis]):
+                idx = stack.pop()
             else:
                 # err cannot change until a pick, and a scanned term that is
                 # not picked is parked under its own key, which is not
-                # wanted, so never the key take just missed: take would miss
+                # wanted, so never the stack just missed: it would miss
                 # again after every park, so the wanted keys are found once
                 # and the frontier is scanned until one appears
                 wanted = {2 * a + (err[a] > 0) for a in range(dim) if abs(err[a]) > tol}
@@ -650,19 +631,13 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
                     if key in wanted:
                         break
                     if key >= 0:
-                        mag = abs(rows.item(frontier - 1, key // 2))
-                        q = reservoir[key]
-                        if not q and key not in parked:
-                            parked.append(key)
-                        q.append((mag, frontier))
-                        bisect.insort(mags[key], -mag)
+                        reservoir[key].append(frontier)
                     elif key == _SKEW:
                         raise ValueError("tail selection needs axis-aligned terms")
                 idx = frontier
                 axis = key // 2
-                value = rows.item(idx - 1, axis)
             selected.append(idx)
-            err[axis] -= value
+            err[axis] -= rows.item(idx - 1, axis)
 
     # straight prefix through N(eps_1 / 2), then steer onto the first anchor
     n1 = constants.n_threshold(0.25)
@@ -684,13 +659,12 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
             push_range(frontier, n_next)
             frontier = max(frontier, n_next)
             # a parked term is zero off its axis, and ±0.0 adds nothing to z (never -0.0)
-            for key in parked:
-                axis, positive = divmod(key, 2)
-                for mag, idx in reservoir[key]:
-                    batch.append(idx)
-                    z[axis] += mag if positive else -mag
-                reservoir[key].clear()
-                mags[key].clear()
+            for key, stack in enumerate(reservoir):
+                axis = key // 2
+                for idx in stack:
+                    z[axis] += rows.item(idx - 1, axis)
+                batch.extend(stack)
+                stack.clear()
         err = [float(bc) - cc - zc for bc, cc, zc in zip(b, sums[-1], z)]
         land = _landing_tol(eps_next)
         batch.extend(select(err, land))
@@ -718,7 +692,7 @@ def rearrange_to_limit_set(series_prefix: Sequence, target: PointSample,
         # permutation covers an initial segment, landing within the next
         # stage's tolerance
         move(prev_anchor, prev_anchor, eps, eps_next)
-        pending = [idx for key in parked for _, idx in reservoir[key]]
+        pending = [idx for stack in reservoir for idx in stack]
         report = {
             "stage": j,
             "k_i": len(images),

@@ -304,12 +304,12 @@ def test_rearrange_reports_a_failed_construction(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("dim, digests", [
-    (7, {"csv": "a10a98f0280de0f764056a71d68ac08477ccbfd0cbdc49af5c5b2aeb88f468b6",
-         "perm.json": "32a2188aa5fce34730c270ba7e217ee94b19e565b2e5e766c31d0278be13d3df",
-         "report.json": "a6a1b3c8d3506d88dcc405d0ad141b5422f2deb1be5315239db6c291699206a9"}),
-    (8, {"csv": "ed6c5555bc76ecf21077ae13b6ca70cea4831e33c189fa259b13e21c402ca13e",
-         "perm.json": "9a2f3fb2f15d28d3d7caf42fd01ebbfd1c33a497d8ad3ab9623b32f66287f55b",
-         "report.json": "2303d69274ad435777f2f8882c143adf74235804365e1322f9e26af90e16601a"}),
+    (7, {"csv": "3cde870649723014bef252f34b2dedf982514e5954bed53ba2fdef0798f70386",
+         "perm.json": "c73d2776f173227d67f14857dbf281fcc0d6ee52ed8e105f3deb254766334118",
+         "report.json": "6247bde2e1a476aa7a1246bc81c95c57f1507ff2d0cff41f0cb18b60a880c7f6"}),
+    (8, {"csv": "c2352b3a4340f43656553d26a83f793def57183885f1f590a7d5b16b32362b51",
+         "perm.json": "9eb352e8506a55906cbd5614a491b9ef7929091eead036d2e18c43bcb4f47cce",
+         "report.json": "6bd6b3cf32ed2d909d189546783e44996baff44d83aa0ebb58fbc8f2013b812f"}),
 ], ids=["R7", "R8"])
 def test_rearrange_finds_its_prefix_length(tmp_path, dim, digests):
     # (1, 0, ..., 0) exhausts 80,000 terms in R^7 and R^8 and lands on

@@ -4,6 +4,7 @@ import inspect
 import math
 import random
 import re
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
@@ -548,10 +549,10 @@ SEMICIRCLE = tuple((math.cos(math.pi * i / 63), math.sin(math.pi * i / 63))
 
 
 @pytest.mark.parametrize("target, digest", [
-    (C10_CIRCLE, "aa0a766533dc2070637bf24c43aad639225dbc49633fa5607738837d303c45cc"),
+    (C10_CIRCLE, "7fb45172401f0ddc37722a72d0b3cc695f48aa73b8d4390dcfe2969eab41e097"),
     # its stage hand-offs order batches of thousands of terms
-    (((-0.4, -0.1),), "5e50efcbf3a9089fee0329ee06e8d3619d4fc9ba3ca3ff865cde3f3d94a1171d"),
-    (SEMICIRCLE, "8f4065943d25acfc079806de77635f2b1bc452e8bd8c317cfb562a4c0e73395f"),
+    (((-0.4, -0.1),), "fd3173df6e92c2242d87e39e3d9125df5ead3e6a38d2950e254ed10e4856bd60"),
+    (SEMICIRCLE, "48d450a304bcd610f31b263fdb687dfb0d360e8737b6cf96c50cda1c10e1daaf"),
 ], ids=["circle", "point", "semicircle"])
 def test_rearrange_c10_pinned(target, digest):
     series = full_range_series(2, 80000)
@@ -612,7 +613,7 @@ def test_stage_tour_hops_follow_the_gap_graph(rows, j):
 
 
 def test_rearrange_3d_pinned():
-    # three axes give six reservoir queues, where the c10 pins have four;
+    # three axes give six reservoir stacks, where the c10 pins have four;
     # a change to the order in which the reservoir hands out its indices
     # changes the digest
     series = full_range_series(3, 30000)
@@ -621,7 +622,7 @@ def test_rearrange_3d_pinned():
     tau, walk, _ = rearrange_to_limit_set(series, PointSample(target), stages=3)
     assert len(tau.images) == 6661
     assert (hashlib.sha256(repr((tau.images, walk.sums)).encode()).hexdigest()
-            == "519bb6785874697286b5aa9ccd3149f662968cbff9e2247f9aeee7201cd055e4")
+            == "dbc4b350959d0ced8b8eeb9d58e104e7f10f497dbf15ffa443d3c99bc9ef9915")
 
 def test_rearrange_6d_point_pinned():
     # each stage's hand-off orders one large batch over six axes, each axis
@@ -629,7 +630,7 @@ def test_rearrange_6d_point_pinned():
     series = full_range_series(6, 160000)
     tau, walk, reports = rearrange_to_limit_set(series, PointSample(((0.25,) * 6,)), stages=5)
     assert (hashlib.sha256(repr((tau.images, walk.sums, reports)).encode()).hexdigest()
-            == "77a7e9ce8cb29d7fadd6f62d70f3d3d759821ee28334676fb94dfb8c2da24fdb")
+            == "e22766406b41298c603850a6804fd847553afd8a5ef2abef2861515f01456e06")
 
 
 @functools.cache
@@ -801,6 +802,31 @@ def test_every_short_prefix_failure_is_prefix_too_short():
         with pytest.raises(PrefixTooShort, match=f"^{re.escape(message)}$"):
             call()
     assert issubclass(PrefixTooShort, ValueError)
+
+
+def test_a_refused_target_parks_terms_in_bounded_memory():
+    # (50, 0) exhausts the prefix with most of its 160,000 terms parked: a
+    # parked term is one index in its key's stack (once about 160 bytes of
+    # tuples, ints and floats); the series' 2.6 MB is built before tracing
+    series = full_range_series(2, 160_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PrefixTooShort, match="^series prefix exhausted before target reached$"):
+            rearrange_to_limit_set(series, PointSample(((50.0, 0.0),)), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_rearrange_refuses_a_sparse_series():
+    # the stage step sums dense rows: a c0 series read as its support's
+    # columns would be walked in R^2, not in c0
+    series = [SparseVec({k + 1: Fraction(x)})
+              for row in full_range_series(2, 2000).rows.tolist()
+              for k, x in enumerate(row) if x]
+    with pytest.raises(ValueError, match="^the rearranger takes dense terms, not SparseVecs$"):
+        rearrange_to_limit_set(series, PointSample(((0.25, 0.0),)), 1)
 
 
 def test_a_prefix_short_of_the_last_threshold_fails_before_any_stage(monkeypatch):

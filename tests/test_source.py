@@ -30,6 +30,30 @@ def test_library_has_no_assert_statements():
     assert SOURCES and found == []
 
 
+def _unused_imports(tree) -> list:
+    # the names a module binds by import and never reads; `from __future__`
+    # binds nothing
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_library_uses_every_name_it_imports():
+    # an import left behind by a deleted code path is dead weight; the
+    # package's __init__ imports only to export
+    found = [f"{path.name}: {name}"
+             for path in SOURCES if path.name != "__init__.py"
+             for name in _unused_imports(ast.parse(path.read_text()))]
+    assert found == [], found
+
+
 def test_benchmark_span_targets_resolve():
     # the benchmark's tracer wraps these attributes by name: one renamed or
     # removed in the library would break its traced runs

@@ -311,14 +311,14 @@ def test_dense_cli_outputs_are_byte_identical_to_their_pins(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("points, digests", [
     (C10_CIRCLE, {
-        "csv": "1a0c50c5ee6bb192be47b39a3fe6bdc880d1c3c7ab1c1d08228011cb31dddd73",
-        "perm.json": "48f039f980837e3470c2f214f7715ae4cec1798981e59fb0313e9c53f0a91f1e",
-        "report.json": "e748944172c01b192ed5a2c17d151828ad1edb7e46d8468865154eec5f594029",
+        "csv": "1f0fdb94445b439c81c1e9be5aa329a4c145416740b013565b05c552966cfd8d",
+        "perm.json": "bfe559f365b075aac5b3787f00dbb22857a9f40f5803e1662ba919e3a0bf4b82",
+        "report.json": "a5e3d37829fc94524913e378369ce5c944d9fc217f52b325149295e6fe294008",
         "manifest.json": "08d7b1e077cada47aad71436c51058e73446a2929d51de84e01e4a36989a2267"}),
     ([(0.25, -0.5)], {
-        "csv": "fb795ee65672699a4dea83b06fea8ae52da90c15fff6e216511cc519bc0c6734",
-        "perm.json": "fa8c36d9ef9f169cb6d6de67a2b25e0c076e65244dac80110cc6ff6d9086323e",
-        "report.json": "fc211bcafe629849dbae441bb7ae344f4898e0d9e6d4961603ce00896cbe0e33",
+        "csv": "79c9a40aedb630fbdf3df84b3aa2501778d27e19434241fb5ce6bc0e72068f8f",
+        "perm.json": "80d26f738adf5f850545109eb30f0563157658e110546da74d6e3697d9b1c7a8",
+        "report.json": "6816f78915c47ae546af712a0470d9e7d407b15ad37858f157fdb60493a35413",
         "manifest.json": "08d7b1e077cada47aad71436c51058e73446a2929d51de84e01e4a36989a2267"}),
 ], ids=["circle", "point"])
 def test_rearrange_cli_outputs_are_byte_identical_to_their_pins(tmp_path, monkeypatch,
